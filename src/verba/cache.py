@@ -2,7 +2,8 @@
 
 Files live under the cache root (``VERBA_CACHE_DIR`` or
 ``~/.cache/verba``), one per (group spec, template) pair, named by a
-content hash so that editing a template invalidates the entry.  Format::
+content hash so that editing a template, or rewriting the file of a
+``table:`` group, invalidates the entry.  Format::
 
     GROUP <spec> TEMPLATE <key> COUNT <n>
     <id> <distance>
@@ -36,8 +37,12 @@ def cache_dir() -> Path:
 
 
 def cache_key(group_spec: str, template: Template) -> str:
-    digest = hashlib.sha256(f"{group_spec}\n{template.key}".encode()).hexdigest()
-    return digest[:24]
+    """Hash of the group spec and template key; for a ``table:<path>`` group
+    also of the file's bytes, so that rewriting the file misses."""
+    material = f"{group_spec}\n{template.key}".encode()
+    if group_spec.startswith("table:"):
+        material += b"\n" + Path(group_spec[len("table:") :]).read_bytes()
+    return hashlib.sha256(material).hexdigest()[:24]
 
 
 def cache_path(group_spec: str, template: Template) -> Path:

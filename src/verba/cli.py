@@ -115,10 +115,17 @@ def _cmd_wlength(args: argparse.Namespace) -> int:
             print("--element needs --images", file=sys.stderr)
             return 2
         word = grammar.parse(args.element, names)
-        images = {
-            i + 1: int(token)
-            for i, token in enumerate(args.images.split(","))
-        }
+        ids = {str(a): a for a in range(group.order)}
+        tokens = [token.strip() for token in args.images.split(",")]
+        if not all(token in ids for token in tokens):
+            raise ParseError(
+                f"--images takes comma-separated element ids in [0, {group.order}),"
+                f" not {args.images!r}"
+            )
+        images = {i + 1: ids[token] for i, token in enumerate(tokens)}
+        missing = [i for i in word.generators() if i not in images]
+        if missing:
+            raise ParseError(f"--images gives no image for generators {missing}")
         element = eval_word(group, word, images)
         distance = table.distance(element)
         text = "unreachable" if distance is None else str(distance)
@@ -172,6 +179,8 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ParseError(f"--n must be at least 1, not {args.n}")
     inv = cover.cover_invariants(args.n)
     images = cover.boundary_cover(args.n)
     print(f"degree {inv.degree}")

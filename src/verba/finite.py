@@ -11,9 +11,15 @@ Backends:
   ``order N`` followed by ``N`` rows of ``N`` ids (validated to be a group).
 
 Multiplication is "first left, then right" for permutation-like backends,
-matching how words act in :mod:`verba.cover`.  Groups of order at most
-``TABLE_CAP`` build a dense numpy multiplication table on demand; value-set
-enumeration and breadth-first ball growth are vectorized against it.
+matching how words act in :mod:`verba.cover`.
+
+Value-set enumeration, subgroup closure and breadth-first ball growth use one
+contract: :meth:`FiniteGroup.mul` over broadcast numpy id arrays, plus
+:meth:`FiniteGroup.inverses`.  ``mul`` looks products up in a dense table
+built on first use, except for permutation groups of order above
+``TABLE_CAP`` (S7, S8, A8), where it composes the permutations directly.
+The scalar ``multiply`` / ``inverse`` use each backend's own arithmetic and
+serve as an independent check of ``mul``.
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from .words import Word
 
 TABLE_CAP = 4096
 ENUMERATION_BUDGET = 10**8
+_CHUNK = 1 << 18  # products per vectorized block
 _TABLE_ORDER_CAP = 2048
 
 _SL2_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -58,19 +65,13 @@ class FiniteGroup:
         return str(a)
 
     def _build_table(self) -> np.ndarray:
-        table = np.empty((self.order, self.order), dtype=np.int32)
-        for a in range(self.order):
-            for b in range(self.order):
-                table[a, b] = self.multiply(a, b)
-        return table
+        raise NotImplementedError
 
-    def dense_table(self) -> np.ndarray | None:
-        """The full multiplication table, or ``None`` above ``TABLE_CAP``."""
-        if self.order > TABLE_CAP:
-            return None
+    def mul(self, a_ids, b_ids) -> np.ndarray:
+        """Products ``a * b`` of broadcast id arrays, by table lookup."""
         if self._table is None:
             self._table = self._build_table()
-        return self._table
+        return self._table[a_ids, b_ids]
 
     def inverses(self) -> np.ndarray:
         if self._inverses is None:
@@ -110,6 +111,16 @@ class PermutationGroup(FiniteGroup):
 
     def element_name(self, a: int) -> str:
         return "(" + " ".join(str(v) for v in self._perms[a]) + ")"
+
+    def mul(self, a_ids, b_ids) -> np.ndarray:
+        # Above the cap a dense table (order**2 ids) costs more memory and
+        # build time than composing the permutations of each product.
+        if self.order <= TABLE_CAP:
+            return super().mul(a_ids, b_ids)
+        # first a, then b: composed[..., j] = perms[b][perms[a][j]]
+        offsets = self.degree * np.asarray(b_ids)[..., None]
+        composed = self._perms.ravel()[offsets + self._perms[a_ids]]
+        return self._lookup[composed @ self._radix]
 
     def _build_table(self) -> np.ndarray:
         table = np.empty((self.order, self.order), dtype=np.int32)
@@ -340,14 +351,19 @@ def _assignment_columns(
 def _eval_template_block(
     group: FiniteGroup, body: Word, columns: dict[int, np.ndarray]
 ) -> np.ndarray:
-    table = group.dense_table()
-    assert table is not None
     inv = group.inverses()
     acc = np.full(len(next(iter(columns.values()))), group.identity, dtype=np.int32)
     for index, sign in body.letters:
         col = columns[index] if sign == 1 else inv[columns[index]]
-        acc = table[acc, col]
+        acc = group.mul(acc, col)
     return acc
+
+
+def _row_blocks(ids: np.ndarray, width: int):
+    """``ids`` as column vectors of at most ``_CHUNK // width`` rows each."""
+    step = max(1, _CHUNK // max(width, 1))
+    for start in range(0, len(ids), step):
+        yield ids[start : start + step, None]
 
 
 def template_values(
@@ -371,43 +387,36 @@ def template_values(
             f"enumerating {template.label} over {group.spec} needs {total} assignments"
             f" (budget {budget})"
         )
-    if group.dense_table() is None:
-        values: set[int] = set()
-        for assignment in itertools.product(range(group.order), repeat=k):
-            values.add(
-                eval_word(group, template.body, dict(zip(template.variables, assignment)))
-            )
-        return np.array(sorted(values), dtype=np.int32)
-    chunk = 1 << 18
     seen = np.zeros(group.order, dtype=bool)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _CHUNK):
+        stop = min(start + _CHUNK, total)
         cols = _assignment_columns(group, k, start, stop)
         columns = dict(zip(template.variables, cols))
         seen[_eval_template_block(group, template.body, columns)] = True
     return np.nonzero(seen)[0].astype(np.int32)
 
 
+def _bfs_distances(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
+    """Breadth-first levels from the identity, one step being right
+    multiplication by a seed or its inverse; ``-1`` where never reached."""
+    steps = np.unique(np.concatenate([seed_ids, group.inverses()[seed_ids]]))
+    distances = np.full(group.order, -1, dtype=np.int32)
+    distances[group.identity] = 0
+    frontier = np.array([group.identity], dtype=np.int32)
+    level = 0
+    while frontier.size:
+        level += 1
+        hit = np.zeros(group.order, dtype=bool)
+        for rows in _row_blocks(frontier, len(steps)):
+            hit[group.mul(rows, steps)] = True
+        frontier = np.nonzero(hit & (distances < 0))[0].astype(np.int32)
+        distances[frontier] = level
+    return distances
+
+
 def closure(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
     """Ids of the subgroup generated by ``seed_ids`` (products of seeds)."""
-    table = group.dense_table()
-    seeds = np.unique(np.concatenate([seed_ids, group.inverses()[seed_ids]]))
-    member = np.zeros(group.order, dtype=bool)
-    member[group.identity] = True
-    frontier = np.array([group.identity], dtype=np.int32)
-    while frontier.size:
-        if table is not None:
-            products = table[np.ix_(frontier, seeds)].ravel()
-        else:
-            products = np.array(
-                [group.multiply(int(a), int(s)) for a in frontier for s in seeds],
-                dtype=np.int32,
-            )
-        products = np.unique(products)
-        fresh = products[~member[products]]
-        member[fresh] = True
-        frontier = fresh
-    return np.nonzero(member)[0].astype(np.int32)
+    return np.nonzero(_bfs_distances(group, seed_ids) >= 0)[0].astype(np.int32)
 
 
 def derived_subgroup(group: FiniteGroup, budget: int = ENUMERATION_BUDGET) -> np.ndarray:
@@ -421,18 +430,11 @@ def _gamma3_family_values(group: FiniteGroup, budget: int) -> np.ndarray:
     derived = derived_subgroup(group, budget)
     if group.order * len(derived) > budget:
         raise ResourceBudgetError("commutator-of-derived enumeration over budget")
-    table = group.dense_table()
     inv = group.inverses()
     seen = np.zeros(group.order, dtype=bool)
-    if table is None:
-        for u in range(group.order):
-            for d in derived:
-                ud = group.multiply(u, int(d))
-                seen[group.multiply(group.multiply(ud, inv[u]), inv[d])] = True
-    else:
-        for u in range(group.order):
-            ud = table[u, derived]
-            seen[table[table[ud, inv[u]], inv[derived]]] = True
+    for u in _row_blocks(np.arange(group.order), len(derived)):
+        ud = group.mul(u, derived)
+        seen[group.mul(group.mul(ud, inv[u]), inv[derived])] = True
     return np.nonzero(seen)[0].astype(np.int32)
 
 
@@ -469,27 +471,7 @@ def wlength_table(
 ) -> DistanceTable:
     """Breadth-first word lengths over the template's value set in ``group``."""
     values = template_values(group, template, budget)
-    generators = np.unique(np.concatenate([values, group.inverses()[values]]))
-    table = group.dense_table()
-    distances = np.full(group.order, -1, dtype=np.int32)
-    distances[group.identity] = 0
-    frontier = np.array([group.identity], dtype=np.int32)
-    level = 0
-    while frontier.size:
-        level += 1
-        if table is not None:
-            products = np.unique(table[np.ix_(frontier, generators)].ravel())
-        else:
-            products = np.unique(
-                np.array(
-                    [group.multiply(int(a), int(s)) for a in frontier for s in generators],
-                    dtype=np.int32,
-                )
-            )
-        fresh = products[distances[products] < 0]
-        distances[fresh] = level
-        frontier = fresh
-    return DistanceTable(group.spec, template.key, distances)
+    return DistanceTable(group.spec, template.key, _bfs_distances(group, values))
 
 
 def bi_invariance_check(
@@ -508,20 +490,15 @@ def bi_invariance_check(
     reachable = np.nonzero(table.distances >= 0)[0]
     if reachable.size == 0:
         return True
-    for _ in range(trials):
-        g = int(rng.choice(reachable))
-        h = int(rng.choice(reachable))
-        f = int(rng.integers(group.order))
-        base = table.distance(group.multiply(group.inverse(g), h))
-        left = table.distance(
-            group.multiply(group.inverse(group.multiply(f, g)), group.multiply(f, h))
-        )
-        right = table.distance(
-            group.multiply(group.inverse(group.multiply(g, f)), group.multiply(h, f))
-        )
-        if not (base == left == right):
-            return False
-    return True
+    g = rng.choice(reachable, size=trials)
+    h = rng.choice(reachable, size=trials)
+    f = rng.integers(group.order, size=trials)
+    inv = group.inverses()
+    d = table.distances
+    base = d[group.mul(inv[g], h)]
+    left = d[group.mul(inv[group.mul(f, g)], group.mul(f, h))]
+    right = d[group.mul(inv[group.mul(g, f)], group.mul(h, f))]
+    return bool(np.array_equal(base, left) and np.array_equal(base, right))
 
 
 def quotient_length(

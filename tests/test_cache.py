@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from verba import cache
-from verba.finite import load_group, wlength_table
+from verba.cli import main
+from verba.finite import dihedral_table_text, load_group, wlength_table
 from verba.templates import beta_word, gamma_word
 
 
@@ -90,3 +91,19 @@ def test_info_and_clear(cache_root):
     assert cache.clear() == 2
     assert any("(empty)" in line for line in cache.info())
     assert cache.clear() == 0
+
+
+def test_rewritten_table_file_misses(cache_root, tmp_path, capsys):
+    path = tmp_path / "group.tbl"
+    path.write_text(dihedral_table_text(3))
+    args = ["wlength", "--group", f"table:{path}", "--template", "gamma2"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "unreachable 3"]
+    # Rewrite the same path as the cyclic group of order 6: abelian, so only
+    # the identity is a product of commutators.
+    rows = [" ".join(str((a + b) % 6) for b in range(6)) for a in range(6)]
+    path.write_text("order 6\n" + "\n".join(rows) + "\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 1", "unreachable 5"]
+    assert main(args + ["--no-cache"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 1", "unreachable 5"]

@@ -147,6 +147,30 @@ def test_wlength_element_needs_images(capsys):
     assert "--images" in err
 
 
+@pytest.mark.parametrize(
+    "images", ["99", "a", "-1", "1,", "6", pytest.param("9" * 5000, id="5000-digits")]
+)
+def test_wlength_rejects_bad_images(capsys, images):
+    code, out, err = run(
+        capsys,
+        "wlength", "--group", "S3", "--template", "gamma2", "--element", "x",
+        "--images", images, "--no-cache",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --images") and err.count("\n") == 1
+
+
+def test_wlength_images_must_cover_the_element(capsys):
+    code, _, err = run(
+        capsys,
+        "wlength", "--group", "S3", "--template", "gamma2", "--element", "x y",
+        "--images", "1", "--no-cache",
+    )
+    assert code == 2
+    assert "no image for generators [2]" in err
+
+
 def test_wlength_bi_invariance(capsys):
     code, out, _ = run(
         capsys,
@@ -244,6 +268,14 @@ def test_bound_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "bound", "--facts", str(facts))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cover_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "cover", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "--n must be at least 1" in err
 
 
 def test_cover_invariants_output(capsys):

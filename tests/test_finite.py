@@ -12,10 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
+from verba import finite
 from verba.errors import ParseError, ResourceBudgetError, UnknownNameError
 from verba.finite import (
+    TABLE_CAP,
     TableGroup,
     bi_invariance_check,
+    closure,
     dihedral_table_text,
     eval_word,
     load_group,
@@ -25,8 +28,8 @@ from verba.finite import (
     template_values,
     wlength_table,
 )
-from verba.templates import GAMMA3_FAMILY, beta_word, gamma_word
-from verba.words import EMPTY, commutator, gen
+from verba.templates import GAMMA3_FAMILY, beta_word, gamma_word, template_from_word
+from verba.words import EMPTY, commutator, gen, power
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +83,18 @@ def oracle_subgroup_closure(group, seed):
                     fresh.append(b)
         frontier = fresh
     return members
+
+
+def oracle_gamma3_family(group):
+    """Commutators [u, d] with d in the subgroup generated by all commutators."""
+    plain = oracle_values(group, gamma_word(2).body, gamma_word(2).variables)
+    derived = oracle_subgroup_closure(group, plain)
+    want = set()
+    for u in range(group.order):
+        for d in derived:
+            ud = group.multiply(u, d)
+            want.add(group.multiply(group.multiply(ud, group.inverse(u)), group.inverse(d)))
+    return want
 
 
 EXPECTED_ORDERS = {
@@ -198,6 +213,84 @@ def test_table_group_comment_and_blank_lines():
 
 
 # ---------------------------------------------------------------------------
+# the array multiplication contract
+
+@pytest.mark.parametrize("spec", ["S7", "SL2_5", "D7"])
+def test_mul_matches_multiply_on_broadcast_shapes(spec):
+    # S7 is above TABLE_CAP and composes permutations; the others look up a
+    # table built by their backend.  ``multiply`` is the scalar oracle.
+    group = load_group(spec)
+    rng = np.random.default_rng(17)
+    oracle = np.vectorize(group.multiply)
+    for a_shape, b_shape in [((), (40,)), ((40,), ()), ((6, 1), (9,)), ((4, 7), (7,)), ((), ())]:
+        a = rng.integers(group.order, size=a_shape)
+        b = rng.integers(group.order, size=b_shape)
+        got = group.mul(a, b)
+        assert np.shape(got) == np.broadcast_shapes(a_shape, b_shape)
+        assert np.array_equal(got, oracle(a, b))
+    ids = np.arange(group.order)
+    inv = group.inverses()
+    assert np.all(group.mul(ids, inv) == group.identity)
+    assert np.all(group.mul(inv, ids) == group.identity)
+    sample = rng.integers(group.order, size=50)
+    assert [int(inv[a]) for a in sample] == [group.inverse(int(a)) for a in sample]
+
+
+def test_s7_power_values_match_lexicographic_powers():
+    group = load_group("S7")
+    assert group.order > TABLE_CAP
+    perms = list(itertools.permutations(range(7)))  # in id order
+    index = {p: i for i, p in enumerate(perms)}
+    want = set()
+    for p in perms:
+        q = tuple(range(7))
+        for _ in range(6):
+            q = tuple(p[i] for i in q)
+        want.add(index[q])
+    got = template_values(group, template_from_word(power(gen(1), 6)))
+    assert got.tolist() == sorted(want)
+
+
+def test_closure_above_table_cap():
+    # (0 1 2) and the 7-cycle generate A7; a transposition added gives S7.
+    group = load_group("S7")
+    perms = list(itertools.permutations(range(7)))  # in id order
+    index = {p: i for i, p in enumerate(perms)}
+    three_cycle = index[(1, 2, 0, 3, 4, 5, 6)]
+    seven_cycle = index[(1, 2, 3, 4, 5, 6, 0)]
+    transposition = index[(1, 0, 2, 3, 4, 5, 6)]
+    even = [
+        i
+        for i, p in enumerate(perms)
+        if sum(p[x] > p[y] for x in range(7) for y in range(x + 1, 7)) % 2 == 0
+    ]
+    assert closure(group, np.array([three_cycle, seven_cycle])).tolist() == even
+    everything = closure(group, np.array([three_cycle, seven_cycle, transposition]))
+    assert everything.tolist() == list(range(group.order))
+
+
+def test_a7_commutator_distances_span_several_blocks():
+    # Ore: every element of A_n (n >= 5) is a commutator.  The enumeration and
+    # the second search level (2519 x 2520 products) both take many blocks.
+    group = load_group("A7")
+    assert group.order * (group.order - 1) > finite._CHUNK
+    assert wlength_table(group, gamma_word(2)).histogram() == {0: 1, 1: 2519}
+
+
+def test_small_blocks_match_oracle(monkeypatch):
+    monkeypatch.setattr(finite, "_CHUNK", 7)
+    for spec, template in [("A4", gamma_word(2)), ("SL2_3", gamma_word(2)), ("D6", gamma_word(3))]:
+        group = load_group(spec)
+        values = template_values(group, template)
+        assert set(values.tolist()) == oracle_values(group, template.body, template.variables)
+        want = oracle_distances(group, values.tolist())
+        table = wlength_table(group, template)
+        assert {a: d for a, d in enumerate(table.distances.tolist()) if d >= 0} == want
+    group = load_group("A4")
+    assert set(template_values(group, GAMMA3_FAMILY).tolist()) == oracle_gamma3_family(group)
+
+
+# ---------------------------------------------------------------------------
 # word evaluation
 
 def test_eval_word_matches_oracle():
@@ -257,19 +350,8 @@ def test_gamma3_family_values():
     # generated by all commutators; check against a from-scratch computation.
     for spec in ("S3", "A4", "D6"):
         group = load_group(spec)
-        plain = oracle_values(group, gamma_word(2).body, gamma_word(2).variables)
-        derived = oracle_subgroup_closure(group, plain)
-        want = set()
-        for u in range(group.order):
-            for d in derived:
-                ud = group.multiply(u, d)
-                want.add(
-                    group.multiply(
-                        group.multiply(ud, group.inverse(u)), group.inverse(d)
-                    )
-                )
         got = set(int(v) for v in template_values(group, GAMMA3_FAMILY))
-        assert got == want
+        assert got == oracle_gamma3_family(group)
 
 
 def test_template_values_budget():
