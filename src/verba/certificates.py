@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from . import grammar
 from .errors import CertificateError, ParseError
 from .templates import Template, beta_word, gamma_word, template_from_word
-from .words import EMPTY, Word, commutator, substitute
+from .words import EMPTY, Word, commutator, product, substitute
 
 
 class FactorKind(enum.Enum):
@@ -90,10 +90,7 @@ class Certificate:
     flags: tuple[str, ...] = ()
 
     def product(self) -> Word:
-        out = EMPTY
-        for factor in self.factors:
-            out = out * factor.expanded()
-        return out
+        return product(factor.expanded() for factor in self.factors)
 
     def verify(self) -> bool:
         """True when every factor is coherent and the product reduces to the target."""

@@ -40,7 +40,10 @@ from .identities import REWRITE_RULES
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -151,7 +154,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     if not args.no_default_seeds:
         seeds = os.environ.get("VERBA_SEEDS")
         if seeds:
-            engine.load_facts(Path(seeds).read_text())
+            engine.load_facts(_read_text(seeds))
         else:
             engine.load_default_seeds()
     for path in args.facts or ():

@@ -20,10 +20,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError
-from .words import EMPTY, Word, commutator, conjugate, gen, power
+from .errors import ParseError, ResourceBudgetError
+from .words import EMPTY, Word, commutator, conjugate, gen, power, product
 
-_TOKEN_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|[-^()\[\],])")
+# A token, or the first stray non-space character, after optional whitespace.
+_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|\d+|[-^()\[\],])|(\S))")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _CANONICAL_RE = re.compile(r"x([1-9][0-9]*)\Z")
 
@@ -99,26 +100,22 @@ def canonical_table() -> CanonicalNameTable:
 
 def _tokenize(text: str) -> list[str]:
     tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}")
-            break
-        tokens.append(match.group(1))
-        pos = match.end()
+    for token, stray in _TOKEN_RE.findall(text):
+        if stray:
+            raise ParseError(f"unexpected character {stray!r}")
+        tokens.append(token)
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens: list[str], names: NameTable):
-        self.tokens = tokens
+        self.tokens: list[str | None] = tokens + [None]  # None marks the end
         self.pos = 0
         self.names = names
+        self.generators: dict[str, Word] = {}  # a bound name never changes index
 
     def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos]
 
     def take(self, expected: str) -> str:
         tok = self.peek()
@@ -137,10 +134,10 @@ class _Parser:
         return tok
 
     def word(self) -> Word:
-        out = self.term()
+        terms = [self.term()]
         while self.peek() not in (None, ")", "]", ","):
-            out = out * self.term()
-        return out
+            terms.append(self.term())
+        return product(terms)
 
     def term(self) -> Word:
         base = self.atom()
@@ -155,7 +152,11 @@ class _Parser:
             digits = self.take_any("an exponent")
             if not digits.isdigit():
                 raise ParseError(f"expected an exponent, found {digits!r}")
-            result = power(base, -int(digits) if negative else int(digits))
+            try:
+                exponent = int(digits)
+            except ValueError:  # past Python's limit on int-string conversion
+                raise ResourceBudgetError(f"exponent of {len(digits)} digits") from None
+            result = power(base, -exponent if negative else exponent)
         else:
             result = conjugate(base, self.atom())
         if self.peek() == "^":
@@ -176,8 +177,12 @@ class _Parser:
             right = self.word()
             self.take("]")
             return commutator(left, right)
+        found = self.generators.get(tok)
+        if found is not None:
+            return found
         if _NAME_RE.match(tok):
-            return gen(self.names.index(tok))
+            found = self.generators[tok] = gen(self.names.index(tok))
+            return found
         raise ParseError(f"expected an atom, found {tok!r}")
 
 

@@ -27,6 +27,7 @@ from .templates import Template, gamma_word, template_from_word, visible_commuta
 from .words import (
     EMPTY,
     Word,
+    check_size,
     commutator,
     conjugate,
     gen,
@@ -237,16 +238,20 @@ def square_to_gamma3(a: Word, b: Word, n: int) -> Certificate:
     """
     if n < 0:
         raise ValueError("square_to_gamma3 needs n >= 0")
+    check_size(2**n, "factors")
     if commutator(a, b) == EMPTY:
         return _checked(EMPTY, [])
     tagged = in_commutator_subgroup(b)
     tail: list[Factor] = []
+    letters = 0  # in the expanded tail; prefixing a copy adds at most 2 * len(prefix)
     for j in range(n):
         head_word = commutator(power(a, 2**j), b)
         step = _gamma3_factor(conjugate(power(a, 2**j), b), b, power(a, 2**j))
         if not tagged:
             step = _raw(step.base)
         prefix = head_word.inverse()
+        letters = len(step.base) + 2 * letters + 2 * len(prefix) * len(tail)
+        check_size(letters, "letters")
         tail = [step] + [_prefix_conj(f, prefix) for f in tail] + tail
     head = _commutator_factor(power(a, 2**n), b)
     flags = ()
@@ -382,7 +387,13 @@ def _expect(args: list[str], count: int, usage: str) -> None:
 def _make_registry() -> dict[str, RewriteRule]:
     def rule(name: str, usage: str, summary: str):
         def wrap(fn):
-            registry[name] = RewriteRule(name, usage, summary, fn)
+            def build(args: list[str], names: grammar.NameTable) -> Certificate:
+                try:
+                    return fn(args, names)
+                except ValueError as exc:  # a rule's guard on its arguments
+                    raise ParseError(str(exc)) from None
+
+            registry[name] = RewriteRule(name, usage, summary, build)
             return fn
 
         return wrap

@@ -29,7 +29,6 @@ from .words import (
     commutator,
     conjugate,
     gen,
-    in_commutator_subgroup,
     substitute,
 )
 
@@ -42,10 +41,6 @@ class Template:
     label: str
     body: Word | None
     variables: tuple[int, ...]
-
-    @property
-    def is_single_word(self) -> bool:
-        return self.body is not None
 
     def instance(self, images: Substitution) -> Word:
         if self.body is None:
@@ -169,28 +164,6 @@ def fresh_commutator_split(w: Word) -> tuple[int, Word] | None:
     return None
 
 
-def in_gamma3_family(w: Word, second_entry: Word | None = None) -> bool:
-    """Membership test for ``GAMMA3_FAMILY`` instances.
-
-    With ``second_entry`` given, checks ``w == [u, second_entry]`` for some
-    ``u`` and ``second_entry`` in the commutator subgroup.  Without it, the
-    only cheap certificate is ``w`` itself being built as such, so callers
-    should pass the entry; this fallback accepts words with vanishing
-    generator exponent sums written ``[u, v]`` with visible ``v``.
-    """
-    if second_entry is not None:
-        if not in_commutator_subgroup(second_entry):
-            return False
-        split = visible_commutator_with(w, second_entry)
-        return split is not None
-    if not in_commutator_subgroup(w):
-        return False
-    for u, v in iter_commutator_splits(w):
-        if in_commutator_subgroup(v):
-            return True
-    return False
-
-
 def iter_commutator_splits(w: Word):
     """Yield pairs ``(u, v)`` of subword prefixes with ``[u, v] == w``."""
     letters = w.letters
@@ -200,15 +173,6 @@ def iter_commutator_splits(w: Word):
             v = Word(letters[i:j])
             if commutator(u, v) == w:
                 yield u, v
-
-
-def visible_commutator_with(w: Word, v: Word) -> Word | None:
-    """Find ``u`` with ``[u, v] == w`` by scanning prefixes of ``w``."""
-    for i in range(len(w.letters) + 1):
-        u = Word(w.letters[:i])
-        if commutator(u, v) == w:
-            return u
-    return None
 
 
 def visible_commutator(w: Word) -> tuple[Word, Word] | None:

@@ -14,9 +14,22 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
+
+from .errors import ResourceBudgetError
 
 Letter = tuple[int, int]
+
+#: Most letters ``power`` builds into one word, and most factors or letters
+#: a rewrite rule such as ``square_to_gamma3`` builds into one certificate;
+#: ``ResourceBudgetError`` is raised before anything larger is built.
+SIZE_BUDGET = 10**7
+
+
+def check_size(count: int, what: str) -> None:
+    """Raise ``ResourceBudgetError`` when ``count`` exceeds ``SIZE_BUDGET``."""
+    if count > SIZE_BUDGET:
+        raise ResourceBudgetError(f"{count} {what} exceed the size budget of {SIZE_BUDGET}")
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -27,6 +40,14 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
         else:
             stack.append((index, sign))
     return tuple(stack)
+
+
+def _seam(left: Sequence[Letter], right: Sequence[Letter]) -> int:
+    """How many letters cancel where reduced ``left`` meets reduced ``right``."""
+    k, top = 0, min(len(left), len(right))
+    while k < top and left[-1 - k][0] == right[k][0] and left[-1 - k][1] == -right[k][1]:
+        k += 1
+    return k
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +76,9 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        left, right = self.letters, other.letters
+        k = _seam(left, right)
+        return _reduced(left[: len(left) - k] + right[k:])
 
     def __pow__(self, n: int) -> "Word":
         if not isinstance(n, int):
@@ -67,7 +90,7 @@ class Word:
         return not self.letters
 
     def inverse(self) -> "Word":
-        return Word(tuple((i, -s) for i, s in reversed(self.letters)))
+        return _reduced(tuple((i, -s) for i, s in reversed(self.letters)))
 
     def conjugated_by(self, t: "Word") -> "Word":
         return conjugate(self, t)
@@ -81,6 +104,13 @@ class Word:
         return f"Word({grammar.format_word(self)!r})"
 
 
+def _reduced(letters: tuple[Letter, ...]) -> Word:
+    """A ``Word`` of letters already known to be valid and freely reduced."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", letters)
+    return word
+
+
 EMPTY = Word()
 
 
@@ -92,7 +122,7 @@ def gen(index: int) -> Word:
 def power(w: Word, n: int) -> Word:
     """``w`` raised to an integer power (negative powers invert)."""
     if n < 0:
-        return power(w.inverse(), -n)
+        w, n = w.inverse(), -n
     if n == 0 or not w:
         return EMPTY
     # Strip the conjugating shell once so repetition only cancels at the seam.
@@ -105,8 +135,19 @@ def power(w: Word, n: int) -> Word:
         head += 1
     shell = letters[:head]
     core = letters[head : len(letters) - head]
-    inner = _reduce(core * n)
-    return Word(shell + inner + tuple((i, -s) for i, s in reversed(shell)))
+    check_size(2 * head + len(core) * n, "letters")
+    # ``core`` is cyclically reduced, so its repetitions do not cancel.
+    return _reduced(shell + core * n + tuple((i, -s) for i, s in reversed(shell)))
+
+
+def product(words: Iterable[Word]) -> Word:
+    """``w1 * w2 * ...`` in one pass, cancelling only at each seam."""
+    stack: list[Letter] = []
+    for w in words:
+        k = _seam(stack, w.letters)
+        del stack[len(stack) - k :]
+        stack.extend(w.letters[k:])
+    return _reduced(tuple(stack))
 
 
 def conjugate(w: Word, t: Word) -> Word:

@@ -93,6 +93,45 @@ def test_rewrite_bad_arity(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["herd_powers", "x", "y", "-3"], "herd_powers needs n >= 1"),
+        (["culler_power_pair", "0"], "culler_power_pair needs k >= 1"),
+        (["rotate_product", "-1", "x", "y"], "rotate_product needs k >= 0"),
+        (["square_to_gamma3", "x", "y", "-1"], "square_to_gamma3 needs n >= 0"),
+    ],
+)
+def test_rewrite_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "rewrite", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reduce", "x^99999999999"],
+        ["reduce", "(x y)^-99999999999"],
+        ["reduce", "x^" + "9" * 5000],
+        ["rewrite", "square_to_gamma3", "x", "y", "40"],
+        ["rewrite", "square_to_gamma3", "x y", "y z x", "12"],
+    ],
+)
+def test_size_budget_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource budget exceeded:") and err.count("\n") == 1
+
+
+def test_size_budget_admits_the_largest_doubling(capsys):
+    code, out, _ = run(capsys, "rewrite", "square_to_gamma3", "x y", "y z x", "8")
+    assert code == 0
+    assert out.count("\nFACTOR ") == 256
+
+
 def test_wlength_histogram_a5(capsys):
     code, out, _ = run(
         capsys, "wlength", "--group", "A5", "--template", "gamma2", "--no-cache"
@@ -268,6 +307,30 @@ def test_bound_parse_error(capsys, tmp_path):
     code, _, err = run(capsys, "bound", "--facts", str(facts))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{missing}"],
+        ["bound", "--facts", "{missing}"],
+        ["cover", "--n", "2", "--certificate", "{missing}"],
+        ["verify", "{directory}"],
+    ],
+)
+def test_unreadable_input_file_exit_code(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "no_such_file", "directory": tmp_path}
+    argv = [arg.format(**paths) for arg in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {tmp_path}") and err.count("\n") == 1
+
+
+def test_unreadable_seeds_file_exit_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("VERBA_SEEDS", str(tmp_path / "no_such_file"))
+    code, _, err = run(capsys, "bound", "--declare", "SCL FREE [x,y]")
+    assert code == 2
+    assert err.startswith(f"error: cannot read {tmp_path}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
