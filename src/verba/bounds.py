@@ -100,14 +100,16 @@ class Quantity:
             object.__setattr__(self, "exponent", exponent)
         elif self.exponent is not None:
             raise ValueError(f"{self.kind.value} quantities take no exponent")
-
-    def key(self) -> str:
         parts = [self.kind.value, self.context.value, grammar.canonical_key(self.word)]
         if self.template_key is not None:
             parts.append(f"| {self.template_key}")
         if self.kind is QuantityKind.L:
             parts.append(f"@ {self.exponent}")
-        return " ".join(parts)
+        # built once; not a field, so eq, hash and repr ignore it
+        object.__setattr__(self, "_key", " ".join(parts))
+
+    def key(self) -> str:
+        return self._key
 
 
 @dataclass(frozen=True)
@@ -418,9 +420,9 @@ class BoundEngine:
 
     # -- tightening and the event log ---------------------------------------
 
-    def _snapshot(self, key: str) -> Antecedent:
-        fact = self.facts[key]
-        return Antecedent(key, fact.lo, fact.hi, fact.lo_event, fact.hi_event)
+    def _snapshot(self, quantity: Quantity) -> Antecedent:
+        fact = self.facts[quantity.key()]
+        return Antecedent(quantity.key(), fact.lo, fact.hi, fact.lo_event, fact.hi_event)
 
     def _tighten(
         self,
@@ -430,7 +432,7 @@ class BoundEngine:
         provenance: str,
         rule: str | None,
         label: str,
-        antecedent_keys: tuple[str, ...],
+        antecedents: tuple[Quantity, ...],
     ) -> bool:
         fact = self.facts[quantity.key()]
         if side == "lo":
@@ -447,7 +449,7 @@ class BoundEngine:
             provenance=provenance,
             rule=rule,
             label=label,
-            antecedents=tuple(self._snapshot(k) for k in antecedent_keys),
+            antecedents=tuple(self._snapshot(a) for a in antecedents),
         )
         self.events.append(event)
         if side == "lo":
@@ -473,15 +475,7 @@ class BoundEngine:
             changed = 0
             for proposal in self._proposals():
                 quantity, side, value, rule, label, antecedents = proposal
-                if self._tighten(
-                    quantity,
-                    side,
-                    value,
-                    "RULE",
-                    rule,
-                    label,
-                    tuple(a.key() for a in antecedents),
-                ):
+                if self._tighten(quantity, side, value, "RULE", rule, label, antecedents):
                     changed += 1
             total += changed
             if changed == 0:
@@ -489,9 +483,9 @@ class BoundEngine:
         raise VerbaError(f"propagation did not stabilize in {max_rounds} rounds")
 
     def _proposals(self):
-        items = [self.facts[key] for key in sorted(self.facts)]
+        facts = _RoundFacts([self.facts[key] for key in sorted(self.facts)])
         for rule in _RULES:
-            yield from rule(self, items)
+            yield from rule(self, facts)
 
     # -- reporting -------------------------------------------------------------
 
@@ -501,7 +495,7 @@ class BoundEngine:
         fact = self.facts.get(quantity.key())
         if fact is None:
             raise UnknownNameError(f"quantity {quantity.key()!r} is not declared")
-        lines = [f"{self.display(quantity)} = {_interval_text(fact.lo, fact.hi)}"]
+        lines = [f"{self.display(quantity)} = {_explained_interval(fact.lo, fact.hi)}"]
         seen: set[int] = set()
         for side, event_id in (("lo", fact.lo_event), ("hi", fact.hi_event)):
             if event_id is None:
@@ -525,7 +519,7 @@ class BoundEngine:
         for antecedent in event.antecedents:
             lines.append(
                 f"{pad}  from {antecedent.key} = "
-                f"{_interval_text(antecedent.lo, antecedent.hi)}"
+                f"{_explained_interval(antecedent.lo, antecedent.hi)}"
             )
             for sub_id in (antecedent.lo_event, antecedent.hi_event):
                 if sub_id is not None:
@@ -547,10 +541,15 @@ class BoundEngine:
         return lines
 
 
-def _interval_text(lo: Fraction, hi: Bound) -> str:
+def format_interval(lo: Fraction, hi: Bound) -> str:
+    """``[lo, hi]``, with ``inf`` for an infinite upper bound."""
+    return f"[{lo}, {_fmt_bound(hi)}]"
+
+
+def _explained_interval(lo: Fraction, hi: Bound) -> str:
     if hi is not None and lo == hi:
         return f"{lo} (exact)"
-    return f"[{lo}, {_fmt_bound(hi)}]"
+    return format_interval(lo, hi)
 
 
 def _factor_matches_template(factor, template: Template) -> bool:
@@ -578,6 +577,40 @@ def _factor_matches_template(factor, template: Template) -> bool:
 # exact Fractions; an upper-bound product with an infinite input is skipped
 # unless the other side is zero (length zero forces the identity, whose
 # length is zero over anything).
+#
+# A rule gets the round's facts as a ``_RoundFacts``: all of them in key order,
+# and the L facts indexed for the rules that pair them up.  No rule adds a
+# fact, so ``engine.facts`` and the index hold for the whole round; both hold
+# the ``Fact`` objects themselves, so a rule reads the bounds tightened earlier
+# in its round.
+
+class _RoundFacts:
+    """The facts of one round in key order, with their L facts indexed."""
+
+    def __init__(self, facts: list[Fact]) -> None:
+        self._facts = facts
+        # (context, word, template key) -> {exponent: fact}, in key order
+        self._ladders: dict[tuple, dict[int, Fact]] = {}
+        # (context, word, exponent) -> facts over every template, in key order
+        self._same_power: dict[tuple, list[Fact]] = {}
+        for fact in facts:
+            q = fact.quantity
+            if q.kind is QuantityKind.L:
+                ladder = self._ladders.setdefault((q.context, q.word, q.template_key), {})
+                ladder[q.exponent] = fact
+                self._same_power.setdefault((q.context, q.word, q.exponent), []).append(fact)
+
+    def __iter__(self):
+        return iter(self._facts)
+
+    def ladder(self, context: Context, word: Word, template_key: str | None) -> dict[int, Fact]:
+        """The L facts over ``template_key`` of the powers of ``word``, by exponent."""
+        return self._ladders.get((context, word, template_key), {})
+
+    def same_power(self, context: Context, word: Word, exponent: int) -> list[Fact]:
+        """The L facts of ``word ** exponent`` over every template."""
+        return self._same_power.get((context, word, exponent), [])
+
 
 def _mul_hi(a: Bound, b: Bound) -> Bound:
     if a == 0 or b == 0:
@@ -587,7 +620,15 @@ def _mul_hi(a: Bound, b: Bound) -> Bound:
     return a * b
 
 
-def _rule_trivial(engine: BoundEngine, facts: list[Fact]):
+def _body_template(engine: BoundEngine, q: Quantity) -> Template | None:
+    """The template of ``q`` when it is registered and is a single word, else ``None``."""
+    template = engine.templates.get(q.template_key or "")
+    if template is None or template.body is None:
+        return None
+    return template
+
+
+def _rule_trivial(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         q = fact.quantity
         if q.word == EMPTY:
@@ -603,7 +644,7 @@ def _rule_trivial(engine: BoundEngine, facts: list[Fact]):
             )
 
 
-def _rule_integrality(engine: BoundEngine, facts: list[Fact]):
+def _rule_integrality(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         if fact.quantity.kind not in (QuantityKind.L, QuantityKind.CL):
             continue
@@ -614,22 +655,17 @@ def _rule_integrality(engine: BoundEngine, facts: list[Fact]):
             yield (fact.quantity, "lo", Fraction(math.ceil(fact.lo)), "R0", note, [])
 
 
-def _rule_compose(engine: BoundEngine, facts: list[Fact]):
-    l_facts = [f for f in facts if f.quantity.kind is QuantityKind.L]
-    for target in l_facts:
+def _rule_compose(engine: BoundEngine, facts: _RoundFacts):
+    for target in facts:
         tq = target.quantity
-        for mid in l_facts:
+        if tq.kind is not QuantityKind.L:
+            continue
+        for mid in facts.same_power(tq.context, tq.word, tq.exponent):
             mq = mid.quantity
-            if (
-                mq.template_key == tq.template_key
-                or mq.word != tq.word
-                or mq.exponent != tq.exponent
-                or mq.context is not tq.context
-                or mid.hi is None
-            ):
+            if mq.template_key == tq.template_key or mid.hi is None:
                 continue
-            mid_template = engine.templates.get(mq.template_key)
-            if mid_template is None or mid_template.body is None:
+            mid_template = _body_template(engine, mq)
+            if mid_template is None:
                 continue
             bridge_q = Quantity(
                 QuantityKind.L, Context.FREE, mid_template.body, tq.template_key, 1
@@ -650,7 +686,7 @@ def _rule_compose(engine: BoundEngine, facts: list[Fact]):
             )
 
 
-def _rule_scl_bridge(engine: BoundEngine, facts: list[Fact]):
+def _rule_scl_bridge(engine: BoundEngine, facts: _RoundFacts):
     scl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SCL]
     sl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SL]
     l_facts = [f for f in facts if f.quantity.kind is QuantityKind.L]
@@ -660,8 +696,8 @@ def _rule_scl_bridge(engine: BoundEngine, facts: list[Fact]):
             sq = sl.quantity
             if sq.word != tq.word or sq.context is not tq.context or sl.hi is None:
                 continue
-            template = engine.templates.get(sq.template_key)
-            if template is None or template.body is None:
+            template = _body_template(engine, sq)
+            if template is None:
                 continue
             base_q = Quantity(QuantityKind.SCL, Context.FREE, template.body)
             base = engine.facts.get(base_q.key())
@@ -682,8 +718,8 @@ def _rule_scl_bridge(engine: BoundEngine, facts: list[Fact]):
                 continue
             if power(lq.word, lq.exponent) != tq.word:
                 continue
-            template = engine.templates.get(lq.template_key)
-            if template is None or template.body is None:
+            template = _body_template(engine, lq)
+            if template is None:
                 continue
             base_q = Quantity(QuantityKind.SCL, Context.FREE, template.body)
             base = engine.facts.get(base_q.key())
@@ -701,16 +737,14 @@ def _rule_scl_bridge(engine: BoundEngine, facts: list[Fact]):
 
 
 def _diagonal(engine: BoundEngine, q: Quantity) -> Template | None:
-    """The template when ``q`` is ``SL(w | w)`` up to renaming, else ``None``."""
-    template = engine.templates.get(q.template_key or "")
-    if template is None or template.body is None:
-        return None
-    if canonical_renumber(q.word) != template.body:
+    """The template when ``q`` is ``SL(w | w)`` or ``L(w | w)`` up to renaming, else ``None``."""
+    template = _body_template(engine, q)
+    if template is None or canonical_renumber(q.word) != template.body:
         return None
     return template
 
 
-def _rule_diagonal_window(engine: BoundEngine, facts: list[Fact]):
+def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         q = fact.quantity
         if q.kind is not QuantityKind.SL or q.context is not Context.FREE:
@@ -741,21 +775,13 @@ def _rule_diagonal_window(engine: BoundEngine, facts: list[Fact]):
             )
 
 
-def _rule_power_ratio(engine: BoundEngine, facts: list[Fact]):
+def _rule_power_ratio(engine: BoundEngine, facts: _RoundFacts):
     sl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SL]
     for target in sl_facts:
         tq = target.quantity
-        for lf in facts:
-            lq = lf.quantity
-            if (
-                lq.kind is not QuantityKind.L
-                or lf.hi is None
-                or lq.word != tq.word
-                or lq.template_key != tq.template_key
-                or lq.context is not tq.context
-            ):
+        for n, lf in facts.ladder(tq.context, tq.word, tq.template_key).items():
+            if lf.hi is None:
                 continue
-            n = lq.exponent or 1
             yield (
                 tq,
                 "hi",
@@ -766,29 +792,21 @@ def _rule_power_ratio(engine: BoundEngine, facts: list[Fact]):
             )
 
 
-def _rule_stable_promotion(engine: BoundEngine, facts: list[Fact]):
+def _rule_stable_promotion(engine: BoundEngine, facts: _RoundFacts):
     sl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SL]
     for target in sl_facts:
         tq = target.quantity
-        template = engine.templates.get(tq.template_key or "")
-        diagonal = (
-            template is not None
-            and template.body is not None
-            and tq.context is Context.FREE
-            and canonical_renumber(tq.word) == template.body
-        )
-        for lf in facts:
-            lq = lf.quantity
-            if (
-                lq.kind is not QuantityKind.L
-                or lf.hi is None
-                or lf.hi < 1
-                or lq.word != tq.word
-                or lq.template_key != tq.template_key
-                or lq.context is not tq.context
-            ):
+        template = _body_template(engine, tq)
+        diagonal = tq.context is Context.FREE and _diagonal(engine, tq) is not None
+        diag = None
+        if not diagonal and template is not None:
+            diag_q = Quantity(
+                QuantityKind.SL, Context.FREE, template.body, tq.template_key
+            )
+            diag = engine.facts.get(diag_q.key())
+        for n, lf in facts.ladder(tq.context, tq.word, tq.template_key).items():
+            if lf.hi is None or lf.hi < 1:
                 continue
-            n = lq.exponent or 1
             if diagonal:
                 if n >= 2:
                     yield (
@@ -800,12 +818,6 @@ def _rule_stable_promotion(engine: BoundEngine, facts: list[Fact]):
                         [lf.quantity],
                     )
                 continue
-            if template is None or template.body is None:
-                continue
-            diag_q = Quantity(
-                QuantityKind.SL, Context.FREE, template.body, tq.template_key
-            )
-            diag = engine.facts.get(diag_q.key())
             if diag is None or diag.hi is None:
                 continue
             yield (
@@ -818,7 +830,7 @@ def _rule_stable_promotion(engine: BoundEngine, facts: list[Fact]):
             )
 
 
-def _rule_fresh_head(engine: BoundEngine, facts: list[Fact]):
+def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
     diagonal_sl: dict[str, Fact] = {}
     for fact in facts:
         q = fact.quantity
@@ -849,7 +861,7 @@ def _rule_fresh_head(engine: BoundEngine, facts: list[Fact]):
                 [inner.quantity],
             )
         elif q.kind is QuantityKind.L:
-            template = _diagonal_l(engine, q)
+            template = _diagonal(engine, q)
             exponent = q.exponent or 1
             if template is None or exponent % 2 == 0:
                 continue
@@ -881,16 +893,7 @@ def _rule_fresh_head(engine: BoundEngine, facts: list[Fact]):
             )
 
 
-def _diagonal_l(engine: BoundEngine, q: Quantity) -> Template | None:
-    template = engine.templates.get(q.template_key or "")
-    if template is None or template.body is None:
-        return None
-    if canonical_renumber(q.word) != template.body:
-        return None
-    return template
-
-
-def _rule_chain_ceiling(engine: BoundEngine, facts: list[Fact]):
+def _rule_chain_ceiling(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         q = fact.quantity
         if q.kind is not QuantityKind.SL or q.context is not Context.FREE:
@@ -911,13 +914,13 @@ def _rule_chain_ceiling(engine: BoundEngine, facts: list[Fact]):
         )
 
 
-def _rule_perfect_comparison(engine: BoundEngine, facts: list[Fact]):
+def _rule_perfect_comparison(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         q = fact.quantity
         if q.kind is not QuantityKind.SL or q.context is not Context.PERFECT:
             continue
-        template = engine.templates.get(q.template_key or "")
-        if template is None or template.body is None:
+        template = _body_template(engine, q)
+        if template is None:
             continue
         n = gamma_index(template)
         if n is None or n < 2:
@@ -936,9 +939,8 @@ def _rule_perfect_comparison(engine: BoundEngine, facts: list[Fact]):
         yield (scl.quantity, "lo", fact.lo / scale, "R8", note, [q])
 
 
-def _rule_gamma3_bridge(engine: BoundEngine, facts: list[Fact]):
+def _rule_gamma3_bridge(engine: BoundEngine, facts: _RoundFacts):
     gamma3_key = gamma_word(3).key
-    by_key = {f.quantity.key(): f for f in facts}
     for fact in facts:
         q = fact.quantity
         if q.kind is not QuantityKind.SL or q.template_key != gamma3_key:
@@ -946,7 +948,7 @@ def _rule_gamma3_bridge(engine: BoundEngine, facts: list[Fact]):
         partner_q = Quantity(
             QuantityKind.SL, q.context, q.word, GAMMA3_FAMILY.key
         )
-        partner = by_key.get(partner_q.key())
+        partner = engine.facts.get(partner_q.key())
         if partner is None:
             continue
         if q.context is Context.FREE:
@@ -964,15 +966,13 @@ def _rule_gamma3_bridge(engine: BoundEngine, facts: list[Fact]):
         yield (partner.quantity, "lo", fact.lo / 2, "R9", note, [q])
 
 
-def _rule_unbalanced_vanish(engine: BoundEngine, facts: list[Fact]):
+def _rule_unbalanced_vanish(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         q = fact.quantity
         if q.kind is not QuantityKind.SL:
             continue
-        template = engine.templates.get(q.template_key or "")
-        if template is None or template.body is None:
-            continue
-        if in_commutator_subgroup(template.body):
+        template = _body_template(engine, q)
+        if template is None or in_commutator_subgroup(template.body):
             continue
         yield (
             q,
@@ -984,13 +984,13 @@ def _rule_unbalanced_vanish(engine: BoundEngine, facts: list[Fact]):
         )
 
 
-def _rule_block_division(engine: BoundEngine, facts: list[Fact]):
+def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         q = fact.quantity
         if q.kind is not QuantityKind.SL:
             continue
-        template = engine.templates.get(q.template_key or "")
-        if template is None or template.body is None:
+        template = _body_template(engine, q)
+        if template is None:
             continue
         pairs = commutator_product_decomposition(template.body)
         if not pairs:
@@ -1009,27 +1009,17 @@ def _rule_block_division(engine: BoundEngine, facts: list[Fact]):
         )
 
 
-def _rule_exponent_splitting(engine: BoundEngine, facts: list[Fact]):
-    l_facts = [f for f in facts if f.quantity.kind is QuantityKind.L]
-    by_key = {f.quantity.key(): f for f in l_facts}
-    for target in l_facts:
+def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
+    for target in facts:
         tq = target.quantity
-        n = tq.exponent or 1
-        for part in l_facts:
-            pq = part.quantity
-            if (
-                pq.word != tq.word
-                or pq.template_key != tq.template_key
-                or pq.context is not tq.context
-                or part.hi is None
-            ):
+        if tq.kind is not QuantityKind.L:
+            continue
+        n = tq.exponent
+        ladder = facts.ladder(tq.context, tq.word, tq.template_key)
+        for a, part in ladder.items():
+            if part.hi is None:
                 continue
-            a = pq.exponent or 1
-            b = n - a
-            if b < 1:
-                continue
-            other_q = Quantity(QuantityKind.L, tq.context, tq.word, tq.template_key, b)
-            other = by_key.get(other_q.key())
+            other = ladder.get(n - a)  # exponents are at least 1, so a < n here
             if other is None or other.hi is None:
                 continue
             yield (
@@ -1038,12 +1028,9 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: list[Fact]):
                 part.hi + other.hi,
                 "R13",
                 "factorizations of two powers concatenate",
-                [pq, other.quantity],
+                [part.quantity, other.quantity],
             )
-        mirror_q = Quantity(
-            QuantityKind.L, tq.context, tq.word.inverse(), tq.template_key, n
-        )
-        mirror = by_key.get(mirror_q.key())
+        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template_key).get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
                 tq,
@@ -1055,7 +1042,7 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: list[Fact]):
             )
 
 
-def _rule_one_step_beta(engine: BoundEngine, facts: list[Fact]):
+def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):
     beta2_key = beta_word(2).key
     gamma3_key = gamma_word(3).key
     for fact in facts:
@@ -1082,15 +1069,14 @@ def _rule_one_step_beta(engine: BoundEngine, facts: list[Fact]):
         )
 
 
-def _rule_cl_alias(engine: BoundEngine, facts: list[Fact]):
+def _rule_cl_alias(engine: BoundEngine, facts: _RoundFacts):
     gamma2_key = gamma_word(2).key
-    by_key = {f.quantity.key(): f for f in facts}
     for fact in facts:
         q = fact.quantity
         if q.kind is not QuantityKind.CL:
             continue
         alias_q = Quantity(QuantityKind.L, q.context, q.word, gamma2_key, 1)
-        alias = by_key.get(alias_q.key())
+        alias = engine.facts.get(alias_q.key())
         if alias is None:
             continue
         note = "commutator length is the length over the basic commutator"

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import cache as cache_mod
 from . import cover, experiments, grammar
-from .bounds import BoundEngine
+from .bounds import BoundEngine, format_interval
 from .certificates import parse_certificate
 from .errors import (
     CertificateError,
@@ -44,6 +44,13 @@ def _read_text(path: str) -> str:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
@@ -170,9 +177,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
             print(exc.trace)
         return 1
     for quantity in declared:
-        lo, hi = engine.interval(quantity)
-        hi_text = "inf" if hi is None else str(hi)
-        print(f"{engine.display(quantity)} = [{lo}, {hi_text}]")
+        print(f"{engine.display(quantity)} = {format_interval(*engine.interval(quantity))}")
     for text in args.explain or ():
         print(engine.explain(text))
     if args.records:
@@ -228,7 +233,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 0
     report = experiments.run_experiment(args.name)
     if args.out:
-        Path(args.out).write_text(report)
+        _write_text(args.out, report)
     else:
         print(report, end="")
     return 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import magnus
-from .bounds import BoundEngine, Context, Quantity, QuantityKind
+from .bounds import BoundEngine, Context, Quantity, QuantityKind, format_interval
 from .certificates import Certificate, commutator_factor
 from .cover import cover_invariants, known_shape_certificate, verify_shape_certificate
 from .finite import (
@@ -76,9 +76,7 @@ def run_experiment(name: str) -> str:
 
 
 def _interval_text(engine: BoundEngine, q: Quantity) -> str:
-    lo, hi = engine.interval(q)
-    hi_text = "inf" if hi is None else str(hi)
-    return f"[{lo}, {hi_text}]"
+    return format_interval(*engine.interval(q))
 
 
 # -- shared bound-engine scenarios ------------------------------------------

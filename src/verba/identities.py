@@ -23,7 +23,7 @@ from .certificates import (
     with_conjugator_prefix as _prefix_conj,
 )
 from .errors import CertificateError, ParseError
-from .templates import Template, gamma_word, template_from_word, visible_commutator
+from .templates import template_from_word, visible_commutator
 from .words import (
     EMPTY,
     Word,

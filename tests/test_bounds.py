@@ -1,11 +1,13 @@
 """Unit tests for the exact-rational interval engine and each propagation rule."""
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from verba.bounds import BoundEngine, Context, Quantity, QuantityKind
+from verba import experiments, grammar
+from verba.bounds import BoundEngine, Context, Quantity, QuantityKind, format_interval
 from verba.certificates import Certificate, commutator_factor
 from verba.errors import (
     CertificateError,
@@ -102,6 +104,28 @@ def test_quantity_validation_direct():
         Quantity(QuantityKind.L, Context.FREE, X, gamma_word(2).key, 0)
     q = Quantity(QuantityKind.L, Context.FREE, X, gamma_word(2).key)
     assert q.exponent == 1
+
+
+def test_quantity_key_is_built_once_and_stays_out_of_equality():
+    w = commutator(X, power(Y, 2))
+    q = Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2).key, 3)
+    fresh = " ".join(
+        ["L", "FREE", grammar.canonical_key(w), f"| {gamma_word(2).key}", "@ 3"]
+    )
+    assert q.key() == fresh
+    assert q.key() is q.key()
+    twin = Quantity(QuantityKind.L, Context.FREE, Word(w.letters), gamma_word(2).key, 3)
+    assert twin == q and hash(twin) == hash(q)
+    assert twin != Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2).key, 4)
+    assert q.key() not in repr(q)
+    scl = Quantity(QuantityKind.SCL, Context.PERFECT, w)
+    assert scl.key() == f"SCL PERFECT {grammar.canonical_key(w)}"
+
+
+def test_format_interval():
+    assert format_interval(F(1, 2), None) == "[1/2, inf]"
+    assert format_interval(F(1), F(1)) == "[1, 1]"
+    assert format_interval(F(0), F(3, 4)) == "[0, 3/4]"
 
 
 def test_interval_requires_declaration():
@@ -247,6 +271,117 @@ def test_propagate_reaches_a_fixed_point():
     twin.add_fact("L FREE [a,b] | gamma2 @ 3", hi=2, provenance="CERTIFICATE")
     twin.propagate()
     assert twin.dump_facts() == engine.dump_facts()
+
+
+def _ladder(word, his, seeds=False, extra=(), facts=()):
+    """Facts ``L FREE word | word @ m = 0 his[m-1]`` for m = 1..len(his), propagated."""
+    engine = BoundEngine()
+    if seeds:
+        engine.load_default_seeds()
+    engine.load_facts(
+        "".join(f"L FREE {word} | {word} @ {m} = 0 {hi}\n" for m, hi in enumerate(his, 1))
+    )
+    engine.load_facts("\n".join(facts))
+    shown = [engine.declare(text) for text in (f"SL FREE {word} | {word}", *extra)]
+    shown.append(engine.parse_quantity(f"L FREE {word} | {word} @ {len(his)}"))
+    engine.propagate()
+    return engine, shown
+
+
+def _scenario(build):
+    engine, *shown = build()
+    return engine, shown
+
+
+# sha256 of record_lines() and explain() of each shown quantity, joined by
+# newlines; a change to rule order, the order a rule visits facts in, rule
+# output or text formats moves them.  The [a,b] ladder holds Culler's values
+# cl([a,b]^m) = m//2 + 1, so the stable ratios (R4, R5) tighten many times in
+# key order; the other ladders have one short power, which power splitting
+# (R13) carries up the ladder over several rounds.
+_PINNED_LOGS = {
+    "ladder_commutator": (
+        lambda: _ladder(
+            "[a,b]",
+            [m // 2 + 1 for m in range(1, 41)],
+            seeds=True,
+            extra=("SCL FREE [a,b]^3",),
+        ),
+        "7d46bea68e6b00c457656c24516e726c01c7bdd327f6cc7dd06716b6fe75eedd",
+    ),
+    "ladder_plain": (
+        lambda: _ladder("a^2 b a^-1 b", [3 if m == 4 else m for m in range(1, 41)]),
+        "1a28d90ebb4dc5147b6a578c564a38821fb135dfd08b9773e92cbe0b0a3914a4",
+    ),
+    # [x,y^2] is one commutator, so the gamma2 ladder follows the diagonal one (R1)
+    "ladder_scl": (
+        lambda: _ladder(
+            "[x,y^2]",
+            [2 if m == 3 else m for m in range(1, 31)],
+            extra=("SCL FREE [x,y^2]",),
+            facts=[f"L FREE [x,y^2] | gamma2 @ {m} = 0 inf" for m in range(2, 31)]
+            + ["L FREE [x,y^2] | gamma2 @ 1 => 1"],
+        ),
+        "e780fe596b0249bf5b9b0c2aca1a6f3e5297105cea1c16b12cd257ea8f7e3ac4",
+    ),
+    "power_pair_diagonal": (
+        lambda: _scenario(lambda: experiments.scenario_power_pair_diagonal(2)),
+        "c65fa8ef0bf69aa650aea019c62f4d5218442a082d53b22cbb8286987fbb5f39",
+    ),
+    "squared_commutator": (
+        lambda: _scenario(experiments.scenario_squared_commutator),
+        "dd714d73cba3e25bf39358690c402d653e2c35f86c3b57129f5e9fc548b68f21",
+    ),
+    "gamma_chain": (
+        lambda: _scenario(lambda: experiments.scenario_gamma_chain(3)),
+        "c5f3ffc625230211aff3868e634d731c3d7e523743ee59f5ee47d6c7047ec2b0",
+    ),
+    "commutator_product": (
+        lambda: _scenario(lambda: experiments.scenario_commutator_product(2)),
+        "2e05a1c495536f42de5ed8410cb403a776acd68eb85673598a78144723108086",
+    ),
+    "perfect_comparison": (
+        lambda: _scenario(lambda: experiments.scenario_perfect_comparison(F(3, 2), 3)),
+        "139fba162ff5c3352526bcd8f854390f1b3e14870ed74f240da8d0e953beaead",
+    ),
+    "grope_family": (
+        lambda: _scenario(lambda: experiments.scenario_grope_family(2)),
+        "db3ee323e04477188a1d9ebf83aa22dc717d8b3002f8caa8932ff63ad79a1615",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_LOGS))
+def test_event_log_and_explain_are_pinned(name):
+    build, expected = _PINNED_LOGS[name]
+    engine, shown = build()
+    text = "\n".join(engine.record_lines() + [engine.explain(q) for q in shown])
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_propagate_formats_words_linearly_in_the_ladder_length(monkeypatch):
+    """Word formatting (how quantity keys are built) grows linearly, not per pair."""
+    calls = {}
+    real = grammar.format_word
+    for n in (20, 80):
+        engine = BoundEngine()
+        engine.load_facts(
+            "".join(f"L FREE [a,b] | [a,b] @ {m} = 0 {m}\n" for m in range(1, n + 1))
+        )
+        engine.declare("SL FREE [a,b] | [a,b]")
+        engine.declare("SCL FREE [a,b]")
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grammar, "format_word", counted)
+        engine.propagate()
+        monkeypatch.setattr(grammar, "format_word", real)
+        calls[n] = count[0]
+    # four times the facts: at most four times the formatting (pairwise would be ~16x)
+    assert calls[80] <= 4 * calls[20]
 
 
 # ---------------------------------------------------------------------------

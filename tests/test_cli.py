@@ -391,6 +391,17 @@ def test_experiment_list_and_run(capsys, tmp_path):
     assert report.read_text() == run_experiment("magnus_depth_table")
 
 
+@pytest.mark.parametrize("target", ["{tmp}/no_such_dir/report.txt", "{tmp}"])
+def test_experiment_unwritable_out_exit_code(capsys, tmp_path, target):
+    out_path = target.format(tmp=tmp_path)
+    code, out, err = run(
+        capsys, "experiment", "run", "magnus_depth_table", "--out", out_path
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+
+
 def test_experiment_unknown(capsys):
     code, _, err = run(capsys, "experiment", "run", "nope")
     assert code == 2
