@@ -267,6 +267,17 @@ class BoundEngine:
             parts.append(f"@ {quantity.exponent}")
         return " ".join(parts)
 
+    def _fact(
+        self,
+        kind: QuantityKind,
+        context: Context,
+        word: Word,
+        template_key: str | None = None,
+        exponent: int | None = None,
+    ) -> Fact | None:
+        """The fact of the quantity with these fields, or ``None`` when it is not declared."""
+        return self.facts.get(Quantity(kind, context, word, template_key, exponent).key())
+
     def interval(self, quantity: Quantity | str) -> tuple[Fraction, Bound]:
         if isinstance(quantity, str):
             quantity = self.parse_quantity(quantity)
@@ -386,23 +397,18 @@ class BoundEngine:
     def _load_fact_line(self, line: str, label: str, provenance: str) -> None:
         if "=>" in line:
             quantity_text, _, value_text = line.partition("=>")
-            value = _parse_bound(value_text.strip(), allow_inf=False)
-            self.add_fact(quantity_text.strip(), value, value, provenance, label)
-            return
-        if "=" in line:
+            lo = hi = _parse_bound(value_text.strip(), allow_inf=False)
+        elif "=" in line:
             quantity_text, _, value_text = line.partition("=")
             tokens = value_text.split()
             if len(tokens) != 2:
                 raise ParseError("expected '= <lo> <hi>' (or '=> <value>')")
             lo = _parse_bound(tokens[0], allow_inf=False)
             hi = _parse_bound(tokens[1], allow_inf=True)
-            quantity = self.declare(quantity_text.strip())
-            if lo is not None and lo > 0:
-                self._tighten(quantity, "lo", lo, provenance, None, label, ())
-            if hi is not None:
-                self._tighten(quantity, "hi", hi, provenance, None, label, ())
-            return
-        raise ParseError("facts line needs '=' or '=>'")
+        else:
+            raise ParseError("facts line needs '=' or '=>'")
+        # a lower bound of 0 tightens nothing and records no event
+        self.add_fact(quantity_text.strip(), lo, hi, provenance, label)
 
     def load_default_seeds(self) -> int:
         text = resources.files("verba").joinpath("data/seed.facts").read_text()
@@ -579,22 +585,25 @@ def _factor_matches_template(factor, template: Template) -> bool:
 # length is zero over anything).
 #
 # A rule gets the round's facts as a ``_RoundFacts``: all of them in key order,
-# and the L facts indexed for the rules that pair them up.  No rule adds a
-# fact, so ``engine.facts`` and the index hold for the whole round; both hold
-# the ``Fact`` objects themselves, so a rule reads the bounds tightened earlier
-# in its round.
+# those of one kind through ``of``, and the L facts indexed for the rules that
+# pair them up.  A rule that needs one partner fact looks it up with
+# ``engine._fact``.  No rule adds a fact, so ``engine.facts`` and the index
+# hold for the whole round; both hold the ``Fact`` objects themselves, so a
+# rule reads the bounds tightened earlier in its round.
 
 class _RoundFacts:
-    """The facts of one round in key order, with their L facts indexed."""
+    """The facts of one round in key order, by kind, with their L facts indexed."""
 
     def __init__(self, facts: list[Fact]) -> None:
         self._facts = facts
+        self._by_kind: dict[QuantityKind, list[Fact]] = {kind: [] for kind in QuantityKind}
         # (context, word, template key) -> {exponent: fact}, in key order
         self._ladders: dict[tuple, dict[int, Fact]] = {}
         # (context, word, exponent) -> facts over every template, in key order
         self._same_power: dict[tuple, list[Fact]] = {}
         for fact in facts:
             q = fact.quantity
+            self._by_kind[q.kind].append(fact)
             if q.kind is QuantityKind.L:
                 ladder = self._ladders.setdefault((q.context, q.word, q.template_key), {})
                 ladder[q.exponent] = fact
@@ -602,6 +611,10 @@ class _RoundFacts:
 
     def __iter__(self):
         return iter(self._facts)
+
+    def of(self, kind: QuantityKind) -> list[Fact]:
+        """The facts of quantities of ``kind``, in key order."""
+        return self._by_kind[kind]
 
     def ladder(self, context: Context, word: Word, template_key: str | None) -> dict[int, Fact]:
         """The L facts over ``template_key`` of the powers of ``word``, by exponent."""
@@ -626,6 +639,27 @@ def _body_template(engine: BoundEngine, q: Quantity) -> Template | None:
     if template is None or template.body is None:
         return None
     return template
+
+
+def _template_scl(engine: BoundEngine, q: Quantity) -> Fact | None:
+    """The ``SCL FREE`` fact of ``q``'s template body when it has an upper bound, else ``None``."""
+    template = _body_template(engine, q)
+    if template is None:
+        return None
+    base = engine._fact(QuantityKind.SCL, Context.FREE, template.body)
+    if base is None or base.hi is None:
+        return None
+    return base
+
+
+def _linked(inner: Fact, outer: Fact, c: Fraction | int, rule: str, note: str):
+    """The four proposals of ``outer <= inner <= c * outer``, inner side first."""
+    if outer.hi is not None:
+        yield (inner.quantity, "hi", c * outer.hi, rule, note, [outer.quantity])
+    yield (inner.quantity, "lo", outer.lo, rule, note, [outer.quantity])
+    if inner.hi is not None:
+        yield (outer.quantity, "hi", inner.hi, rule, note, [inner.quantity])
+    yield (outer.quantity, "lo", inner.lo / c, rule, note, [inner.quantity])
 
 
 def _rule_trivial(engine: BoundEngine, facts: _RoundFacts):
@@ -656,10 +690,8 @@ def _rule_integrality(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_compose(engine: BoundEngine, facts: _RoundFacts):
-    for target in facts:
+    for target in facts.of(QuantityKind.L):
         tq = target.quantity
-        if tq.kind is not QuantityKind.L:
-            continue
         for mid in facts.same_power(tq.context, tq.word, tq.exponent):
             mq = mid.quantity
             if mq.template_key == tq.template_key or mid.hi is None:
@@ -667,10 +699,9 @@ def _rule_compose(engine: BoundEngine, facts: _RoundFacts):
             mid_template = _body_template(engine, mq)
             if mid_template is None:
                 continue
-            bridge_q = Quantity(
+            bridge = engine._fact(
                 QuantityKind.L, Context.FREE, mid_template.body, tq.template_key, 1
             )
-            bridge = engine.facts.get(bridge_q.key())
             if bridge is None:
                 continue
             value = _mul_hi(mid.hi, bridge.hi)
@@ -687,21 +718,14 @@ def _rule_compose(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_scl_bridge(engine: BoundEngine, facts: _RoundFacts):
-    scl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SCL]
-    sl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SL]
-    l_facts = [f for f in facts if f.quantity.kind is QuantityKind.L]
-    for target in scl_facts:
+    for target in facts.of(QuantityKind.SCL):
         tq = target.quantity
-        for sl in sl_facts:
+        for sl in facts.of(QuantityKind.SL):
             sq = sl.quantity
             if sq.word != tq.word or sq.context is not tq.context or sl.hi is None:
                 continue
-            template = _body_template(engine, sq)
-            if template is None:
-                continue
-            base_q = Quantity(QuantityKind.SCL, Context.FREE, template.body)
-            base = engine.facts.get(base_q.key())
-            if base is None or base.hi is None:
+            base = _template_scl(engine, sq)
+            if base is None:
                 continue
             yield (
                 tq,
@@ -712,18 +736,14 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _RoundFacts):
                 " plus a half for joining",
                 [sl.quantity, base.quantity],
             )
-        for lf in l_facts:
+        for lf in facts.of(QuantityKind.L):
             lq = lf.quantity
             if lq.context is not tq.context or lf.hi is None:
                 continue
             if power(lq.word, lq.exponent) != tq.word:
                 continue
-            template = _body_template(engine, lq)
-            if template is None:
-                continue
-            base_q = Quantity(QuantityKind.SCL, Context.FREE, template.body)
-            base = engine.facts.get(base_q.key())
-            if base is None or base.hi is None:
+            base = _template_scl(engine, lq)
+            if base is None:
                 continue
             value = max(Fraction(0), lf.hi * base.hi + (lf.hi - 1) / 2)
             yield (
@@ -745,9 +765,9 @@ def _diagonal(engine: BoundEngine, q: Quantity) -> Template | None:
 
 
 def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
-    for fact in facts:
+    for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.kind is not QuantityKind.SL or q.context is not Context.FREE:
+        if q.context is not Context.FREE:
             continue
         template = _diagonal(engine, q)
         if template is None or q.word == EMPTY:
@@ -762,8 +782,7 @@ def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
                 "balanced templates over themselves stay above a half",
                 [],
             )
-        scl_q = Quantity(QuantityKind.SCL, Context.FREE, q.word)
-        scl = engine.facts.get(scl_q.key())
+        scl = engine._fact(QuantityKind.SCL, Context.FREE, q.word)
         if scl is not None and scl.lo > 0:
             yield (
                 q,
@@ -776,8 +795,7 @@ def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_power_ratio(engine: BoundEngine, facts: _RoundFacts):
-    sl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SL]
-    for target in sl_facts:
+    for target in facts.of(QuantityKind.SL):
         tq = target.quantity
         for n, lf in facts.ladder(tq.context, tq.word, tq.template_key).items():
             if lf.hi is None:
@@ -793,17 +811,13 @@ def _rule_power_ratio(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_stable_promotion(engine: BoundEngine, facts: _RoundFacts):
-    sl_facts = [f for f in facts if f.quantity.kind is QuantityKind.SL]
-    for target in sl_facts:
+    for target in facts.of(QuantityKind.SL):
         tq = target.quantity
         template = _body_template(engine, tq)
         diagonal = tq.context is Context.FREE and _diagonal(engine, tq) is not None
         diag = None
         if not diagonal and template is not None:
-            diag_q = Quantity(
-                QuantityKind.SL, Context.FREE, template.body, tq.template_key
-            )
-            diag = engine.facts.get(diag_q.key())
+            diag = engine._fact(QuantityKind.SL, Context.FREE, template.body, tq.template_key)
         for n, lf in facts.ladder(tq.context, tq.word, tq.template_key).items():
             if lf.hi is None or lf.hi < 1:
                 continue
@@ -871,16 +885,10 @@ def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
             split = fresh_commutator_split(canonical_renumber(q.word))
             if split is None:
                 continue
-            inner_word = split[1]
-            inner_template = template_from_word(inner_word)
-            inner_q = Quantity(
-                QuantityKind.L,
-                Context.FREE,
-                inner_template.body,
-                inner_template.key,
-                n + 1,
+            inner_template = template_from_word(split[1])
+            inner = engine._fact(
+                QuantityKind.L, Context.FREE, inner_template.body, inner_template.key, n + 1
             )
-            inner = engine.facts.get(inner_q.key())
             if inner is None or inner.hi is None:
                 continue
             yield (
@@ -894,9 +902,9 @@ def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_chain_ceiling(engine: BoundEngine, facts: _RoundFacts):
-    for fact in facts:
+    for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.kind is not QuantityKind.SL or q.context is not Context.FREE:
+        if q.context is not Context.FREE:
             continue
         template = _diagonal(engine, q)
         if template is None:
@@ -915,9 +923,10 @@ def _rule_chain_ceiling(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_perfect_comparison(engine: BoundEngine, facts: _RoundFacts):
-    for fact in facts:
+    """scl(g) <= sl_gamma_n(g) <= 2^(n-2) scl(g) in a perfect ambient group."""
+    for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.kind is not QuantityKind.SL or q.context is not Context.PERFECT:
+        if q.context is not Context.PERFECT:
             continue
         template = _body_template(engine, q)
         if template is None:
@@ -925,30 +934,25 @@ def _rule_perfect_comparison(engine: BoundEngine, facts: _RoundFacts):
         n = gamma_index(template)
         if n is None or n < 2:
             continue
-        scale = Fraction(2 ** (n - 2))
-        scl_q = Quantity(QuantityKind.SCL, Context.PERFECT, q.word)
-        scl = engine.facts.get(scl_q.key())
+        scl = engine._fact(QuantityKind.SCL, Context.PERFECT, q.word)
         if scl is None:
             continue
-        note = "in perfect ambient groups nested chains track commutators"
-        if scl.hi is not None:
-            yield (q, "hi", scale * scl.hi, "R8", note, [scl.quantity])
-        yield (q, "lo", scl.lo, "R8", note, [scl.quantity])
-        if fact.hi is not None:
-            yield (scl.quantity, "hi", fact.hi, "R8", note, [q])
-        yield (scl.quantity, "lo", fact.lo / scale, "R8", note, [q])
+        yield from _linked(
+            fact,
+            scl,
+            Fraction(2 ** (n - 2)),
+            "R8",
+            "in perfect ambient groups nested chains track commutators",
+        )
 
 
 def _rule_gamma3_bridge(engine: BoundEngine, facts: _RoundFacts):
     gamma3_key = gamma_word(3).key
-    for fact in facts:
+    for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.kind is not QuantityKind.SL or q.template_key != gamma3_key:
+        if q.template_key != gamma3_key:
             continue
-        partner_q = Quantity(
-            QuantityKind.SL, q.context, q.word, GAMMA3_FAMILY.key
-        )
-        partner = engine.facts.get(partner_q.key())
+        partner = engine._fact(QuantityKind.SL, q.context, q.word, GAMMA3_FAMILY.key)
         if partner is None:
             continue
         if q.context is Context.FREE:
@@ -957,20 +961,14 @@ def _rule_gamma3_bridge(engine: BoundEngine, facts: _RoundFacts):
                     continue
             except ResourceBudgetError:
                 continue
-        note = "any commutator-of-derived factor splits into two nested ones"
-        if partner.hi is not None:
-            yield (q, "hi", 2 * partner.hi, "R9", note, [partner.quantity])
-        yield (q, "lo", partner.lo, "R9", note, [partner.quantity])
-        if fact.hi is not None:
-            yield (partner.quantity, "hi", fact.hi, "R9", note, [q])
-        yield (partner.quantity, "lo", fact.lo / 2, "R9", note, [q])
+        yield from _linked(
+            fact, partner, 2, "R9", "any commutator-of-derived factor splits into two nested ones"
+        )
 
 
 def _rule_unbalanced_vanish(engine: BoundEngine, facts: _RoundFacts):
-    for fact in facts:
+    for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.kind is not QuantityKind.SL:
-            continue
         template = _body_template(engine, q)
         if template is None or in_commutator_subgroup(template.body):
             continue
@@ -985,18 +983,15 @@ def _rule_unbalanced_vanish(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
-    for fact in facts:
+    for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.kind is not QuantityKind.SL:
-            continue
         template = _body_template(engine, q)
         if template is None:
             continue
         pairs = commutator_product_decomposition(template.body)
         if not pairs:
             continue
-        scl_q = Quantity(QuantityKind.SCL, q.context, q.word)
-        scl = engine.facts.get(scl_q.key())
+        scl = engine._fact(QuantityKind.SCL, q.context, q.word)
         if scl is None or scl.hi is None:
             continue
         yield (
@@ -1010,10 +1005,8 @@ def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
-    for target in facts:
+    for target in facts.of(QuantityKind.L):
         tq = target.quantity
-        if tq.kind is not QuantityKind.L:
-            continue
         n = tq.exponent
         ladder = facts.ladder(tq.context, tq.word, tq.template_key)
         for a, part in ladder.items():
@@ -1045,18 +1038,11 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
 def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):
     beta2_key = beta_word(2).key
     gamma3_key = gamma_word(3).key
-    for fact in facts:
+    for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if (
-            q.kind is not QuantityKind.SL
-            or q.context is not Context.PERFECT_SCL_ZERO
-            or q.template_key != beta2_key
-        ):
+        if q.context is not Context.PERFECT_SCL_ZERO or q.template_key != beta2_key:
             continue
-        l_q = Quantity(
-            QuantityKind.L, Context.PERFECT_SCL_ZERO, q.word, gamma3_key, 1
-        )
-        lf = engine.facts.get(l_q.key())
+        lf = engine._fact(QuantityKind.L, Context.PERFECT_SCL_ZERO, q.word, gamma3_key, 1)
         if lf is None or lf.lo != 1 or lf.hi != 1:
             continue
         yield (
@@ -1071,21 +1057,14 @@ def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):
 
 def _rule_cl_alias(engine: BoundEngine, facts: _RoundFacts):
     gamma2_key = gamma_word(2).key
-    for fact in facts:
+    for fact in facts.of(QuantityKind.CL):
         q = fact.quantity
-        if q.kind is not QuantityKind.CL:
-            continue
-        alias_q = Quantity(QuantityKind.L, q.context, q.word, gamma2_key, 1)
-        alias = engine.facts.get(alias_q.key())
+        alias = engine._fact(QuantityKind.L, q.context, q.word, gamma2_key, 1)
         if alias is None:
             continue
-        note = "commutator length is the length over the basic commutator"
-        if alias.hi is not None:
-            yield (q, "hi", alias.hi, "R-CL", note, [alias.quantity])
-        yield (q, "lo", alias.lo, "R-CL", note, [alias.quantity])
-        if fact.hi is not None:
-            yield (alias.quantity, "hi", fact.hi, "R-CL", note, [q])
-        yield (alias.quantity, "lo", fact.lo, "R-CL", note, [q])
+        yield from _linked(
+            fact, alias, 1, "R-CL", "commutator length is the length over the basic commutator"
+        )
 
 
 _RULES = (

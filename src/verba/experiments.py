@@ -25,6 +25,7 @@ from .finite import (
 )
 from .identities import (
     base_identity,
+    culler_chain_squares,
     culler_identity,
     culler_power_pair,
     hall_witt,
@@ -32,6 +33,7 @@ from .identities import (
 )
 from .templates import (
     GAMMA3_FAMILY,
+    Template,
     beta_word,
     commutator_product_word,
     fresh_commutator_split,
@@ -82,67 +84,54 @@ def _interval_text(engine: BoundEngine, q: Quantity) -> str:
 # -- shared bound-engine scenarios ------------------------------------------
 
 
-def scenario_power_pair_diagonal(k: int) -> tuple[BoundEngine, Quantity]:
-    """Diagonal stable length of [x, y^k]: certificate for the cube, then rules."""
+def _diagonal_scenario(
+    template: Template,
+    exponent: int | None = None,
+    cert: Certificate | None = None,
+    label: str = "",
+) -> tuple[BoundEngine, Quantity]:
+    """Seeded engine with the template's diagonal ``SL`` declared, propagated.
+
+    ``cert``, when given, is a certificate for ``body ** exponent`` over the
+    template itself, entered before propagation.
+    """
     engine = BoundEngine()
     engine.load_default_seeds()
-    template = template_from_word(commutator(gen(1), gen(2) ** k), f"[x,y^{k}]")
     q = engine.declare(
         engine.make_quantity(QuantityKind.SL, Context.FREE, template.body, template)
     )
-    engine.add_certificate_fact(
-        template.body,
-        template,
-        3,
-        culler_power_pair(k),
-        label=f"the cube splits into two instances (k={k})",
-    )
+    if cert is not None:
+        engine.add_certificate_fact(template.body, template, exponent, cert, label=label)
     engine.propagate()
     return engine, q
+
+
+def scenario_power_pair_diagonal(k: int) -> tuple[BoundEngine, Quantity]:
+    """Diagonal stable length of [x, y^k]: certificate for the cube, then rules."""
+    return _diagonal_scenario(
+        template_from_word(commutator(gen(1), gen(2) ** k), f"[x,y^{k}]"),
+        3,
+        culler_power_pair(k),
+        f"the cube splits into two instances (k={k})",
+    )
 
 
 def scenario_squared_commutator() -> tuple[BoundEngine, Quantity]:
     """Diagonal window for the squared commutator from the five-block chain."""
-    from .identities import culler_chain_squares
-
-    engine = BoundEngine()
-    engine.load_default_seeds()
-    body = power(commutator(gen(1), gen(2)), 2)
-    template = template_from_word(body, "[x,y]^2")
-    q = engine.declare(
-        engine.make_quantity(QuantityKind.SL, Context.FREE, template.body, template)
-    )
-    engine.add_certificate_fact(
-        body,
-        template,
+    return _diagonal_scenario(
+        template_from_word(power(commutator(gen(1), gen(2)), 2), "[x,y]^2"),
         6,
         culler_chain_squares(gen(1), gen(2)),
-        label="five squared-commutator blocks for the sixth power",
+        "five squared-commutator blocks for the sixth power",
     )
-    engine.propagate()
-    return engine, q
 
 
 def scenario_gamma_chain(n: int) -> tuple[BoundEngine, Quantity]:
-    engine = BoundEngine()
-    engine.load_default_seeds()
-    template = gamma_word(n)
-    q = engine.declare(
-        engine.make_quantity(QuantityKind.SL, Context.FREE, template.body, template)
-    )
-    engine.propagate()
-    return engine, q
+    return _diagonal_scenario(gamma_word(n))
 
 
 def scenario_commutator_product(g: int) -> tuple[BoundEngine, Quantity]:
-    engine = BoundEngine()
-    engine.load_default_seeds()
-    template = commutator_product_word(g)
-    q = engine.declare(
-        engine.make_quantity(QuantityKind.SL, Context.FREE, template.body, template)
-    )
-    engine.propagate()
-    return engine, q
+    return _diagonal_scenario(commutator_product_word(g))
 
 
 def scenario_perfect_comparison(

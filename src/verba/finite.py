@@ -6,7 +6,8 @@ Backends:
   by image tuple;
 * ``SL2_<p>`` for prime ``p <= 13`` -- determinant-one 2x2 matrices over the
   ``p``-element field, ordered lexicographically by ``(a, b, c, d)``;
-* ``D<k>`` for ``k >= 3`` -- dihedral groups, built through the table backend;
+* ``D<k>`` for ``3 <= k <= 1024`` -- dihedral groups, built through the table
+  backend;
 * ``table:<path>`` -- an explicit multiplication table file: a line
   ``order N`` followed by ``N`` rows of ``N`` ids (validated to be a group).
 
@@ -24,6 +25,7 @@ serve as an independent check of ``mul``.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -301,20 +303,28 @@ def load_group(spec: str) -> FiniteGroup:
         except OSError as exc:
             raise UnknownNameError(f"cannot read table file {path}: {exc}") from exc
         return parse_table_text(spec, text)
-    kind = spec[:1]
-    if kind in ("S", "A") and spec[1:].isdigit():
-        n = int(spec[1:])
-        low = 2 if kind == "S" else 3
-        if not (low <= n <= 8):
-            raise UnknownNameError(f"{kind}<n> backend supports {low} <= n <= 8")
-        return PermutationGroup(spec, n, even_only=kind == "A")
-    if spec.startswith("SL2_") and spec[4:].isdigit():
-        return SL2Group(int(spec[4:]))
-    if kind == "D" and spec[1:].isdigit():
-        group = parse_table_text(spec, dihedral_table_text(int(spec[1:])))
+    # at most 9 digits, so no int() runs on a long digit string
+    match = re.fullmatch(r"(S|A|SL2_|D)([0-9]{1,9})", spec)
+    if match is None:
+        raise UnknownNameError(f"unknown group spec {spec!r}")
+    kind, n = match.group(1), int(match.group(2))
+    if kind == "SL2_":
+        return SL2Group(n)
+    if kind == "D":
+        if n < 3:
+            raise UnknownNameError(f"D<k> backend supports 3 <= k <= {_TABLE_ORDER_CAP // 2}")
+        if 2 * n > _TABLE_ORDER_CAP:
+            raise ResourceBudgetError(
+                f"D{n} has order {2 * n}; the table backend validates groups"
+                f" up to order {_TABLE_ORDER_CAP}"
+            )
+        group = parse_table_text(spec, dihedral_table_text(n))
         group.spec = spec
         return group
-    raise UnknownNameError(f"unknown group spec {spec!r}")
+    low = 2 if kind == "S" else 3
+    if not (low <= n <= 8):
+        raise UnknownNameError(f"{kind}<n> backend supports {low} <= n <= 8")
+    return PermutationGroup(spec, n, even_only=kind == "A")
 
 
 def registry_small_groups() -> list[str]:

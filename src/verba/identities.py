@@ -353,136 +353,73 @@ def oddball_iterate(x: Word, y: Word, z: Word, n: int) -> Certificate:
 # ---------------------------------------------------------------------------
 # CLI registry
 
-@dataclass(frozen=True)
-class RewriteRule:
-    name: str
-    usage: str
-    summary: str
-    build: Callable[[list[str], grammar.NameTable], Certificate]
+# argument converters: (text, names) -> value
+_word = grammar.parse
 
 
-def _words_arg(text: str, names: grammar.NameTable) -> list[Word]:
+def _words(text: str, names: grammar.NameTable) -> list[Word]:
     return [grammar.parse(part, names) for part in text.split(";") if part.strip()]
 
 
-def _ints_arg(text: str) -> list[int]:
+def _ints(text: str, names: grammar.NameTable) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ParseError(f"bad integer list {text!r}") from exc
 
 
-def _int_arg(text: str) -> int:
+def _int(text: str, names: grammar.NameTable) -> int:
     try:
         return int(text)
     except ValueError as exc:
         raise ParseError(f"bad integer {text!r}") from exc
 
 
-def _expect(args: list[str], count: int, usage: str) -> None:
-    if len(args) != count:
-        raise ParseError(f"expected {count} arguments: {usage}")
+Converter = Callable[[str, grammar.NameTable], object]
 
 
-def _make_registry() -> dict[str, RewriteRule]:
-    def rule(name: str, usage: str, summary: str):
-        def wrap(fn):
-            def build(args: list[str], names: grammar.NameTable) -> Certificate:
-                try:
-                    return fn(args, names)
-                except ValueError as exc:  # a rule's guard on its arguments
-                    raise ParseError(str(exc)) from None
+@dataclass(frozen=True)
+class RewriteRule:
+    """A rule as the CLI calls it: ``fn`` applied to the converted arguments.
 
-            registry[name] = RewriteRule(name, usage, summary, build)
-            return fn
+    ``args`` holds one converter per argument; a rule with ``rest`` takes one
+    or more further arguments, converted by ``rest`` and passed as one list.
+    """
 
-        return wrap
+    usage: str
+    fn: Callable[..., Certificate]
+    args: tuple[Converter, ...]
+    rest: Converter | None = None
 
-    registry: dict[str, RewriteRule] = {}
-
-    @rule("culler_identity", "<x> <y>", "[x,y]^3 as two commutators")
-    def _(args, names):
-        _expect(args, 2, "<x> <y>")
-        return culler_identity(grammar.parse(args[0], names), grammar.parse(args[1], names))
-
-    @rule("culler_chain_squares", "<x> <y>", "([x,y]^2)^6 as five squared commutators")
-    def _(args, names):
-        _expect(args, 2, "<x> <y>")
-        return culler_chain_squares(
-            grammar.parse(args[0], names), grammar.parse(args[1], names)
-        )
-
-    @rule("culler_power_pair", "<k>", "[x,y^k]^3 as two [x1,x2^k] instances")
-    def _(args, names):
-        _expect(args, 1, "<k>")
-        return culler_power_pair(_int_arg(args[0]))
-
-    @rule("herd_powers", "<g> <h> <n>", "g^n h^n as (gh)^n and n-1 commutators")
-    def _(args, names):
-        _expect(args, 3, "<g> <h> <n>")
-        return herd_powers(
-            grammar.parse(args[0], names), grammar.parse(args[1], names), _int_arg(args[2])
-        )
-
-    @rule("rotate_product", "<k> <w1> [<w2> ...]", "(w1...wm)^k as w1^k and (m-1)k conjugates")
-    def _(args, names):
-        if len(args) < 2:
-            raise ParseError("expected at least 2 arguments: <k> <w1> [<w2> ...]")
-        return rotate_product([grammar.parse(a, names) for a in args[1:]], _int_arg(args[0]))
-
-    @rule(
-        "telescope_line",
-        "<g1;g2;...> <a1,a2,...> <b1,b2,...>",
-        "compare two straight-line power products",
-    )
-    def _(args, names):
-        _expect(args, 3, "<g1;g2;...> <a1,a2,...> <b1,b2,...>")
-        return telescope_line(_words_arg(args[0], names), _ints_arg(args[1]), _ints_arg(args[2]))
-
-    @rule("square_to_gamma3", "<a> <b> <n>", "[a,b]^(2^n) via doubling")
-    def _(args, names):
-        _expect(args, 3, "<a> <b> <n>")
-        return square_to_gamma3(
-            grammar.parse(args[0], names), grammar.parse(args[1], names), _int_arg(args[2])
-        )
-
-    @rule("gamma3_triangle", "<g> <k> <m>", "g^m k^m (gk)^-m as m(m-1)/2 commutators")
-    def _(args, names):
-        _expect(args, 3, "<g> <k> <m>")
-        return gamma3_triangle(
-            grammar.parse(args[0], names), grammar.parse(args[1], names), _int_arg(args[2])
-        )
-
-    @rule("hall_witt_split", "<g> <a> <b>", "[g,[a,b]] as two factors")
-    def _(args, names):
-        _expect(args, 3, "<g> <a> <b>")
-        return hall_witt_split(
-            grammar.parse(args[0], names),
-            grammar.parse(args[1], names),
-            grammar.parse(args[2], names),
-        )
-
-    @rule("oddball_step", "<x> <y> <z> <n>", "[x,[y,z]] [x,[y,z]^n] merged")
-    def _(args, names):
-        _expect(args, 4, "<x> <y> <z> <n>")
-        return oddball_step(
-            grammar.parse(args[0], names),
-            grammar.parse(args[1], names),
-            grammar.parse(args[2], names),
-            _int_arg(args[3]),
-        )
-
-    @rule("oddball_iterate", "<x> <y> <z> <n>", "[x,[y,z]]^n merged step by step")
-    def _(args, names):
-        _expect(args, 4, "<x> <y> <z> <n>")
-        return oddball_iterate(
-            grammar.parse(args[0], names),
-            grammar.parse(args[1], names),
-            grammar.parse(args[2], names),
-            _int_arg(args[3]),
-        )
-
-    return registry
+    def build(self, args: list[str], names: grammar.NameTable) -> Certificate:
+        count = len(self.args)
+        if self.rest is None and len(args) != count:
+            raise ParseError(f"expected {count} arguments: {self.usage}")
+        if self.rest is not None and len(args) <= count:
+            raise ParseError(f"expected at least {count + 1} arguments: {self.usage}")
+        try:
+            values = [convert(text, names) for convert, text in zip(self.args, args)]
+            if self.rest is not None:
+                values.append([self.rest(text, names) for text in args[count:]])
+            return self.fn(*values)
+        except ValueError as exc:  # a rule's guard on its arguments
+            raise ParseError(str(exc)) from None
 
 
-REWRITE_RULES: dict[str, RewriteRule] = _make_registry()
+REWRITE_RULES: dict[str, RewriteRule] = {
+    "culler_identity": RewriteRule("<x> <y>", culler_identity, (_word, _word)),
+    "culler_chain_squares": RewriteRule("<x> <y>", culler_chain_squares, (_word, _word)),
+    "culler_power_pair": RewriteRule("<k>", culler_power_pair, (_int,)),
+    "herd_powers": RewriteRule("<g> <h> <n>", herd_powers, (_word, _word, _int)),
+    "rotate_product": RewriteRule(
+        "<k> <w1> [<w2> ...]", lambda k, ws: rotate_product(ws, k), (_int,), rest=_word
+    ),
+    "telescope_line": RewriteRule(
+        "<g1;g2;...> <a1,a2,...> <b1,b2,...>", telescope_line, (_words, _ints, _ints)
+    ),
+    "square_to_gamma3": RewriteRule("<a> <b> <n>", square_to_gamma3, (_word, _word, _int)),
+    "gamma3_triangle": RewriteRule("<g> <k> <m>", gamma3_triangle, (_word, _word, _int)),
+    "hall_witt_split": RewriteRule("<g> <a> <b>", hall_witt_split, (_word, _word, _word)),
+    "oddball_step": RewriteRule("<x> <y> <z> <n>", oddball_step, (_word, _word, _word, _int)),
+    "oddball_iterate": RewriteRule("<x> <y> <z> <n>", oddball_iterate, (_word, _word, _word, _int)),
+}

@@ -69,8 +69,7 @@ def gamma_word(n: int) -> Template:
     body = gen(n)
     for i in range(n - 1, 0, -1):
         body = commutator(gen(i), body)
-    template = template_from_word(body, label=f"gamma{n}")
-    return Template(template.key, template.label, body, tuple(range(1, n + 1)))
+    return template_from_word(body, f"gamma{n}")
 
 
 def beta_word(n: int) -> Template:
@@ -83,10 +82,7 @@ def beta_word(n: int) -> Template:
         half = 2 ** (level - 1)
         return commutator(build(level - 1, first), build(level - 1, first + half))
 
-    body = build(n, 1)
-    return Template(
-        grammar.canonical_key(body), f"beta{n}", body, tuple(range(1, 2**n + 1))
-    )
+    return template_from_word(build(n, 1), f"beta{n}")
 
 
 def commutator_product_word(g: int) -> Template:
@@ -95,8 +91,7 @@ def commutator_product_word(g: int) -> Template:
     body = EMPTY
     for i in range(g):
         body = body * commutator(gen(2 * i + 1), gen(2 * i + 2))
-    label = f"commutator_product{g}"
-    return Template(grammar.canonical_key(body), label, body, tuple(range(1, 2 * g + 1)))
+    return template_from_word(body, f"commutator_product{g}")
 
 
 def grope_word(n: int) -> Template:
@@ -105,10 +100,7 @@ def grope_word(n: int) -> Template:
     inner = EMPTY
     for i in range(n):
         inner = inner * commutator(gen(2 * i + 2), gen(2 * i + 3))
-    body = commutator(gen(1), inner)
-    return Template(
-        grammar.canonical_key(body), f"grope{n}", body, tuple(range(1, 2 * n + 2))
-    )
+    return template_from_word(commutator(gen(1), inner), f"grope{n}")
 
 
 def gamma_index(t: Template) -> int | None:

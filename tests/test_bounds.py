@@ -293,12 +293,88 @@ def _scenario(build):
     return engine, shown
 
 
+def _fresh_head_stable():
+    """SL of grope2 over itself, with scl of its inner commutator product (R6)."""
+    engine = BoundEngine()
+    outer = grope_word(2)
+    inner = commutator_product_word(2)
+    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, outer.body, outer))
+    engine.declare(mk(engine, QuantityKind.SL, Context.FREE, inner.body, inner))
+    engine.add_fact(
+        mk(engine, QuantityKind.SCL, Context.FREE, inner.body), F(3, 2), F(3, 2)
+    )
+    engine.propagate()
+    return engine, [q]
+
+
+def _fresh_head_finite():
+    """The cube of gamma3 over itself, from the square of gamma2 (R6)."""
+    engine = BoundEngine()
+    body = gamma_word(3).body
+    q = engine.declare(mk(engine, QuantityKind.L, Context.FREE, body, gamma_word(3), 3))
+    engine.add_fact(
+        mk(engine, QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(2), 2),
+        hi=3,
+    )
+    engine.propagate()
+    return engine, [q]
+
+
+def _one_step_beta():
+    """SL over beta2 of a one-step nested element with vanishing scl (R14)."""
+    engine = BoundEngine()
+    g = X * Y
+    q = engine.declare(
+        mk(engine, QuantityKind.SL, Context.PERFECT_SCL_ZERO, g, beta_word(2))
+    )
+    engine.add_fact(
+        mk(engine, QuantityKind.L, Context.PERFECT_SCL_ZERO, g, gamma_word(3), 1),
+        F(1),
+        F(1),
+    )
+    engine.propagate()
+    return engine, [q]
+
+
+def _perfect_comparison_two_sided():
+    """R8 with each side bounded at one end only, so both sides tighten in one round."""
+    engine = BoundEngine()
+    engine.load_facts("SL PERFECT g | gamma3 = 0 4\nSCL PERFECT g = 1/2 inf\n")
+    shown = [engine.parse_quantity(text) for text in ("SL PERFECT g | gamma3", "SCL PERFECT g")]
+    engine.propagate()
+    return engine, shown
+
+
+def _cl_alias_from_length():
+    """CL read off the gamma2 length of the same word (R-CL)."""
+    engine = BoundEngine()
+    w = commutator(X, Y) * commutator(X, Z)
+    cl_q = engine.declare(mk(engine, QuantityKind.CL, Context.FREE, w))
+    l_q = engine.add_fact(
+        mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 1), F(1), F(2)
+    )
+    engine.propagate()
+    return engine, [cl_q, l_q]
+
+
+def _cl_alias_to_length():
+    """The gamma2 length read off CL of the same word (R-CL)."""
+    engine = BoundEngine()
+    u = commutator(X, Y)
+    l_q = engine.declare(mk(engine, QuantityKind.L, Context.PERFECT, u, gamma_word(2), 1))
+    cl_q = engine.add_fact(mk(engine, QuantityKind.CL, Context.PERFECT, u), F(2), F(3))
+    engine.propagate()
+    return engine, [l_q, cl_q]
+
+
 # sha256 of record_lines() and explain() of each shown quantity, joined by
 # newlines; a change to rule order, the order a rule visits facts in, rule
 # output or text formats moves them.  The [a,b] ladder holds Culler's values
 # cl([a,b]^m) = m//2 + 1, so the stable ratios (R4, R5) tighten many times in
 # key order; the other ladders have one short power, which power splitting
-# (R13) carries up the ladder over several rounds.
+# (R13) carries up the ladder over several rounds.  The last six reach R6, R14
+# and R-CL, which no other entry does, and R8 with both of its sides tightening
+# in one round, which pins the order of the four linked proposals.
 _PINNED_LOGS = {
     "ladder_commutator": (
         lambda: _ladder(
@@ -347,6 +423,30 @@ _PINNED_LOGS = {
     "grope_family": (
         lambda: _scenario(lambda: experiments.scenario_grope_family(2)),
         "db3ee323e04477188a1d9ebf83aa22dc717d8b3002f8caa8932ff63ad79a1615",
+    ),
+    "fresh_head_stable": (
+        _fresh_head_stable,
+        "e67f3c7827a12270eeb488a7f5b9d4cd95f09c710c3c0ab34432fdee46dd6634",
+    ),
+    "fresh_head_finite": (
+        _fresh_head_finite,
+        "d7309924e0735802b069182caf3d82d7e023a2dc801af5abd843d16f534069c4",
+    ),
+    "one_step_beta": (
+        _one_step_beta,
+        "416e8cb8d0ff8f40d2fc4502719a591a9846171d5a00a1e08c23c4a16e76d282",
+    ),
+    "perfect_comparison_two_sided": (
+        _perfect_comparison_two_sided,
+        "1c67a045f4cdf40d22286f01f945bd589519313e663f7103a6a2a474c6aaf751",
+    ),
+    "cl_alias_from_length": (
+        _cl_alias_from_length,
+        "fd284e682b2ca6e070ba0921d78bc49b4b2935b9461c9a20b609a5a67bed167d",
+    ),
+    "cl_alias_to_length": (
+        _cl_alias_to_length,
+        "9b3f0d2410eea405069daa7058dce3c794987bbf353890e6b55b09496ced07b5",
     ),
 }
 
@@ -519,28 +619,13 @@ def test_rule_stable_promotion_off_diagonal():
 
 
 def test_rule_fresh_head_stable():
-    engine = BoundEngine()
-    outer = grope_word(2)
-    inner = commutator_product_word(2)
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, outer.body, outer))
-    engine.declare(mk(engine, QuantityKind.SL, Context.FREE, inner.body, inner))
-    engine.add_fact(
-        mk(engine, QuantityKind.SCL, Context.FREE, inner.body), F(3, 2), F(3, 2)
-    )
-    engine.propagate()
+    engine, (q,) = _fresh_head_stable()
     assert engine.interval(q) == (F(1, 2), F(7, 8))
     assert "R6" in engine.explain(q)
 
 
 def test_rule_fresh_head_finite():
-    engine = BoundEngine()
-    body = gamma_word(3).body
-    q = engine.declare(mk(engine, QuantityKind.L, Context.FREE, body, gamma_word(3), 3))
-    engine.add_fact(
-        mk(engine, QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(2), 2),
-        hi=3,
-    )
-    engine.propagate()
+    engine, (q,) = _fresh_head_finite()
     assert engine.interval(q) == (F(1), F(4))
     assert "R6" in engine.explain(q)
 
@@ -696,22 +781,13 @@ def test_rule_inverse_mirror():
 
 
 def test_rule_one_step_beta():
-    engine = BoundEngine()
-    g = X * Y
-    q = engine.declare(
-        mk(engine, QuantityKind.SL, Context.PERFECT_SCL_ZERO, g, beta_word(2))
-    )
-    engine.add_fact(
-        mk(engine, QuantityKind.L, Context.PERFECT_SCL_ZERO, g, gamma_word(3), 1),
-        F(1),
-        F(1),
-    )
-    engine.propagate()
+    engine, (q,) = _one_step_beta()
     assert engine.interval(q)[1] == F(1)
     assert "R14" in engine.explain(q)
 
     # The same facts in a merely perfect context must not conclude anything.
     other = BoundEngine()
+    g = X * Y
     q2 = other.declare(mk(other, QuantityKind.SL, Context.PERFECT, g, beta_word(2)))
     other.add_fact(
         mk(other, QuantityKind.L, Context.PERFECT, g, gamma_word(3), 1), F(1), F(1)
@@ -721,18 +797,10 @@ def test_rule_one_step_beta():
 
 
 def test_rule_cl_alias_both_directions():
-    engine = BoundEngine()
-    w = commutator(X, Y) * commutator(X, Z)
-    cl_q = engine.declare(mk(engine, QuantityKind.CL, Context.FREE, w))
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 1), F(1), F(2))
-    engine.propagate()
+    engine, (cl_q, _) = _cl_alias_from_length()
     assert engine.interval(cl_q) == (F(1), F(2))
 
-    other = BoundEngine()
-    u = commutator(X, Y)
-    l_q = other.declare(mk(other, QuantityKind.L, Context.PERFECT, u, gamma_word(2), 1))
-    other.add_fact(mk(other, QuantityKind.CL, Context.PERFECT, u), F(2), F(3))
-    other.propagate()
+    other, (l_q, _) = _cl_alias_to_length()
     assert other.interval(l_q) == (F(2), F(3))
 
 

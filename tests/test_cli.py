@@ -5,6 +5,7 @@ import io
 
 import pytest
 
+from verba import finite
 from verba.cli import main
 from verba.cover import known_shape_certificate
 from verba.experiments import run_experiment
@@ -91,6 +92,52 @@ def test_rewrite_bad_arity(capsys):
     code, _, err = run(capsys, "rewrite", "telescope_line", "x")
     assert code == 2
     assert "error:" in err
+
+
+def test_rewrite_unknown_rule_lists_every_rule(capsys):
+    code, out, err = run(capsys, "rewrite", "no_such_rule", "x")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "unknown rewrite rule 'no_such_rule'; available:\n"
+        "  culler_chain_squares <x> <y>\n"
+        "  culler_identity <x> <y>\n"
+        "  culler_power_pair <k>\n"
+        "  gamma3_triangle <g> <k> <m>\n"
+        "  hall_witt_split <g> <a> <b>\n"
+        "  herd_powers <g> <h> <n>\n"
+        "  oddball_iterate <x> <y> <z> <n>\n"
+        "  oddball_step <x> <y> <z> <n>\n"
+        "  rotate_product <k> <w1> [<w2> ...]\n"
+        "  square_to_gamma3 <a> <b> <n>\n"
+        "  telescope_line <g1;g2;...> <a1,a2,...> <b1,b2,...>\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["culler_identity", "x"], "expected 2 arguments: <x> <y>"),
+        (["culler_chain_squares", "x", "y", "z"], "expected 2 arguments: <x> <y>"),
+        (["culler_power_pair"], "expected 1 arguments: <k>"),
+        (["herd_powers", "x", "y"], "expected 3 arguments: <g> <h> <n>"),
+        (["rotate_product", "2"], "expected at least 2 arguments: <k> <w1> [<w2> ...]"),
+        (
+            ["telescope_line", "x;y", "1,2"],
+            "expected 3 arguments: <g1;g2;...> <a1,a2,...> <b1,b2,...>",
+        ),
+        (["square_to_gamma3", "x", "y", "2", "3"], "expected 3 arguments: <a> <b> <n>"),
+        (["gamma3_triangle"], "expected 3 arguments: <g> <k> <m>"),
+        (["hall_witt_split", "x", "y"], "expected 3 arguments: <g> <a> <b>"),
+        (["oddball_step", "x", "y", "z"], "expected 4 arguments: <x> <y> <z> <n>"),
+        (["oddball_iterate", "x"], "expected 4 arguments: <x> <y> <z> <n>"),
+    ],
+)
+def test_rewrite_arity_error_text(capsys, argv, message):
+    code, out, err = run(capsys, "rewrite", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -230,6 +277,42 @@ def test_wlength_unknown_group(capsys):
     code, _, err = run(capsys, "wlength", "--group", "Q8", "--template", "gamma2")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["D0", "D1", "D2", "S²"]
+    + [prefix + "9" * 5000 for prefix in ("S", "A", "D", "SL2_")],
+)
+def test_wlength_bad_group_spec_exit_code(capsys, spec):
+    code, out, err = run(capsys, "wlength", "--group", spec, "--template", "gamma2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["D1025", "D3000", "D20000", "D999999999"])
+def test_wlength_dihedral_past_the_table_cap_exits_3_at_once(capsys, monkeypatch, spec):
+    def unexpected(k):
+        raise AssertionError(f"built the D{k} table text")
+
+    monkeypatch.setattr(finite, "dihedral_table_text", unexpected)
+    code, out, err = run(capsys, "wlength", "--group", spec, "--template", "gamma2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource budget exceeded:") and err.count("\n") == 1
+
+
+def test_dihedral_table_cap_admits_d1024(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def built(k):
+        raise Built(k)
+
+    monkeypatch.setattr(finite, "dihedral_table_text", built)
+    with pytest.raises(Built):
+        load_group("D1024")
 
 
 def test_wlength_uses_cache(capsys, isolated_cache):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from helpers import random_word
@@ -256,3 +257,13 @@ def test_rewrite_registry_builds():
     for name, args in samples.items():
         cert = REWRITE_RULES[name].build(args, names)
         cert.check()
+
+
+def test_readme_rule_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| rule | arguments | produces |\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for row in table.splitlines()[1:]:  # skip the | --- | row
+        name, usage = (cell.strip().strip("`") for cell in row.strip("|").split("|")[:2])
+        listed[name] = usage.replace("…", "...")
+    assert listed == {name: rule.usage for name, rule in REWRITE_RULES.items()}
