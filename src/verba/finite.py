@@ -14,11 +14,12 @@ Backends:
 Multiplication is "first left, then right" for permutation-like backends,
 matching how words act in :mod:`verba.cover`.
 
-Value-set enumeration, subgroup closure and breadth-first ball growth use one
-contract: :meth:`FiniteGroup.mul` over broadcast numpy id arrays, plus
-:meth:`FiniteGroup.inverses`.  ``mul`` looks products up in a dense table
-built on first use, except for permutation groups of order above
-``TABLE_CAP`` (S7, S8, A8), where it composes the permutations directly.
+Value-set enumeration, conjugacy classes, subgroup closure and breadth-first
+ball growth use one contract: :meth:`FiniteGroup.mul` over broadcast numpy id
+arrays, plus :meth:`FiniteGroup.inverses`.  ``mul`` looks products up in a
+dense table of 16-bit ids built on first use, except for permutation groups
+of order above ``TABLE_CAP`` (S7, S8, A8), where it composes the
+permutations directly.
 The scalar ``multiply`` / ``inverse`` use each backend's own arithmetic and
 serve as an independent check of ``mul``.
 """
@@ -36,6 +37,9 @@ from .templates import GAMMA3_FAMILY, Template
 from .words import Word
 
 TABLE_CAP = 4096
+# Dense tables have order at most 4096 (TABLE_CAP, SL2_13 at 2184, and
+# _TABLE_ORDER_CAP), so 16-bit ids halve their memory.
+_TABLE_IDS = np.int16
 ENUMERATION_BUDGET = 10**8
 _CHUNK = 1 << 18  # products per vectorized block
 _TABLE_ORDER_CAP = 2048
@@ -56,6 +60,9 @@ class FiniteGroup:
         self.identity = identity
         self._table: np.ndarray | None = None
         self._inverses: np.ndarray | None = None
+        self._classes: tuple[np.ndarray, np.ndarray] | None = None
+        # quotient_length's tables, keyed by (template key, budget)
+        self._distance_tables: dict[tuple[str, int], DistanceTable] = {}
 
     def multiply(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -82,16 +89,30 @@ class FiniteGroup:
             )
         return self._inverses
 
+    def conjugacy_labels(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(labels, reps)``: ``labels[a]`` is the class id of ``a`` and
+        ``reps[c]`` the least id in class ``c``."""
+        if self._classes is None:
+            inv = self.inverses()
+            ids = np.arange(self.order)
+            labels = np.full(self.order, -1, dtype=np.int32)
+            reps = []
+            for a in range(self.order):
+                if labels[a] < 0:
+                    labels[self.mul(self.mul(inv, a), ids)] = len(reps)  # g^-1 a g
+                    reps.append(a)
+            self._classes = (labels, np.array(reps, dtype=np.int32))
+        return self._classes
+
 
 class PermutationGroup(FiniteGroup):
     def __init__(self, spec: str, degree: int, even_only: bool) -> None:
-        perms = [
-            p
-            for p in itertools.permutations(range(degree))
-            if not even_only or _is_even(p)
-        ]
+        perms = np.array(list(itertools.permutations(range(degree))), dtype=np.int64)
+        if even_only:
+            i, j = np.triu_indices(degree, 1)
+            perms = perms[(perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0]
         self.degree = degree
-        self._perms = np.array(perms, dtype=np.int64)
+        self._perms = perms
         radix = degree ** np.arange(degree, dtype=np.int64)
         self._radix = radix
         codes = self._perms @ radix
@@ -125,21 +146,11 @@ class PermutationGroup(FiniteGroup):
         return self._lookup[composed @ self._radix]
 
     def _build_table(self) -> np.ndarray:
-        table = np.empty((self.order, self.order), dtype=np.int32)
+        table = np.empty((self.order, self.order), dtype=_TABLE_IDS)
         for a in range(self.order):
             composed = self._perms[:, self._perms[a]]  # rows: all b after a
             table[a] = self._lookup[composed @ self._radix]
         return table
-
-
-def _is_even(perm: tuple[int, ...]) -> bool:
-    inversions = sum(
-        1
-        for i in range(len(perm))
-        for j in range(i + 1, len(perm))
-        if perm[i] > perm[j]
-    )
-    return inversions % 2 == 0
 
 
 class SL2Group(FiniteGroup):
@@ -193,7 +204,7 @@ class SL2Group(FiniteGroup):
         return f"[[{m[0]},{m[1]}],[{m[2]},{m[3]}]]"
 
     def _build_table(self) -> np.ndarray:
-        table = np.empty((self.order, self.order), dtype=np.int32)
+        table = np.empty((self.order, self.order), dtype=_TABLE_IDS)
         for a in range(self.order):
             prod = self._mul_rows(self._mats[a][None, :], self._mats)
             table[a] = self._lookup[prod @ self._radix]
@@ -210,7 +221,7 @@ class TableGroup(FiniteGroup):
         _validate_table(table)
         identity = _find_identity(table)
         super().__init__(spec, order, identity)
-        self._table = table.astype(np.int32)
+        self._table = table.astype(_TABLE_IDS)
         eye = np.arange(order)
         self._inverses = np.argmax(self._table == identity, axis=1).astype(np.int32)
         if not np.array_equal(self._table[self._inverses, eye], np.full(order, identity)):
@@ -348,14 +359,17 @@ def eval_word(group: FiniteGroup, w: Word, images: dict[int, int]) -> int:
 
 
 def _assignment_columns(
-    group: FiniteGroup, count: int, start: int, stop: int
+    group: FiniteGroup, first: np.ndarray, count: int, start: int, stop: int
 ) -> list[np.ndarray]:
-    """Columns of the mixed-radix assignment block ``start..stop``."""
+    """Columns of the mixed-radix assignment block ``start..stop``: the first
+    variable runs over the ids ``first``, the others over the whole group."""
     idx = np.arange(start, stop, dtype=np.int64)
-    return [
-        ((idx // (group.order**pos)) % group.order).astype(np.int32)
-        for pos in range(count)
-    ]
+    columns = [first[idx % len(first)]]
+    idx //= len(first)
+    for _ in range(count - 1):
+        columns.append((idx % group.order).astype(np.int32))
+        idx //= group.order
+    return columns
 
 
 def _eval_template_block(
@@ -381,8 +395,11 @@ def template_values(
 ) -> np.ndarray:
     """Sorted ids of all values of ``template`` in ``group``.
 
-    Enumerates every assignment of the template variables (``order**k`` of
-    them; ``ResourceBudgetError`` beyond ``budget``).  The set-valued
+    A word map commutes with simultaneous conjugation, so with ``k >= 2``
+    variables the first runs over one representative per conjugacy class,
+    the others over the whole group, and the values found are closed under
+    conjugation: ``classes * order**(k-1)`` assignments.  The budget still
+    counts ``order**k`` (``ResourceBudgetError`` beyond it).  The set-valued
     commutator-of-derived-element family is computed from the derived
     subgroup instead of by assignment enumeration.
     """
@@ -397,13 +414,26 @@ def template_values(
             f"enumerating {template.label} over {group.spec} needs {total} assignments"
             f" (budget {budget})"
         )
+    if k < 2:
+        first, count = np.arange(group.order, dtype=np.int32), total
+    else:
+        first = group.conjugacy_labels()[1]
+        count = len(first) * group.order ** (k - 1)
     seen = np.zeros(group.order, dtype=bool)
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        cols = _assignment_columns(group, k, start, stop)
+    for start in range(0, count, _CHUNK):
+        stop = min(start + _CHUNK, count)
+        cols = _assignment_columns(group, first, k, start, stop)
         columns = dict(zip(template.variables, cols))
         seen[_eval_template_block(group, template.body, columns)] = True
-    return np.nonzero(seen)[0].astype(np.int32)
+    if k >= 2:
+        seen = _conjugates(group, seen)
+    return np.flatnonzero(seen).astype(np.int32)
+
+
+def _conjugates(group: FiniteGroup, seen: np.ndarray) -> np.ndarray:
+    """The mask ``seen`` widened to every conjugate of a marked element."""
+    labels = group.conjugacy_labels()[0]
+    return np.isin(labels, labels[seen])
 
 
 def _bfs_distances(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
@@ -413,14 +443,16 @@ def _bfs_distances(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
     distances = np.full(group.order, -1, dtype=np.int32)
     distances[group.identity] = 0
     frontier = np.array([group.identity], dtype=np.int32)
+    unplaced = group.order - 1
     level = 0
-    while frontier.size:
+    while frontier.size and unplaced:
         level += 1
         hit = np.zeros(group.order, dtype=bool)
         for rows in _row_blocks(frontier, len(steps)):
             hit[group.mul(rows, steps)] = True
         frontier = np.nonzero(hit & (distances < 0))[0].astype(np.int32)
         distances[frontier] = level
+        unplaced -= frontier.size
     return distances
 
 
@@ -440,12 +472,14 @@ def _gamma3_family_values(group: FiniteGroup, budget: int) -> np.ndarray:
     derived = derived_subgroup(group, budget)
     if group.order * len(derived) > budget:
         raise ResourceBudgetError("commutator-of-derived enumeration over budget")
+    # The derived subgroup is normal, so [u, d] need only run over one u
+    # per conjugacy class.
     inv = group.inverses()
     seen = np.zeros(group.order, dtype=bool)
-    for u in _row_blocks(np.arange(group.order), len(derived)):
+    for u in _row_blocks(group.conjugacy_labels()[1], len(derived)):
         ud = group.mul(u, derived)
         seen[group.mul(group.mul(ud, inv[u]), inv[derived])] = True
-    return np.nonzero(seen)[0].astype(np.int32)
+    return np.flatnonzero(_conjugates(group, seen)).astype(np.int32)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +556,10 @@ def quotient_length(
 
     ``None`` means the image is not a product of values at all, which
     certifies that ``w`` itself is no such product.  Any finite result is a
-    lower bound for the length of ``w`` wherever the assignment lifts.
+    lower bound for the length of ``w`` wherever the assignment lifts.  The
+    distance table is built once per group instance, template and budget.
     """
-    table = wlength_table(group, template, budget)
-    return table.distance(eval_word(group, w, images))
+    key = (template.key, budget)
+    if key not in group._distance_tables:
+        group._distance_tables[key] = wlength_table(group, template, budget)
+    return group._distance_tables[key].distance(eval_word(group, w, images))

@@ -7,12 +7,15 @@ breadth-first search one level at a time.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from verba import finite
+from verba import finite, grammar
 from verba.errors import ParseError, ResourceBudgetError, UnknownNameError
 from verba.finite import (
     TABLE_CAP,
@@ -28,8 +31,14 @@ from verba.finite import (
     template_values,
     wlength_table,
 )
-from verba.templates import GAMMA3_FAMILY, beta_word, gamma_word, template_from_word
-from verba.words import EMPTY, commutator, gen, power
+from verba.templates import (
+    GAMMA3_FAMILY,
+    beta_word,
+    commutator_product_word,
+    gamma_word,
+    template_from_word,
+)
+from verba.words import EMPTY, Word, commutator, gen, power
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +106,61 @@ def oracle_gamma3_family(group):
     return want
 
 
+@functools.lru_cache(maxsize=None)
+def scalar_table(spec):
+    """The group ``spec`` with ``multiply`` and ``inverse`` of every id as
+    plain lists: ``(group, products, inverses)``."""
+    group = load_group(spec)
+    ids = range(group.order)
+    products = [[group.multiply(a, b) for b in ids] for a in ids]
+    return group, products, [group.inverse(a) for a in ids]
+
+
+def tabled_oracle_values(spec, template):
+    """Brute force over every assignment, like ``oracle_values``, by lookups
+    in ``scalar_table``."""
+    group, products, inverses = scalar_table(spec)
+    letters = [(template.variables.index(i), sign) for i, sign in template.body.letters]
+    out = set()
+    for assignment in itertools.product(range(group.order), repeat=len(template.variables)):
+        acc = group.identity
+        for pos, sign in letters:
+            value = assignment[pos]
+            acc = products[acc][value if sign == 1 else inverses[value]]
+        out.add(acc)
+    return out
+
+
+def structure_values(spec):
+    """Each stock template's value set from its structure: ``[x,y]``,
+    ``[u,c]``, ``[u,d]``, ``[c,d]`` and ``c*d`` for commutator values ``c``
+    and ``d`` and ``d`` in the derived subgroup."""
+    group, products, inverses = scalar_table(spec)
+
+    def comm(a, b):
+        return products[products[products[a][b]][inverses[a]]][inverses[b]]
+
+    ids = range(group.order)
+    commutators = {comm(x, y) for x in ids for y in ids}
+    derived = oracle_subgroup_closure(group, commutators)
+    return {
+        "gamma2": commutators,
+        "gamma3": {comm(u, c) for u in ids for c in commutators},
+        "Gamma3": {comm(u, d) for u in ids for d in derived},
+        "beta2": {comm(c, d) for c in commutators for d in commutators},
+        "commutator_product2": {products[c][d] for c in commutators for d in commutators},
+    }
+
+
+STOCK_TEMPLATES = {
+    "gamma2": gamma_word(2),
+    "gamma3": gamma_word(3),
+    "Gamma3": GAMMA3_FAMILY,
+    "beta2": beta_word(2),
+    "commutator_product2": commutator_product_word(2),
+}
+
+
 EXPECTED_ORDERS = {
     "S3": 6,
     "S4": 24,
@@ -135,6 +199,25 @@ def test_group_axioms_on_random_triples():
             left = group.multiply(group.multiply(a, b), c)
             right = group.multiply(a, group.multiply(b, c))
             assert left == right
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_alternating_ids_are_even_permutations_in_lexicographic_order(n):
+    def parity(p):  # n minus the number of cycles, mod 2
+        seen, cycles = set(), 0
+        for start in range(n):
+            if start not in seen:
+                cycles += 1
+                while start not in seen:
+                    seen.add(start)
+                    start = p[start]
+        return (n - cycles) % 2
+
+    group = load_group(f"A{n}")
+    want = [p for p in itertools.permutations(range(n)) if parity(p) == 0]
+    assert group.order == len(want)
+    got = [group.element_name(a) for a in range(group.order)]
+    assert got == ["(" + " ".join(map(str, p)) + ")" for p in want]
 
 
 def test_element_names_are_distinct():
@@ -215,7 +298,7 @@ def test_table_group_comment_and_blank_lines():
 # ---------------------------------------------------------------------------
 # the array multiplication contract
 
-@pytest.mark.parametrize("spec", ["S7", "SL2_5", "D7"])
+@pytest.mark.parametrize("spec", ["S7", "A7", "SL2_5", "D7"])
 def test_mul_matches_multiply_on_broadcast_shapes(spec):
     # S7 is above TABLE_CAP and composes permutations; the others look up a
     # table built by their backend.  ``multiply`` is the scalar oracle.
@@ -270,8 +353,8 @@ def test_closure_above_table_cap():
 
 
 def test_a7_commutator_distances_span_several_blocks():
-    # Ore: every element of A_n (n >= 5) is a commutator.  The enumeration and
-    # the second search level (2519 x 2520 products) both take many blocks.
+    # Ore: every element of A_n (n >= 5) is a commutator.  A search past the
+    # first level would take 2519 x 2520 products, many blocks.
     group = load_group("A7")
     assert group.order * (group.order - 1) > finite._CHUNK
     assert wlength_table(group, gamma_word(2)).histogram() == {0: 1, 1: 2519}
@@ -288,6 +371,34 @@ def test_small_blocks_match_oracle(monkeypatch):
         assert {a: d for a, d in enumerate(table.distances.tolist()) if d >= 0} == want
     group = load_group("A4")
     assert set(template_values(group, GAMMA3_FAMILY).tolist()) == oracle_gamma3_family(group)
+
+
+# ---------------------------------------------------------------------------
+# conjugacy classes
+
+@pytest.mark.parametrize("spec", registry_small_groups())
+def test_conjugacy_labels_match_oracle(spec):
+    group = load_group(spec)
+    labels, reps = group.conjugacy_labels()
+    classes = {}
+    for a in range(group.order):
+        conjugates = frozenset(
+            group.multiply(group.multiply(group.inverse(g), a), g) for g in range(group.order)
+        )
+        classes.setdefault(conjugates, min(conjugates))
+    assert reps.tolist() == sorted(classes.values())
+    for members, least in classes.items():
+        assert {a for a in range(group.order) if labels[a] == labels[least]} == members
+    assert labels[reps].tolist() == list(range(len(reps)))
+    assert group.conjugacy_labels() is group.conjugacy_labels()
+
+
+def test_class_counts_of_larger_groups():
+    # Partitions of 7 and 8; A7 and A8 from their character tables; SL(2, q)
+    # has q + 4 classes for odd q.
+    counts = {"S7": 15, "A7": 9, "S8": 22, "A8": 14, "SL2_11": 15}
+    for spec, count in counts.items():
+        assert len(load_group(spec).conjugacy_labels()[1]) == count, spec
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +465,64 @@ def test_gamma3_family_values():
         assert got == oracle_gamma3_family(group)
 
 
+@pytest.mark.parametrize("spec", registry_small_groups())
+def test_stock_values_match_structure_oracle(spec):
+    want = structure_values(spec)
+    group = load_group(spec)
+    for name, template in STOCK_TEMPLATES.items():
+        assert set(template_values(group, template).tolist()) == want[name], name
+
+
+@pytest.mark.parametrize("spec", registry_small_groups())
+def test_lopsided_values_match_brute_force(spec):
+    # x1 is the variable restricted to class representatives: squared,
+    # inverse-squared at the end, and occurring only once.
+    group = load_group(spec)
+    for text in ("x^2 y", "x y x^-2", "x y^3"):
+        template = template_from_word(grammar.parse(text))
+        want = oracle_values(group, template.body, template.variables)
+        assert set(template_values(group, template).tolist()) == want, text
+
+
+def test_representative_columns_wrap_block_edges(monkeypatch):
+    # S4 and D7 have 5 classes each, so with blocks of 7 assignments the
+    # representative column restarts inside a block.
+    monkeypatch.setattr(finite, "_CHUNK", 7)
+    for spec in ("S4", "D7"):
+        group = load_group(spec)
+        assert len(group.conjugacy_labels()[1]) == 5
+        template = template_from_word(grammar.parse("x^2 y z^-1 y"))
+        want = tabled_oracle_values(spec, template)
+        assert set(template_values(group, template).tolist()) == want
+        assert set(template_values(group, gamma_word(3)).tolist()) == structure_values(spec)["gamma3"]
+        assert set(template_values(group, GAMMA3_FAMILY).tolist()) == oracle_gamma3_family(group)
+
+
+@seed(20100)
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    spec=st.sampled_from(["S3", "A4", "D6", "SL2_3"]),
+    letters=st.lists(
+        st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), min_size=1, max_size=6
+    ),
+)
+def test_representative_values_match_brute_force(spec, letters):
+    word = Word(tuple(letters))
+    assume(word)
+    template = template_from_word(word)
+    got = template_values(load_group(spec), template)
+    assert set(got.tolist()) == tabled_oracle_values(spec, template)
+
+
+def test_budget_counts_every_assignment():
+    # Only 5 * 60 gamma2 assignments are enumerated over A5, but the budget
+    # is checked against all 60**2 of them.
+    group = load_group("A5")
+    assert len(template_values(group, gamma_word(2), budget=60**2)) == 60
+    with pytest.raises(ResourceBudgetError):
+        template_values(group, gamma_word(2), budget=60**2 - 1)
+
+
 def test_template_values_budget():
     group = load_group("A5")
     with pytest.raises(ResourceBudgetError):
@@ -386,6 +555,19 @@ def test_distances_match_bfs_oracle():
         assert sum(histogram.values()) == len(want)
         for level, count in histogram.items():
             assert count == sum(1 for v in want.values() if v == level)
+
+
+def test_search_stops_once_every_element_is_placed():
+    # Level 1 reaches every element of A5, so the search multiplies only the
+    # identity by the 60 commutators (the identity among them).
+    group = load_group("A5")
+    values = template_values(group, gamma_word(2))
+    products = []
+    mul = group.mul
+    group.mul = lambda a, b: products.append(np.broadcast(a, b).size) or mul(a, b)
+    distances = finite._bfs_distances(group, values)
+    assert sorted(distances.tolist()) == [0] + [1] * 59
+    assert sum(products) == 60
 
 
 def test_a5_commutator_distances():
@@ -448,3 +630,34 @@ def test_quotient_length_basic():
         quotient_length(commutator(gen(1), gen(2)), gamma_word(2), group, {1: flip, 2: rotation})
         == 1
     )
+
+
+def test_quotient_length_builds_one_table_per_group_template_and_budget(monkeypatch):
+    built = []
+    build = finite.wlength_table
+
+    def counting(group, template, budget=finite.ENUMERATION_BUDGET):
+        built.append((group.spec, template.key, budget))
+        return build(group, template, budget)
+
+    monkeypatch.setattr(finite, "wlength_table", counting)
+    word = commutator(gen(1), gen(2)) * gen(3)
+    group = load_group("A4")
+    table = build(group, gamma_word(2))
+    images = [{1: a, 2: 2 * a % 12, 3: 11 - a} for a in range(6)]
+    floors = [quotient_length(word, gamma_word(2), group, im) for im in images]
+    assert len(built) == 1
+    assert floors == [table.distance(eval_word(group, word, im)) for im in images]
+    quotient_length(word, gamma_word(2), load_group("A4"), images[0])
+    assert len(built) == 2
+    quotient_length(word, gamma_word(2), group, images[0], budget=10**6)
+    assert len(built) == 3
+    quotient_length(word, GAMMA3_FAMILY, group, images[0])
+    assert len(built) == 4
+    with pytest.raises(ResourceBudgetError):
+        quotient_length(word, gamma_word(2), group, images[0], budget=100)
+    with pytest.raises(ResourceBudgetError):
+        quotient_length(word, gamma_word(2), group, images[0], budget=100)
+    assert len(built) == 6
+    assert quotient_length(word, gamma_word(2), group, images[1]) == floors[1]
+    assert len(built) == 6
