@@ -179,7 +179,11 @@ def parse_template_spec(text: str, names: grammar.NameTable) -> Template:
             "commutator_product": commutator_product_word,
             "grope": grope_word,
         }[match.group(1)]
-        return builder(int(match.group(2)))
+        try:
+            index = int(match.group(2))
+        except ValueError:  # past Python's limit on int-string conversion
+            raise ResourceBudgetError(f"template index of {len(match.group(2))} digits") from None
+        return builder(index)
     return template_from_word(grammar.parse(text, names))
 
 

@@ -13,12 +13,11 @@ degree-3 action below sends the commutator to the cycle ``0 -> 1 -> 2``.)
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .certificates import Certificate, FactorKind, commutator_factor
 from .errors import CertificateError
-from .words import Word, commutator, conjugate, gen, power
+from .words import Word, check_size, commutator, conjugate, gen, power
 
 Permutation = tuple[int, ...]
 
@@ -71,6 +70,7 @@ def boundary_cover(n: int) -> dict[int, Permutation]:
     if n < 1:
         raise ValueError("boundary_cover needs n >= 1")
     degree = 2 * n + 1
+    check_size(degree, "points")
     x_image = tuple(degree - 1 - i for i in range(degree))
     y_image = tuple(i + 1 if i < n else (0 if i == n else i) for i in range(degree))
     return {1: x_image, 2: y_image}
@@ -171,38 +171,3 @@ def known_shape_certificate(n: int) -> Certificate | None:
     )
     check_shape_certificate(1, cert)
     return cert
-
-
-def search_shape_certificate(
-    n: int, max_word_length: int = 2, candidate_cap: int = 200_000
-) -> Certificate | None:
-    """Bounded brute-force search for a shape certificate; ``None`` on exhaustion.
-
-    Enumerates bases and conjugators over ``x, y`` up to ``max_word_length``.
-    The space grows so fast that only trivially small instances are found;
-    this exists as an honest search hook, not as a construction.
-    """
-    x, y = gen(1), gen(2)
-    target = power(commutator(x, y), 2 * n + 1)
-    alphabet = [x, y, x.inverse(), y.inverse()]
-    candidates: list[Word] = [Word()]
-    frontier: list[Word] = [Word()]
-    for _ in range(max_word_length):
-        frontier = [w * a for w in frontier for a in alphabet if len(w * a) == len(w) + 1]
-        candidates.extend(frontier)
-    slots = 2 * (n + 1)
-    if len(candidates) ** slots > candidate_cap:
-        return None
-    long_entry = power(y, n + 1)
-    for choice in itertools.product(candidates, repeat=slots):
-        bases = choice[: n + 1]
-        conjs = choice[n + 1 :]
-        factors = [commutator_factor(bases[0], long_entry, conj=conjs[0])]
-        factors += [
-            commutator_factor(base, y, conj=conj)
-            for base, conj in zip(bases[1:], conjs[1:])
-        ]
-        cert = Certificate(target=target, factors=tuple(factors))
-        if cert.product() == target:
-            return cert
-    return None

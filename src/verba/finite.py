@@ -373,10 +373,10 @@ def _assignment_columns(
 
 
 def _eval_template_block(
-    group: FiniteGroup, body: Word, columns: dict[int, np.ndarray]
+    group: FiniteGroup, body: Word, columns: dict[int, np.ndarray], size: int
 ) -> np.ndarray:
     inv = group.inverses()
-    acc = np.full(len(next(iter(columns.values()))), group.identity, dtype=np.int32)
+    acc = np.full(size, group.identity, dtype=np.int32)
     for index, sign in body.letters:
         col = columns[index] if sign == 1 else inv[columns[index]]
         acc = group.mul(acc, col)
@@ -411,7 +411,7 @@ def template_values(
     total = group.order**k
     if total > budget:
         raise ResourceBudgetError(
-            f"enumerating {template.label} over {group.spec} needs {total} assignments"
+            f"enumerating {template.label} over {group.spec} needs {group.order}^{k} assignments"
             f" (budget {budget})"
         )
     if k < 2:
@@ -424,7 +424,7 @@ def template_values(
         stop = min(start + _CHUNK, count)
         cols = _assignment_columns(group, first, k, start, stop)
         columns = dict(zip(template.variables, cols))
-        seen[_eval_template_block(group, template.body, columns)] = True
+        seen[_eval_template_block(group, template.body, columns, stop - start)] = True
     if k >= 2:
         seen = _conjugates(group, seen)
     return np.flatnonzero(seen).astype(np.int32)

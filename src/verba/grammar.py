@@ -219,44 +219,3 @@ def format_word(w: Word, names: NameTable | None = None) -> str:
 def canonical_key(w: Word) -> str:
     """Name-independent canonical string for ``w`` (parseable via ``canonical_table``)."""
     return format_word(w, None)
-
-
-BracketTree = tuple["BracketTree", "BracketTree"] | Word
-
-
-def parse_bracket_tree(text: str, names: NameTable | None = None) -> BracketTree:
-    """Parse ``text`` keeping its outermost commutator structure.
-
-    Returns either a ``(left, right)`` pair of subtrees, when the whole
-    expression is a single bracket ``[A, B]``, or the parsed ``Word`` leaf.
-    Parenthesized subexpressions are always leaves.
-    """
-    if names is None:
-        names = NameTable()
-    stripped = text.strip()
-    if stripped.startswith("["):
-        depth = 0
-        comma = -1
-        for i, ch in enumerate(stripped):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-                if depth == 0 and i != len(stripped) - 1:
-                    break  # the leading bracket closes early: not the whole expression
-            elif ch == "," and depth == 1 and comma < 0:
-                comma = i
-        else:
-            if depth == 0 and comma > 0:
-                left = parse_bracket_tree(stripped[1:comma], names)
-                right = parse_bracket_tree(stripped[comma + 1 : -1], names)
-                return (left, right)
-    return parse(stripped, names)
-
-
-def tree_word(tree: BracketTree) -> Word:
-    """Collapse a bracket tree to the word it denotes."""
-    if isinstance(tree, Word):
-        return tree
-    left, right = tree
-    return commutator(tree_word(left), tree_word(right))

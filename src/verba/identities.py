@@ -27,6 +27,7 @@ from .templates import template_from_word, visible_commutator
 from .words import (
     EMPTY,
     Word,
+    check_power_size,
     check_size,
     commutator,
     conjugate,
@@ -238,7 +239,7 @@ def square_to_gamma3(a: Word, b: Word, n: int) -> Certificate:
     """
     if n < 0:
         raise ValueError("square_to_gamma3 needs n >= 0")
-    check_size(2**n, "factors")
+    check_power_size(2, n, "factors")
     if commutator(a, b) == EMPTY:
         return _checked(EMPTY, [])
     tagged = in_commutator_subgroup(b)

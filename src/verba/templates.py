@@ -18,17 +18,17 @@ coincide.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import grammar
 from .words import (
-    EMPTY,
     Word,
     canonical_renumber,
+    check_power_size,
+    check_size,
     commutator,
-    conjugate,
     gen,
+    product,
     substitute,
 )
 
@@ -66,6 +66,8 @@ def template_from_word(body: Word, label: str | None = None) -> Template:
 def gamma_word(n: int) -> Template:
     if n < 1:
         raise ValueError("gamma_word needs n >= 1")
+    check_power_size(2, n - 1, f"letters or more in gamma{n}")
+    check_size(3 * 2 ** (n - 1) - 2, f"letters in gamma{n}")
     body = gen(n)
     for i in range(n - 1, 0, -1):
         body = commutator(gen(i), body)
@@ -75,6 +77,7 @@ def gamma_word(n: int) -> Template:
 def beta_word(n: int) -> Template:
     if n < 1:
         raise ValueError("beta_word needs n >= 1")
+    check_power_size(4, n, f"letters in beta{n}")
 
     def build(level: int, first: int) -> Word:
         if level == 1:
@@ -88,18 +91,16 @@ def beta_word(n: int) -> Template:
 def commutator_product_word(g: int) -> Template:
     if g < 1:
         raise ValueError("commutator_product_word needs g >= 1")
-    body = EMPTY
-    for i in range(g):
-        body = body * commutator(gen(2 * i + 1), gen(2 * i + 2))
+    check_size(4 * g, f"letters in commutator_product{g}")
+    body = product(commutator(gen(2 * i + 1), gen(2 * i + 2)) for i in range(g))
     return template_from_word(body, f"commutator_product{g}")
 
 
 def grope_word(n: int) -> Template:
     if n < 1:
         raise ValueError("grope_word needs n >= 1")
-    inner = EMPTY
-    for i in range(n):
-        inner = inner * commutator(gen(2 * i + 2), gen(2 * i + 3))
+    check_size(8 * n + 2, f"letters in grope{n}")
+    inner = product(commutator(gen(2 * i + 2), gen(2 * i + 3)) for i in range(n))
     return template_from_word(commutator(gen(1), inner), f"grope{n}")
 
 
@@ -108,13 +109,11 @@ def gamma_index(t: Template) -> int | None:
     if t.body is None:
         return None
     n = 1
-    while True:
-        candidate = gamma_word(n).body
-        if len(candidate) > len(t.body):
-            return None
-        if candidate == t.body:
+    while 3 * 2 ** (n - 1) - 2 <= len(t.body):  # the length of gamma_word(n)
+        if gamma_word(n).body == t.body:
             return n
         n += 1
+    return None
 
 
 def commutator_product_decomposition(w: Word) -> list[tuple[int, int]] | None:
@@ -171,149 +170,4 @@ def visible_commutator(w: Word) -> tuple[Word, Word] | None:
     """First commutator split of ``w`` found, or ``None``."""
     for u, v in iter_commutator_splits(w):
         return (u, v)
-    return None
-
-
-def _shift(sub: Substitution, offset: int) -> Substitution:
-    """Shift variable keys *and* the variables inside images (both in template space)."""
-    shift_map = {i: gen(i + offset) for image in sub.values() for i in image.generators()}
-    return {var + offset: substitute(image, shift_map) for var, image in sub.items()}
-
-
-def _shift_keys(sub: Substitution, offset: int) -> Substitution:
-    """Shift variable keys only; images are ambient words and stay untouched."""
-    return {var + offset: image for var, image in sub.items()}
-
-
-def reflexivity_certificate(
-    t: Template, search_length: int = 2, search_cap: int = 200_000
-) -> Substitution | None:
-    """A substitution sending the template body to its inverse, or ``None``.
-
-    The stock families have closed-form certificates.  Other single-word
-    templates fall back to a bounded search over images of length at most
-    ``search_length`` in the template variables (at most ``search_cap``
-    candidate substitutions); exhaustion returns ``None``, which means
-    *unknown*, not *irreflexive*.
-    """
-    if t.body is None:
-        raise ValueError("reflexivity certificates apply to single-word templates")
-    closed = _closed_form_reflexivity(t)
-    if closed is not None:
-        return closed
-    return _search_reflexivity(t, search_length, search_cap)
-
-
-def _closed_form_reflexivity(t: Template) -> Substitution | None:
-    n = gamma_index(t)
-    if n is not None:
-        return _gamma_reflexivity(n)
-    body = t.body
-    for level in itertools.count(1):
-        beta = beta_word(level)
-        if len(beta.body) > len(body):
-            break
-        if beta.body == body:
-            half = 2 ** (level - 1)
-            sub = {i: gen(i + half) for i in range(1, half + 1)}
-            sub.update({i + half: gen(i) for i in range(1, half + 1)})
-            return sub
-    pairs = commutator_product_decomposition(body)
-    if pairs is not None:
-        return _pair_reversal(pairs)
-    split = fresh_commutator_split(body)
-    if split is not None:
-        head, inner = split
-        inner_pairs = commutator_product_decomposition(inner)
-        if inner_pairs is not None:
-            sub = _pair_reversal(inner_pairs)
-            sub[head] = conjugate(gen(head), inner)
-            return sub
-    return None
-
-
-def _gamma_reflexivity(n: int) -> Substitution:
-    if n == 1:
-        return {1: gen(1).inverse()}
-    tail = gamma_word(n - 1)
-    shifted_tail = substitute(tail.body, {i: gen(i + 1) for i in tail.variables})
-    inner = _shift(_gamma_reflexivity(n - 1), 1)
-    inner[1] = conjugate(gen(1), shifted_tail)
-    return inner
-
-
-def _pair_reversal(pairs: list[tuple[int, int]]) -> Substitution:
-    sub: Substitution = {}
-    for (a, b), (c, d) in zip(pairs, reversed(pairs)):
-        sub[a] = gen(d)
-        sub[b] = gen(c)
-    return sub
-
-
-def _search_reflexivity(
-    t: Template, search_length: int, search_cap: int
-) -> Substitution | None:
-    body = t.body
-    target = body.inverse()
-    alphabet = [gen(i) for i in t.variables] + [gen(i).inverse() for i in t.variables]
-    candidates: list[Word] = [EMPTY]
-    frontier = [EMPTY]
-    for _ in range(search_length):
-        frontier = [
-            w * a for w in frontier for a in alphabet if len(w * a) == len(w) + 1
-        ]
-        candidates.extend(frontier)
-    total = len(candidates) ** len(t.variables)
-    if total > search_cap:
-        return None
-    for images in itertools.product(candidates, repeat=len(t.variables)):
-        sub = dict(zip(t.variables, images))
-        if substitute(body, sub) == target:
-            return sub
-    return None
-
-
-def nested_bracket_certificate(
-    tree: grammar.BracketTree, names: grammar.NameTable | None = None
-) -> Substitution | None:
-    """Express a bracket tree as an instance of ``gamma_word(#leaves)``.
-
-    ``tree`` is either a ``grammar.parse_bracket_tree`` result, a string to be
-    parsed as one, or a ``Word`` leaf.  Succeeds exactly when every bracket in
-    the tree has at least one leaf side (possibly after flipping with
-    ``[a,b] = [b^a, a^-1]``); a bracket of two composite sides returns
-    ``None``.  On success the returned substitution ``s`` satisfies
-    ``gamma_word(len(s)).instance(s) == tree word``.
-    """
-    if isinstance(tree, str):
-        tree = grammar.parse_bracket_tree(tree, names)
-    solved = _solve_nested(tree)
-    return None if solved is None else solved[1]
-
-
-def _solve_nested(tree: grammar.BracketTree) -> tuple[int, Substitution] | None:
-    if isinstance(tree, Word):
-        return 1, {1: tree}
-    left, right = tree
-    if isinstance(left, Word):
-        inner = _solve_nested(right)
-        if inner is None:
-            return None
-        m, sub = inner
-        out = _shift_keys(sub, 1)
-        out[1] = left
-        return m + 1, out
-    if isinstance(right, Word):
-        inner = _solve_nested(left)
-        if inner is None:
-            return None
-        m, sub = inner
-        left_word = gamma_word(m).instance(sub)
-        reflex = _gamma_reflexivity(m)
-        inverted_sub = {
-            var: substitute(reflex[var], sub) for var in gamma_word(m).variables
-        }
-        out = _shift_keys(inverted_sub, 1)
-        out[1] = conjugate(right, left_word)
-        return m + 1, out
     return None

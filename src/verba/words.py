@@ -20,9 +20,10 @@ from .errors import ResourceBudgetError
 
 Letter = tuple[int, int]
 
-#: Most letters ``power`` builds into one word, and most factors or letters
-#: a rewrite rule such as ``square_to_gamma3`` builds into one certificate;
-#: ``ResourceBudgetError`` is raised before anything larger is built.
+#: Most letters ``power`` builds into one word, most factors or letters a
+#: rewrite rule such as ``square_to_gamma3`` builds into one certificate, and
+#: most points ``cover.boundary_cover`` permutes; ``ResourceBudgetError`` is
+#: raised before anything larger is built.
 SIZE_BUDGET = 10**7
 
 
@@ -30,6 +31,13 @@ def check_size(count: int, what: str) -> None:
     """Raise ``ResourceBudgetError`` when ``count`` exceeds ``SIZE_BUDGET``."""
     if count > SIZE_BUDGET:
         raise ResourceBudgetError(f"{count} {what} exceed the size budget of {SIZE_BUDGET}")
+
+
+def check_power_size(base: int, n: int, what: str) -> None:
+    """``check_size(base**n, what)`` for ``base >= 2``, without forming the
+    power when ``n`` alone puts it past ``SIZE_BUDGET``."""
+    if n >= SIZE_BUDGET.bit_length() or base**n > SIZE_BUDGET:
+        raise ResourceBudgetError(f"{base}^{n} {what} exceed the size budget of {SIZE_BUDGET}")
 
 
 def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -205,13 +213,3 @@ def canonical_renumber(w: Word) -> Word:
             mapping[index] = len(mapping) + 1
         letters.append((mapping[index], sign))
     return Word(tuple(letters))
-
-
-def cyclically_reduce(w: Word) -> tuple[Word, Word]:
-    """Return ``(core, t)`` with ``w == conjugate(core, t)`` and ``core`` cyclically reduced."""
-    letters = list(w.letters)
-    prefix: list[Letter] = []
-    while len(letters) >= 2 and letters[0] == (letters[-1][0], -letters[-1][1]):
-        prefix.append(letters.pop(0))
-        letters.pop()
-    return Word(tuple(letters)), Word(tuple(prefix))

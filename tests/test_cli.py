@@ -4,12 +4,15 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 from verba import finite
 from verba.cli import main
 from verba.cover import known_shape_certificate
 from verba.experiments import run_experiment
 from verba.finite import load_group
+from verba.identities import REWRITE_RULES
 
 
 @pytest.fixture(autouse=True)
@@ -164,6 +167,15 @@ def test_rewrite_rejects_bad_arguments(capsys, argv, message):
         ["reduce", "x^" + "9" * 5000],
         ["rewrite", "square_to_gamma3", "x", "y", "40"],
         ["rewrite", "square_to_gamma3", "x y", "y z x", "12"],
+        ["rewrite", "square_to_gamma3", "x", "y", "100000000"],
+        ["cover", "--n", "5000000"],
+        ["wlength", "--group", "S3", "--template", "gamma23"],
+        ["wlength", "--group", "S3", "--template", "gamma99"],
+        ["wlength", "--group", "S3", "--template", "beta12"],
+        ["wlength", "--group", "S3", "--template", "gamma" + "9" * 5000],
+        ["wlength", "--group", "S3", "--template", "grope3000"],
+        ["bound", "--declare", "L FREE [x,y] | commutator_product99999999"],
+        ["bound", "--declare", "L FREE [x,y] | grope2000000"],
     ],
 )
 def test_size_budget_exit_code(capsys, argv):
@@ -193,6 +205,15 @@ def test_wlength_histogram_s3_reports_unreachable(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["0 1", "1 2", "unreachable 3"]
+
+
+@pytest.mark.parametrize("template", ["1", "x x^-1"])
+def test_wlength_empty_template_has_only_the_identity(capsys, template):
+    code, out, err = run(
+        capsys, "wlength", "--group", "S3", "--template", template, "--no-cache"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["0 1", "unreachable 5"]
 
 
 def test_wlength_element(capsys):
@@ -489,3 +510,95 @@ def test_experiment_unknown(capsys):
     code, _, err = run(capsys, "experiment", "run", "nope")
     assert code == 2
     assert "error:" in err
+
+
+_VALID_EXPRS = ["x", "y^-1", "1", "x x^-1", "[x,y]", "[x,[y,z]]", "x^y", "(x y)^3", "x^2 y^-2"]
+_EXPRS = _VALID_EXPRS + ["[x", "x^", ")", "", "x^99999999999"]
+_NUMBERS = ["-1", "0", "1", "2", "3", "40"]
+_INTS = _NUMBERS + ["x", "9" * 5000]
+_TEMPLATES = [
+    "gamma2", "gamma3", "beta2", "commutator_product2", "grope1", "Gamma3", "w:x^2",
+    "x^2 y", "1", "x x^-1", "gamma99", "beta12", "[x", "nosuch7",
+]
+_words = st.sampled_from(_EXPRS)
+_contexts = st.sampled_from(["FREE", "PERFECT", "PERFECT_SCL_ZERO"])
+
+
+def _rule_args(usage: str):
+    """Arguments shaped like a rewrite rule's usage string, e.g. ``<g> <k> <m>``."""
+    parts = []
+    for token in usage.split():
+        if ";" in token:
+            parts.append(st.lists(_words, min_size=1, max_size=3).map(";".join))
+        elif "," in token:
+            parts.append(st.lists(st.sampled_from(_NUMBERS), min_size=1, max_size=3).map(",".join))
+        elif token in ("<k>", "<n>", "<m>"):
+            parts.append(st.sampled_from(_INTS))
+        elif token.startswith("<"):
+            parts.append(_words)
+    return st.tuples(*parts).map(list)
+
+
+_rewrites = st.one_of(
+    *(
+        _rule_args(rule.usage).map(lambda args, name=name: [name, *args])
+        for name, rule in sorted(REWRITE_RULES.items())
+    ),
+    st.lists(st.sampled_from(_EXPRS + _INTS), max_size=4).map(lambda args: ["no_such_rule", *args]),
+)
+_quantities = st.one_of(
+    st.builds(
+        "{} {} {} | {}{}".format,
+        st.sampled_from(["L", "SL"]),
+        _contexts,
+        st.sampled_from(_VALID_EXPRS),
+        st.sampled_from(["gamma2", "gamma3", "[x,y]^2", "Gamma3", "w:x^2", "beta99"]),
+        st.sampled_from(["", " @ 2", " @ 3"]),
+    ),
+    st.builds("{} {} {}".format, st.sampled_from(["SCL", "CL"]), _contexts, _words),
+    st.builds(
+        "{} {} {}{}".format,
+        st.sampled_from(["L", "X"]),
+        st.sampled_from(["FREE", "NOWHERE"]),
+        _words,
+        st.sampled_from(["", " | [", " @ 0", " @ x"]),
+    ),
+)
+_argvs = st.one_of(
+    st.lists(_words, min_size=1, max_size=3).map(lambda ws: ["reduce", *ws]),
+    st.tuples(_words, _words).map(lambda pair: ["verify", *pair]),
+    _rewrites.map(lambda args: ["rewrite", *args]),
+    st.tuples(
+        st.sampled_from(["S3", "D4", "A4", "S4"]),
+        st.sampled_from(_TEMPLATES),
+        st.one_of(
+            st.just([]),
+            st.tuples(_words, st.lists(st.integers(-1, 9).map(str), max_size=3)).map(
+                lambda e: ["--element", e[0], "--images", ",".join(e[1])]
+            ),
+        ),
+    ).map(lambda w: ["wlength", "--no-cache", "--group", w[0], "--template", w[1], *w[2]]),
+    st.lists(_quantities, min_size=1, max_size=3).map(
+        lambda qs: ["bound", "--no-default-seeds"] + [a for q in qs for a in ("--declare", q)]
+    ),
+    st.sampled_from(["-1", "0", "1", "2", "7", "x", "5000000"]).map(lambda n: ["cover", "--n", n]),
+)
+
+
+# The cache directory set by ``isolated_cache`` is shared by every example on
+# purpose: no example may depend on what an earlier one left there.
+@seed(20101)
+@settings(
+    max_examples=150,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@example(argv=["wlength", "--no-cache", "--group", "S3", "--template", "1"])
+@given(argv=_argvs)
+def test_every_cli_input_ends_with_a_documented_exit_code(argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse ends a usage error this way
+        code = exc.code
+    assert code in (0, 1, 2, 3)

@@ -14,7 +14,6 @@ from verba.cover import (
     identity_permutation,
     invert_permutation,
     known_shape_certificate,
-    search_shape_certificate,
     then,
     verify_shape_certificate,
     word_permutation,
@@ -169,11 +168,3 @@ def test_shape_checker_rejects_inverted_factors():
     )
     bad.check()
     assert not verify_shape_certificate(1, bad)
-
-
-def test_search_is_honest_about_exhaustion():
-    # Identity-only candidate pool: nothing multiplies to the target.
-    assert search_shape_certificate(1, max_word_length=0) is None
-    # Over the candidate cap: declines to search rather than guessing.
-    assert search_shape_certificate(1, max_word_length=2, candidate_cap=10) is None
-    assert search_shape_certificate(3, max_word_length=1, candidate_cap=100) is None

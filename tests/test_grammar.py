@@ -13,8 +13,6 @@ from verba.grammar import (
     canonical_table,
     format_word,
     parse,
-    parse_bracket_tree,
-    tree_word,
 )
 from verba.words import EMPTY, Word, commutator, conjugate, gen
 
@@ -95,15 +93,3 @@ def test_canonical_key_is_stable():
 def test_exponent_grouping_in_output():
     assert format_word(gen(1) ** 3) == "x1^3"
     assert format_word(gen(1) ** -2 * gen(2)) == "x1^-2 x2"
-
-
-def test_bracket_tree_shapes():
-    names = NameTable()
-    tree = parse_bracket_tree("[x,[y,z]]", names)
-    left, right = tree
-    assert isinstance(left, Word)
-    assert isinstance(right, tuple)
-    assert tree_word(tree) == parse("[x,[y,z]]", NameTable())
-
-    leaf = parse_bracket_tree("([u,v])", names)
-    assert isinstance(leaf, Word)

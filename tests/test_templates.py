@@ -1,11 +1,8 @@
-"""Word templates: constructors, structure tests, reflexivity, nesting."""
+"""Word templates: constructors and structure tests."""
 from __future__ import annotations
-
-import random
 
 from helpers import random_word
 
-from verba.grammar import NameTable, parse
 from verba.templates import (
     GAMMA3_FAMILY,
     beta_word,
@@ -15,11 +12,9 @@ from verba.templates import (
     gamma_index,
     gamma_word,
     grope_word,
-    nested_bracket_certificate,
-    reflexivity_certificate,
     template_from_word,
 )
-from verba.words import EMPTY, commutator, gen, substitute
+from verba.words import EMPTY, commutator, gen
 
 
 def test_family_shapes():
@@ -58,30 +53,6 @@ def test_instance_substitution():
     assert t.instance({1: x, 2: y}) == commutator(x, y)
 
 
-def test_reflexivity_closed_forms():
-    for template in (
-        *(gamma_word(n) for n in range(1, 7)),
-        *(beta_word(n) for n in range(1, 4)),
-        *(commutator_product_word(g) for g in range(1, 5)),
-        *(grope_word(n) for n in range(1, 4)),
-    ):
-        images = reflexivity_certificate(template)
-        assert images is not None, template.label
-        assert substitute(template.body, images) == template.body.inverse()
-
-
-def test_reflexivity_search_fallback():
-    t = template_from_word(gen(1) * gen(2))
-    images = reflexivity_certificate(t)
-    assert images is not None
-    assert substitute(t.body, images) == t.body.inverse()
-
-
-def test_reflexivity_unknown_returns_none():
-    t = template_from_word(commutator(gen(1), gen(2) ** 2))
-    assert reflexivity_certificate(t, search_length=1, search_cap=500) is None
-
-
 def test_commutator_product_decomposition():
     for g in range(1, 5):
         pairs = commutator_product_decomposition(commutator_product_word(g).body)
@@ -99,47 +70,3 @@ def test_fresh_commutator_split():
     assert fresh_commutator_split(gen(1) * gen(2)) is None
     tangled = commutator(gen(1), gen(1) * gen(2))
     assert fresh_commutator_split(tangled) is None
-
-
-def test_nested_bracket_fully_parenthesized():
-    names = NameTable()
-    images = nested_bracket_certificate("[x,[[[w,[u,v]],z],y]]", names)
-    assert images is not None and len(images) == 6
-    word = parse("[x,[[[w,[u,v]],z],y]]", NameTable())
-    assert gamma_word(6).instance(images) == word
-
-
-def test_nested_bracket_opaque_leaf():
-    names = NameTable()
-    images = nested_bracket_certificate("[x,[[[w,([u,v])],z],y]]", names)
-    assert images is not None and len(images) == 5
-    word = parse("[x,[[[w,[u,v]],z],y]]", NameTable())
-    assert gamma_word(5).instance(images) == word
-
-
-def test_nested_bracket_composite_pair_unknown():
-    assert nested_bracket_certificate("[[x,y],[z,w]]", NameTable()) is None
-
-
-def test_nested_bracket_random_trees():
-    rng = random.Random(15)
-    from helpers import random_nonempty_word
-
-    from verba.grammar import canonical_table, format_word
-
-    for _ in range(40):
-        def leaf_text() -> str:
-            return "(" + format_word(random_nonempty_word(rng, rank=2, max_length=3)) + ")"
-
-        text = leaf_text()
-        count = 1
-        for _ in range(rng.randrange(1, 5)):
-            if rng.random() < 0.5:
-                text = f"[{leaf_text()},{text}]"
-            else:
-                text = f"[{text},{leaf_text()}]"
-            count += 1
-        images = nested_bracket_certificate(text, canonical_table())
-        assert images is not None and len(images) == count
-        expected = parse(text, canonical_table())
-        assert gamma_word(count).instance(images) == expected

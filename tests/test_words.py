@@ -12,7 +12,6 @@ from verba.words import (
     canonical_renumber,
     commutator,
     conjugate,
-    cyclically_reduce,
     gen,
     in_commutator_subgroup,
     power,
@@ -125,14 +124,3 @@ def test_canonical_renumber_is_a_relabeling():
         for (a, _), (b, _) in zip(w.letters, r.letters):
             assert mapping.setdefault(a, b) == b
         assert len(set(mapping.values())) == len(mapping)
-
-
-def test_cyclic_reduction():
-    rng = random.Random(10)
-    for _ in range(200):
-        w = random_word(rng)
-        core, conjugator = cyclically_reduce(w)
-        assert conjugate(core, conjugator) == w
-        if core:
-            first, last = core.letters[0], core.letters[-1]
-            assert not (first[0] == last[0] and first[1] == -last[1])
