@@ -3,21 +3,23 @@
 Files live under the cache root (``VERBA_CACHE_DIR`` or
 ``~/.cache/verba``), one per (group spec, template) pair, named by a
 content hash so that editing a template, or rewriting the file of a
-``table:`` group, invalidates the entry.  Format::
+``table:`` group, invalidates the entry.  An entry is one JSON header line::
 
-    GROUP <spec> TEMPLATE <key> COUNT <n>
-    <id> <distance>
-    ...
+    {"format": 2, "group": <spec>, "template": <key>, "count": <n>, "sha256": <hex>}
 
-with one line per element id; ``-1`` marks elements that are not products
-of template values at all.  Corrupt entries are never trusted: the reader
-warns and the caller recomputes.
+followed by the ``n`` distances as little-endian int32, indexed by element
+id; ``-1`` marks elements that are not products of template values at all.
+Entries are written to a temporary file and moved into place.  An entry is
+served only when its header is the one expected for the group, template and
+payload, and its levels are a breadth-first search's: the identity alone at
+0, every entry in ``[-1, order)``, no empty level below the maximum.  Any
+other entry warns and is recomputed; a failed store only warns.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import re
 import warnings
 from pathlib import Path
 
@@ -25,8 +27,6 @@ import numpy as np
 
 from .finite import DistanceTable, FiniteGroup, wlength_table
 from .templates import Template
-
-_HEADER_RE = re.compile(r"GROUP (\S+) TEMPLATE (.+) COUNT ([0-9]+)\Z")
 
 
 def cache_dir() -> Path:
@@ -49,57 +49,65 @@ def cache_path(group_spec: str, template: Template) -> Path:
     return cache_dir() / f"{cache_key(group_spec, template)}.dist"
 
 
+def _header(group_spec: str, template_key: str, payload: bytes) -> bytes:
+    head = {
+        "format": 2,
+        "group": group_spec,
+        "template": template_key,
+        "count": len(payload) // 4,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    return json.dumps(head).encode() + b"\n"
+
+
 def store(table: DistanceTable, template: Template) -> Path:
     path = cache_path(table.group_spec, template)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"GROUP {table.group_spec} TEMPLATE {table.template_key}"
-        f" COUNT {len(table.distances)}"
-    ]
-    lines.extend(f"{i} {d}" for i, d in enumerate(table.distances))
-    path.write_text("\n".join(lines) + "\n")
+    payload = table.distances.astype("<i4").tobytes()
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(_header(table.group_spec, table.template_key, payload) + payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
-def load(group_spec: str, template: Template) -> DistanceTable | None:
+def load(group: FiniteGroup, template: Template) -> DistanceTable | None:
     """Return the cached table, or None on a miss or a corrupt entry."""
-    path = cache_path(group_spec, template)
+    path = cache_path(group.spec, template)
     if not path.exists():
         return None
     try:
-        text = path.read_text()
-        head, _, body = text.partition("\n")
-        match = _HEADER_RE.match(head.strip())
-        if match is None:
-            raise ValueError(f"bad header {head!r}")
-        spec, key, count_text = match.groups()
-        if spec != group_spec or key != template.key:
-            raise ValueError("header does not match the requested table")
-        count = int(count_text)
-        distances = np.full(count, -1, dtype=np.int32)
-        seen = 0
-        for line in body.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            id_text, dist_text = line.split()
-            distances[int(id_text)] = int(dist_text)
-            seen += 1
-        if seen != count:
-            raise ValueError(f"expected {count} rows, found {seen}")
-        return DistanceTable(group_spec, key, distances)
-    except (ValueError, IndexError, OSError) as exc:
+        head, _, payload = path.read_bytes().partition(b"\n")
+        if len(payload) != 4 * group.order:
+            raise ValueError(f"{len(payload)} payload bytes, expected {4 * group.order}")
+        if head + b"\n" != _header(group.spec, template.key, payload):
+            raise ValueError("header does not match the requested table and its payload")
+        distances = np.frombuffer(payload, dtype="<i4").astype(np.int32)
+        if distances.min() < -1 or distances.max() >= group.order:
+            raise ValueError("a distance is out of range")
+        if np.flatnonzero(distances == 0).tolist() != [group.identity]:
+            raise ValueError("the identity is not the only element at distance 0")
+        if not np.bincount(distances[distances >= 0]).all():
+            raise ValueError("a level below the maximum distance is empty")
+        return DistanceTable(group.spec, template.key, distances)
+    except (ValueError, OSError) as exc:
         warnings.warn(f"discarding corrupt cache file {path}: {exc}", stacklevel=2)
         return None
 
 
 def distance_table(group: FiniteGroup, template: Template, **kwargs) -> DistanceTable:
     """Load the distance table from cache, computing and storing on a miss."""
-    cached = load(group.spec, template)
+    cached = load(group, template)
     if cached is not None:
         return cached
     table = wlength_table(group, template, **kwargs)
-    store(table, template)
+    try:
+        store(table, template)
+    except OSError as exc:
+        warnings.warn(f"cannot store cache file for {group.spec}: {exc}", stacklevel=2)
     return table
 
 
@@ -114,9 +122,17 @@ def info() -> list[str]:
         lines.append("(empty)")
         return lines
     for path in entries:
-        head = path.read_text().partition("\n")[0].strip()
-        lines.append(f"{path.name}: {head}")
+        lines.append(f"{path.name}: {_describe(path)}")
     return lines
+
+
+def _describe(path: Path) -> str:
+    try:
+        with path.open("rb") as entry:
+            head = json.loads(entry.readline())
+        return f"GROUP {head['group']} TEMPLATE {head['template']} COUNT {head['count']}"
+    except (OSError, ValueError, KeyError, TypeError):
+        return "(corrupt entry)"
 
 
 def clear() -> int:

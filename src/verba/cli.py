@@ -100,9 +100,9 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
             print(f"  {name} {REWRITE_RULES[name].usage}", file=sys.stderr)
         return 2
     names = grammar.NameTable()
-    cert = rule.build(args.args, names)
+    cert = rule.build([a for a in args.args if a not in ("--", "--records")], names)
     print(cert.serialize(names), end="")
-    if args.records:
+    if args.records or "--records" in args.args:
         counts = ", ".join(f"{k}={v}" for k, v in sorted(cert.counts().items())) or "-"
         print(f"COUNTS {counts}")
     return 0
@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rewrite", help="build a rewrite certificate")
     p.add_argument("rule")
-    p.add_argument("args", nargs="*", metavar="ARG")
+    # REMAINDER keeps rule arguments such as "-1,2" in order; a "--records"
+    # among them is taken out in _cmd_rewrite
+    p.add_argument("args", nargs=argparse.REMAINDER, metavar="ARG")
     p.add_argument("--records", action="store_true")
     p.set_defaults(fn=_cmd_rewrite)
 

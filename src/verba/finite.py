@@ -6,8 +6,8 @@ Backends:
   by image tuple;
 * ``SL2_<p>`` for prime ``p <= 13`` -- determinant-one 2x2 matrices over the
   ``p``-element field, ordered lexicographically by ``(a, b, c, d)``;
-* ``D<k>`` for ``3 <= k <= 1024`` -- dihedral groups, built through the table
-  backend;
+* ``D<k>`` for ``3 <= k <= 1024`` -- dihedral groups, built as an array and
+  validated by the table backend;
 * ``table:<path>`` -- an explicit multiplication table file: a line
   ``order N`` followed by ``N`` rows of ``N`` ids (validated to be a group).
 
@@ -218,14 +218,11 @@ class TableGroup(FiniteGroup):
             raise ResourceBudgetError(
                 f"table backend validates groups up to order {_TABLE_ORDER_CAP}"
             )
-        _validate_table(table)
-        identity = _find_identity(table)
+        identity = _validate_table(table)
         super().__init__(spec, order, identity)
         self._table = table.astype(_TABLE_IDS)
-        eye = np.arange(order)
+        # a validated table is a group, so right inverses are inverses
         self._inverses = np.argmax(self._table == identity, axis=1).astype(np.int32)
-        if not np.array_equal(self._table[self._inverses, eye], np.full(order, identity)):
-            raise ParseError("table has one-sided inverses only; not a group")
 
     def multiply(self, a: int, b: int) -> int:
         return int(self._table[a, b])
@@ -234,31 +231,42 @@ class TableGroup(FiniteGroup):
         return int(self._inverses[a])
 
 
-def _validate_table(table: np.ndarray) -> None:
+def _validate_table(table: np.ndarray) -> int:
+    """Check that ``table`` is a group's multiplication table; return its identity.
+
+    Associativity is Light's test: the ``s`` with ``(xs)y == x(sy)`` for all
+    ``x, y`` are closed under products, so it runs on a greedy generating set
+    only, of at most ``log2(order)`` elements (each at least doubles the span).
+    """
     order = table.shape[0]
     if table.shape != (order, order):
         raise ParseError("multiplication table must be square")
     if table.min() < 0 or table.max() >= order:
         raise ParseError("table entries must be ids in range")
-    expect = np.arange(order)
-    if not all(np.array_equal(np.sort(row), expect) for row in table):
+    ids = np.arange(order)
+    if not (np.sort(table, axis=1) == ids).all():
         raise ParseError("table rows are not permutations (not left-cancellative)")
-    if not all(np.array_equal(np.sort(col), expect) for col in table.T):
+    if not (np.sort(table, axis=0) == ids[:, None]).all():
         raise ParseError("table columns are not permutations (not right-cancellative)")
-    for a in range(order):
-        left = table[table[a], :]
-        right = table[a][table]
-        if not np.array_equal(left, right):
-            raise ParseError(f"table is not associative (first failure at row {a})")
+    units = np.flatnonzero((table == ids).all(axis=1) & (table == ids[:, None]).all(axis=0))
+    if units.size == 0:
+        raise ParseError("table has no identity element")
+    spanned = ids == units[0]
+    while not spanned.all():
+        s = int(np.argmin(spanned))  # the least id outside the span
+        if not _associates_through(table, s):
+            raise ParseError(f"table is not associative (first failure at element {s})")
+        spanned[s] = True
+        while True:
+            members = np.flatnonzero(spanned)
+            spanned[table[np.ix_(members, members)]] = True
+            if spanned.sum() == members.size:
+                break
+    return int(units[0])
 
 
-def _find_identity(table: np.ndarray) -> int:
-    order = table.shape[0]
-    expect = np.arange(order)
-    for e in range(order):
-        if np.array_equal(table[e], expect) and np.array_equal(table[:, e], expect):
-            return e
-    raise ParseError("table has no identity element")
+def _associates_through(table: np.ndarray, s: int) -> bool:
+    return np.array_equal(table[table[:, s], :], table[:, table[s, :]])  # (xs)y == x(sy)
 
 
 def parse_table_text(spec: str, text: str) -> TableGroup:
@@ -285,24 +293,16 @@ def parse_table_text(spec: str, text: str) -> TableGroup:
     return TableGroup(spec, np.array(rows, dtype=np.int64))
 
 
-def dihedral_table_text(k: int) -> str:
-    """Multiplication table text for the order ``2k`` dihedral group.
+def dihedral_table(k: int) -> np.ndarray:
+    """Multiplication table of the order ``2k`` dihedral group.
 
     Element ``i + k*f`` is (rotation ``i``, flip ``f``), with
     ``(i,f) * (j,e) = (i + j*(-1)^f mod k, f xor e)``.
     """
     if k < 3:
         raise ValueError("dihedral groups need k >= 3")
-    lines = [f"order {2 * k}"]
-    for a in range(2 * k):
-        i, f = a % k, a // k
-        row = []
-        for b in range(2 * k):
-            j, e = b % k, b // k
-            rot = (i + (j if f == 0 else -j)) % k
-            row.append(str(rot + k * (f ^ e)))
-        lines.append(" ".join(row))
-    return "\n".join(lines) + "\n"
+    flip, rot = np.divmod(np.arange(2 * k), k)
+    return (rot[:, None] + (1 - 2 * flip[:, None]) * rot) % k + k * (flip[:, None] ^ flip)
 
 
 def load_group(spec: str) -> FiniteGroup:
@@ -329,9 +329,7 @@ def load_group(spec: str) -> FiniteGroup:
                 f"D{n} has order {2 * n}; the table backend validates groups"
                 f" up to order {_TABLE_ORDER_CAP}"
             )
-        group = parse_table_text(spec, dihedral_table_text(n))
-        group.spec = spec
-        return group
+        return TableGroup(spec, dihedral_table(n))
     low = 2 if kind == "S" else 3
     if not (low <= n <= 8):
         raise UnknownNameError(f"{kind}<n> backend supports {low} <= n <= 8")

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from verba.words import Word
 
 
@@ -22,3 +24,16 @@ def random_nonempty_word(
         word = random_word(rng, rank, max_length)
         if word:
             return word
+
+
+def table_text(table: np.ndarray) -> str:
+    """A multiplication table in the ``table:<path>`` file format."""
+    rows = (" ".join(map(str, row)) for row in np.asarray(table).tolist())
+    return f"order {len(table)}\n" + "\n".join(rows) + "\n"
+
+
+def relabel(table: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The multiplication table with each element ``a`` renamed ``perm[a]``."""
+    out = np.empty_like(table)
+    out[np.ix_(perm, perm)] = perm[table]
+    return out

@@ -1,12 +1,16 @@
 """Distance-table cache: round trips, invalidation, and corruption recovery."""
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from helpers import table_text
 from verba import cache
 from verba.cli import main
-from verba.finite import dihedral_table_text, load_group, wlength_table
+from verba.finite import dihedral_table, load_group, wlength_table
 from verba.templates import beta_word, gamma_word
 
 
@@ -26,7 +30,7 @@ def test_store_load_round_trip(cache_root):
     table = wlength_table(group, template)
     path = cache.store(table, template)
     assert path.parent == cache_root
-    loaded = cache.load("S3", template)
+    loaded = cache.load(group, template)
     assert loaded is not None
     assert loaded.group_spec == "S3"
     assert loaded.template_key == template.key
@@ -34,38 +38,159 @@ def test_store_load_round_trip(cache_root):
 
 
 def test_load_miss_returns_none(cache_root):
-    assert cache.load("S3", gamma_word(2)) is None
+    assert cache.load(load_group("S3"), gamma_word(2)) is None
 
 
 def test_key_separates_groups_and_templates(cache_root):
     group = load_group("S3")
     cache.store(wlength_table(group, gamma_word(2)), gamma_word(2))
-    assert cache.load("S4", gamma_word(2)) is None
-    assert cache.load("S3", gamma_word(3)) is None
-    assert cache.load("S3", beta_word(2)) is None
-    assert cache.load("S3", gamma_word(2)) is not None
+    assert cache.load(load_group("S4"), gamma_word(2)) is None
+    assert cache.load(group, gamma_word(3)) is None
+    assert cache.load(group, beta_word(2)) is None
+    assert cache.load(group, gamma_word(2)) is not None
+
+
+def test_stored_entry_is_a_json_header_and_int32_distances(cache_root):
+    group = load_group("S3")
+    template = gamma_word(2)
+    table = wlength_table(group, template)
+    head, _, payload = cache.store(table, template).read_bytes().partition(b"\n")
+    assert json.loads(head) == {
+        "format": 2,
+        "group": "S3",
+        "template": template.key,
+        "count": 6,
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    assert np.array_equal(np.frombuffer(payload, dtype="<i4"), table.distances)
+    assert [p.name for p in cache_root.iterdir()] == [f"{cache.cache_key('S3', template)}.dist"]
 
 
 def test_corrupt_entries_warn_and_miss(cache_root):
     group = load_group("S3")
     template = gamma_word(2)
-    path = cache.store(wlength_table(group, template), template)
+    good = cache.store(wlength_table(group, template), template).read_bytes()
+    head, _, payload = good.partition(b"\n")
+    edits = [
+        b"not a header\n0 0\n",
+        good[:-8],  # truncated payload
+        good + b"\0\0\0\0",  # one distance too many
+        good.replace(b'"count": 6', b'"count": 7'),
+        good.replace(b'"count": 6', b'"count": "six"'),
+        good.replace(b'"format": 2', b'"format": 1'),
+        good.replace(b'"group": "S3"', b'"group": "S4"'),
+        head + b"\n" + payload[:-1] + bytes([payload[-1] ^ 1]),  # flipped payload bit
+        payload,  # no header at all
+        b"",
+    ]
+    for edit in edits:
+        cache.cache_path("S3", template).write_bytes(edit)
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert cache.load(group, template) is None
 
-    path.write_text("not a header\n0 0\n")
-    with pytest.warns(UserWarning, match="corrupt"):
-        assert cache.load("S3", template) is None
 
-    good = cache.store(wlength_table(group, template), template)
-    text = good.read_text().splitlines()
-    good.write_text("\n".join(text[:-2]) + "\n")  # truncate rows
-    with pytest.warns(UserWarning, match="corrupt"):
-        assert cache.load("S3", template) is None
+S3_GAMMA2 = ["0 1", "1 2", "unreachable 3"]  # the commutators of S3 are A3 = {0, 3, 4}
 
-    cache.store(wlength_table(group, template), template)
-    tampered = good.read_text().replace("COUNT 6", "COUNT six")
-    good.write_text(tampered)
-    with pytest.warns(UserWarning, match="corrupt"):
-        assert cache.load("S3", template) is None
+
+def _entry(distances, group="S3", template="gamma2"):
+    """A format-2 entry with a correct checksum, built from the documented format."""
+    payload = np.asarray(distances, dtype="<i4").tobytes()
+    head = {
+        "format": 2,
+        "group": group,
+        "template": gamma_word(2).key if template == "gamma2" else template,
+        "count": len(distances),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    return json.dumps(head).encode() + b"\n" + payload
+
+
+def _old_format(rows):
+    head = f"GROUP S3 TEMPLATE {gamma_word(2).key} COUNT 6"
+    return "\n".join([head, *rows, ""]).encode()
+
+
+_OLD_ROWS = ["0 0", "1 -1", "2 -1", "3 1", "4 1", "5 -1"]
+
+
+def _s3_entry_bytes():
+    return cache.cache_path("S3", gamma_word(2)).read_bytes()
+
+
+def _flipped_byte():
+    data = bytearray(_s3_entry_bytes())
+    data[-12] ^= 0x03  # id 3's distance 1 becomes 2: in range, every level filled
+    return bytes(data)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        # ids 3 and 4 (the 3-cycles) at distance 1, written by the old text format
+        pytest.param(lambda: _old_format(_OLD_ROWS[:3] + ["-1 1", "4 7", "5 -1"]), id="edited-rows"),
+        pytest.param(lambda: _old_format(_OLD_ROWS[:3] + ["4 1", "4 1", "5 -1"]), id="duplicate-id"),
+        pytest.param(lambda: _old_format(_OLD_ROWS), id="old-format"),
+        pytest.param(lambda: _s3_entry_bytes()[:-3], id="truncated"),
+        pytest.param(_flipped_byte, id="flipped-byte"),
+        pytest.param(lambda: _entry([0, -1, -1, 0, 1, -1]), id="two-zero-distances"),
+        pytest.param(lambda: _entry([0, -1, -1, 1, 7, -1]), id="distance-out-of-range"),
+        pytest.param(lambda: _entry([0, -2, -1, 1, 1, -1]), id="distance-below-minus-one"),
+        pytest.param(lambda: _entry([0, -1, -1, 1, 3, -1]), id="empty-level"),
+        pytest.param(lambda: _entry([1, -1, -1, 0, 1, -1]), id="identity-not-at-zero"),
+        pytest.param(lambda: _entry([0, -1, -1, 1, 1, -1, 1]), id="seven-distances"),
+        pytest.param(lambda: _entry([0, -1, -1, 1, 1, -1], group="S4"), id="other-group"),
+        pytest.param(lambda: _entry([0, -1, -1, 1, 1, -1], template="x1 x1"), id="other-template"),
+    ],
+)
+def test_wlength_recomputes_a_corrupt_entry(cache_root, capsys, corrupt):
+    args = ["wlength", "--group", "S3", "--template", "gamma2"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+    path = cache.cache_path("S3", gamma_word(2))
+    assert np.frombuffer(path.read_bytes().partition(b"\n")[2], dtype="<i4").tolist() == [
+        0, -1, -1, 1, 1, -1
+    ]
+    path.write_bytes(corrupt())
+    with pytest.warns(UserWarning, match="discarding corrupt cache file"):
+        assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+    # the recomputed table replaced the corrupt entry
+    assert cache.load(load_group("S3"), gamma_word(2)).distances.tolist() == [0, -1, -1, 1, 1, -1]
+
+
+def test_table_path_with_a_space_hits_on_the_second_run(cache_root, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "a group" / "d 3.tbl"
+    path.parent.mkdir()
+    path.write_text(table_text(dihedral_table(3)))
+    args = ["wlength", "--group", f"table:{path}", "--template", "gamma2"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a cache hit recomputed the table")
+
+    monkeypatch.setattr(cache, "wlength_table", recompute)
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+    assert main(["cache", "info"]) == 0
+    assert f"GROUP table:{path} TEMPLATE {gamma_word(2).key} COUNT 6" in capsys.readouterr().out
+
+
+def test_unwritable_cache_dir_warns_and_answers(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")
+    monkeypatch.setenv("VERBA_CACHE_DIR", str(blocker / "cache"))
+    with pytest.warns(UserWarning, match="cannot store cache file"):
+        assert main(["wlength", "--group", "S3", "--template", "gamma2"]) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+
+
+def test_info_names_an_unreadable_entry(cache_root):
+    cache.cache_path("S3", gamma_word(2)).write_bytes(_old_format(_OLD_ROWS))
+    cache.store(wlength_table(load_group("S4"), gamma_word(2)), gamma_word(2))
+    lines = cache.info()
+    assert f"{cache.cache_key('S3', gamma_word(2))}.dist: (corrupt entry)" in lines
+    assert f"{cache.cache_key('S4', gamma_word(2))}.dist: GROUP S4 TEMPLATE {gamma_word(2).key} COUNT 24" in lines
 
 
 def test_distance_table_computes_once_then_hits(cache_root):
@@ -95,7 +220,7 @@ def test_info_and_clear(cache_root):
 
 def test_rewritten_table_file_misses(cache_root, tmp_path, capsys):
     path = tmp_path / "group.tbl"
-    path.write_text(dihedral_table_text(3))
+    path.write_text(table_text(dihedral_table(3)))
     args = ["wlength", "--group", f"table:{path}", "--template", "gamma2"]
     assert main(args) == 0
     assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "unreachable 3"]

@@ -85,6 +85,17 @@ def test_verify_word_equality(capsys):
     assert "two word expressions" in err
 
 
+@pytest.mark.parametrize("records", [[], ["--records"]])
+def test_rewrite_arguments_may_start_with_a_minus_sign(capsys, records):
+    args = ["x;y", "-1,2", "1,1"]
+    code, separated, _ = run(capsys, "rewrite", "telescope_line", "--", *args, *records)
+    assert code == 0
+    assert separated.startswith("TARGET")
+    code, out, err = run(capsys, "rewrite", "telescope_line", *args, *records)
+    assert (code, out, err) == (0, separated, "")
+    assert out.count("\nCOUNTS ") == 1 + len(records)  # --records repeats the counts line
+
+
 def test_rewrite_unknown_rule(capsys):
     code, _, err = run(capsys, "rewrite", "no_such_rule")
     assert code == 2
@@ -317,7 +328,7 @@ def test_wlength_dihedral_past_the_table_cap_exits_3_at_once(capsys, monkeypatch
     def unexpected(k):
         raise AssertionError(f"built the D{k} table text")
 
-    monkeypatch.setattr(finite, "dihedral_table_text", unexpected)
+    monkeypatch.setattr(finite, "dihedral_table", unexpected)
     code, out, err = run(capsys, "wlength", "--group", spec, "--template", "gamma2")
     assert code == 3
     assert out == ""
@@ -331,7 +342,7 @@ def test_dihedral_table_cap_admits_d1024(monkeypatch):
     def built(k):
         raise Built(k)
 
-    monkeypatch.setattr(finite, "dihedral_table_text", built)
+    monkeypatch.setattr(finite, "dihedral_table", built)
     with pytest.raises(Built):
         load_group("D1024")
 
@@ -515,6 +526,7 @@ def test_experiment_unknown(capsys):
 _VALID_EXPRS = ["x", "y^-1", "1", "x x^-1", "[x,y]", "[x,[y,z]]", "x^y", "(x y)^3", "x^2 y^-2"]
 _EXPRS = _VALID_EXPRS + ["[x", "x^", ")", "", "x^99999999999"]
 _NUMBERS = ["-1", "0", "1", "2", "3", "40"]
+_LIST_NUMBERS = _NUMBERS + ["-2", "-40"]
 _INTS = _NUMBERS + ["x", "9" * 5000]
 _TEMPLATES = [
     "gamma2", "gamma3", "beta2", "commutator_product2", "grope1", "Gamma3", "w:x^2",
@@ -531,7 +543,7 @@ def _rule_args(usage: str):
         if ";" in token:
             parts.append(st.lists(_words, min_size=1, max_size=3).map(";".join))
         elif "," in token:
-            parts.append(st.lists(st.sampled_from(_NUMBERS), min_size=1, max_size=3).map(",".join))
+            parts.append(st.lists(st.sampled_from(_LIST_NUMBERS), min_size=1, max_size=3).map(",".join))
         elif token in ("<k>", "<n>", "<m>"):
             parts.append(st.sampled_from(_INTS))
         elif token.startswith("<"):
@@ -595,10 +607,13 @@ _argvs = st.one_of(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @example(argv=["wlength", "--no-cache", "--group", "S3", "--template", "1"])
+@example(argv=["rewrite", "telescope_line", "x;y", "-1,2", "1,1"])
 @given(argv=_argvs)
 def test_every_cli_input_ends_with_a_documented_exit_code(argv):
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse ends a usage error this way
+        # every rewrite argv names a rule; its arguments are the rule's to judge
+        assert argv[0] != "rewrite", "argparse rejected a rewrite argument"
         code = exc.code
     assert code in (0, 1, 2, 3)

@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from helpers import relabel
 from verba import finite, grammar
 from verba.errors import ParseError, ResourceBudgetError, UnknownNameError
 from verba.finite import (
@@ -22,7 +25,7 @@ from verba.finite import (
     TableGroup,
     bi_invariance_check,
     closure,
-    dihedral_table_text,
+    dihedral_table,
     eval_word,
     load_group,
     parse_table_text,
@@ -57,6 +60,18 @@ def oracle_values(group, body, variables):
     for assignment in itertools.product(range(group.order), repeat=len(variables)):
         out.add(oracle_eval(group, body, dict(zip(variables, assignment))))
     return out
+
+
+def oracle_is_group(table):
+    """The cubic check: a Latin square with a two-sided identity in which
+    ``(ab)c == a(bc)`` for every triple."""
+    t = np.asarray(table).tolist()
+    ids = list(range(len(t)))
+    if any(sorted(row) != ids for row in t) or any(sorted(col) != ids for col in zip(*t)):
+        return False
+    if not any(t[e] == ids and [row[e] for row in t] == ids for e in ids):
+        return False
+    return all(t[t[a][b]][c] == t[a][t[b][c]] for a, b, c in itertools.product(ids, repeat=3))
 
 
 def oracle_distances(group, values):
@@ -239,7 +254,7 @@ def test_load_group_rejections():
 
 
 def test_dihedral_table_text():
-    group = parse_table_text("D5", dihedral_table_text(5))
+    group = TableGroup("D5", dihedral_table(5))
     assert group.order == 10
     # The rotation generator has order 5; any flip has order 2.
     r, f = 1, 5
@@ -253,7 +268,16 @@ def test_dihedral_table_text():
     conj = group.multiply(group.multiply(f, r), group.inverse(f))
     assert conj == group.inverse(r)
     with pytest.raises(ValueError):
-        dihedral_table_text(2)
+        dihedral_table(2)
+
+
+def test_dihedral_table_matches_the_formula():
+    for k in range(3, 65):
+        want = [
+            [(a % k + (-1) ** (a // k) * (b % k)) % k + k * ((a // k) ^ (b // k)) for b in range(2 * k)]
+            for a in range(2 * k)
+        ]
+        assert dihedral_table(k).tolist() == want
 
 
 def test_parse_table_text_errors():
@@ -284,8 +308,115 @@ def test_table_group_validation():
             [4, 3, 1, 2, 0],
         ]
     )
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="not associative"):
         TableGroup("t", latin)
+    assert not oracle_is_group(latin)
+
+
+def _random_loop(rng, n):
+    """A Latin square with identity 0, filled cell by cell in a random order
+    of candidates with backtracking."""
+    t = [[-1] * n for _ in range(n)]
+    t[0] = list(range(n))
+    for a in range(n):
+        t[a][0] = a
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(i):
+        if i == len(cells):
+            return True
+        a, b = cells[i]
+        used = set(t[a]) | {t[c][b] for c in range(n)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for v in options:
+            t[a][b] = v
+            if fill(i + 1):
+                return True
+        t[a][b] = -1
+        return False
+
+    assert fill(0)
+    return np.array(t)
+
+
+def _flip_intercalate(rng, table):
+    """``table`` with one 2x2 sub-square ``x y / y x`` off the identity's row
+    and column swapped, which keeps a Latin square with the same identity."""
+    n = len(table)
+    quads = [
+        (a, b, c, d)
+        for a, b in itertools.combinations(range(1, n), 2)
+        for c, d in itertools.combinations(range(1, n), 2)
+        if table[a, c] == table[b, d] and table[a, d] == table[b, c]
+    ]
+    if not quads:
+        return table
+    a, b, c, d = rng.choice(quads)
+    out = table.copy()
+    out[[a, a, b, b], [c, d, c, d]] = table[[a, a, b, b], [d, c, d, c]]
+    return out
+
+
+def test_table_validation_agrees_with_the_cubic_oracle():
+    rng = random.Random(2010)
+    groups = {n: [np.add.outer(np.arange(n), np.arange(n)) % n] for n in range(2, 9)}
+    for spec in ("S3", "D4"):
+        group = load_group(spec)
+        ids = np.arange(group.order)
+        groups[group.order].append(group.mul(ids[:, None], ids).astype(np.int64))
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randrange(2, 9)
+        kind = rng.randrange(4)
+        if kind == 0:
+            table = rng.choice(groups[n])
+        elif kind == 1:
+            table = _flip_intercalate(rng, rng.choice(groups[n]))
+        else:
+            table = _random_loop(rng, n)
+        perm = np.array(rng.sample(range(n), n))
+        table = relabel(table, perm)
+        want = oracle_is_group(table)
+        try:
+            group = TableGroup("t", table)
+        except ParseError as exc:
+            assert "not associative" in str(exc)
+            assert not want, table.tolist()
+        else:
+            assert want, table.tolist()
+            assert group.identity == perm[0]
+            ids, inv = np.arange(n), group.inverses()
+            assert (table[ids, inv] == group.identity).all()
+            assert (table[inv, ids] == group.identity).all()
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_associativity_runs_on_at_most_log2_order_elements(monkeypatch):
+    checked = []
+
+    def counting(table, s):
+        checked.append(s)
+        # fail at once rather than run n checks of n**2 products each
+        assert len(checked) <= math.floor(math.log2(len(table))), checked
+        return associates_through(table, s)
+
+    associates_through = finite._associates_through
+    monkeypatch.setattr(finite, "_associates_through", counting)
+    group = load_group("D1024")
+    assert group.order == 2048
+    assert 1 <= len(checked) <= math.floor(math.log2(2048))
+
+    checked.clear()
+    s6 = load_group("S6")
+    ids = np.arange(s6.order)
+    perm = np.random.default_rng(6).permutation(s6.order)
+    relabelled = TableGroup("t", relabel(s6.mul(ids[:, None], ids).astype(np.int64), perm))
+    assert 1 <= len(checked) <= math.floor(math.log2(720))
+    assert relabelled.identity == perm[s6.identity]
+    a, b = np.random.default_rng(7).integers(s6.order, size=(2, 50))
+    assert np.array_equal(relabelled.mul(perm[a], perm[b]), perm[s6.mul(a, b)])
 
 
 def test_table_group_comment_and_blank_lines():
