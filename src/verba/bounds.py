@@ -195,6 +195,9 @@ class BoundEngine:
         self.templates: dict[str, Template] = {GAMMA3_FAMILY.key: GAMMA3_FAMILY}
         self.facts: dict[str, Fact] = {}
         self.events: list[Event] = []
+        # (parser, text) -> parsed word or template; names are only ever added
+        # to self.names, so a text that parsed once parses the same way again
+        self._parsed: dict[tuple, Word | Template] = {}
 
     # -- declaration and parsing -------------------------------------------
 
@@ -235,10 +238,10 @@ class BoundEngine:
             context = Context(tokens[1])
         except ValueError:
             raise ParseError(f"unknown context {tokens[1]!r}") from None
-        word = grammar.parse(tokens[2], self.names)
+        word = self._parse_once(grammar.parse, tokens[2])
         template = None
         if template_part.strip():
-            template = parse_template_spec(template_part, self.names)
+            template = self._parse_once(parse_template_spec, template_part)
         exponent = None
         if exp_part.strip():
             if not exp_part.strip().lstrip("-").isdigit():
@@ -248,6 +251,14 @@ class BoundEngine:
             return self.make_quantity(kind, context, word, template, exponent)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+
+    def _parse_once(self, parse, text: str):
+        """``parse(text, self.names)``, once per text; a text that fails is not stored."""
+        key = (parse, text)
+        parsed = self._parsed.get(key)
+        if parsed is None:
+            parsed = self._parsed[key] = parse(text, self.names)
+        return parsed
 
     def declare(self, quantity: Quantity | str) -> Quantity:
         if isinstance(quantity, str):
@@ -481,19 +492,22 @@ class BoundEngine:
     def propagate(self, max_rounds: int = 50) -> int:
         """Apply the rule catalog to a fixed point; returns tightenings made."""
         total = 0
+        since = None  # the first event of the previous round
         for _ in range(max_rounds):
+            start = len(self.events)
             changed = 0
-            for proposal in self._proposals():
+            for proposal in self._proposals(since):
                 quantity, side, value, rule, label, antecedents = proposal
                 if self._tighten(quantity, side, value, "RULE", rule, label, antecedents):
                     changed += 1
             total += changed
             if changed == 0:
                 return total
+            since = start
         raise VerbaError(f"propagation did not stabilize in {max_rounds} rounds")
 
-    def _proposals(self):
-        facts = _RoundFacts([self.facts[key] for key in sorted(self.facts)])
+    def _proposals(self, since: int | None):
+        facts = _RoundFacts([self.facts[key] for key in sorted(self.facts)], since)
         for rule in _RULES:
             yield from rule(self, facts)
 
@@ -593,13 +607,17 @@ def _factor_matches_template(factor, template: Template) -> bool:
 # pair them up.  A rule that needs one partner fact looks it up with
 # ``engine._fact``.  No rule adds a fact, so ``engine.facts`` and the index
 # hold for the whole round; both hold the ``Fact`` objects themselves, so a
-# rule reads the bounds tightened earlier in its round.
+# rule reads the bounds tightened earlier in its round.  ``since`` is the
+# first event of the previous round of the same ``propagate`` call (``None``
+# in its first round): a fact whose bound event is older has not moved since
+# the previous round proposed from it.
 
 class _RoundFacts:
     """The facts of one round in key order, by kind, with their L facts indexed."""
 
-    def __init__(self, facts: list[Fact]) -> None:
+    def __init__(self, facts: list[Fact], since: int | None) -> None:
         self._facts = facts
+        self.since = since
         self._by_kind: dict[QuantityKind, list[Fact]] = {kind: [] for kind in QuantityKind}
         # (context, word, template key) -> {exponent: fact}, in key order
         self._ladders: dict[tuple, dict[int, Fact]] = {}
@@ -1009,6 +1027,15 @@ def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
+    """``L(w^n) <= L(w^a) + L(w^(n-a))``, and ``L(w^n) <= L(w^-n)``.
+
+    Only a split that can tighten is proposed.  Its mirror ``(n-a, a)`` gives
+    the same value from the same facts, so the one later in ladder (key)
+    order is skipped.  After the first round, a split whose parts have not
+    moved since the previous round proposed it is skipped too: ``hi`` only
+    falls.
+    """
+    since = facts.since
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
         n = tq.exponent
@@ -1019,10 +1046,17 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
             other = ladder.get(n - a)  # exponents are at least 1, so a < n here
             if other is None or other.hi is None:
                 continue
+            if since is not None and part.hi_event < since and other.hi_event < since:
+                continue
+            if other.quantity.key() < part.quantity.key():
+                continue
+            value = part.hi + other.hi
+            if target.hi is not None and value >= target.hi:
+                continue
             yield (
                 tq,
                 "hi",
-                part.hi + other.hi,
+                value,
                 "R13",
                 "factorizations of two powers concatenate",
                 [part.quantity, other.quantity],

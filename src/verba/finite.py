@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -243,6 +244,8 @@ def _validate_table(table: np.ndarray) -> int:
         raise ParseError("multiplication table must be square")
     if table.min() < 0 or table.max() >= order:
         raise ParseError("table entries must be ids in range")
+    # the sorts and gathers below copy the table; the smallest id type keeps them small
+    table = table.astype(np.min_scalar_type(order))
     ids = np.arange(order)
     if not (np.sort(table, axis=1) == ids).all():
         raise ParseError("table rows are not permutations (not left-cancellative)")
@@ -270,25 +273,28 @@ def _associates_through(table: np.ndarray, s: int) -> bool:
 
 
 def parse_table_text(spec: str, text: str) -> TableGroup:
-    rows: list[list[int]] = []
+    rows: list[np.ndarray] = []
     order: int | None = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if order is None:
-            head, _, value = line.partition(" ")
-            if head != "order" or not value.strip().isdigit():
-                raise ParseError("table file must start with 'order N'")
-            order = int(value)
-            continue
-        try:
-            rows.append([int(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ParseError(f"bad table row {line!r}") from exc
+    with warnings.catch_warnings():
+        # numpy stops at the first token that is not an integer, and warns
+        warnings.simplefilter("error", DeprecationWarning)
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if order is None:
+                head, _, value = line.partition(" ")
+                if head != "order" or not value.strip().isdigit():
+                    raise ParseError("table file must start with 'order N'")
+                order = int(value)
+                continue
+            try:
+                rows.append(np.fromstring(line, dtype=np.int64, sep=" "))
+            except (ValueError, DeprecationWarning) as exc:
+                raise ParseError(f"bad table row {line!r}") from exc
     if order is None:
         raise ParseError("empty table file")
-    if len(rows) != order or any(len(r) != order for r in rows):
+    if len(rows) != order or any(row.size != order for row in rows):
         raise ParseError(f"expected {order} rows of {order} entries")
     return TableGroup(spec, np.array(rows, dtype=np.int64))
 

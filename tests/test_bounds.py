@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from verba import experiments, grammar
+from verba import bounds, experiments, grammar
 from verba.bounds import BoundEngine, Context, Quantity, QuantityKind, format_interval
 from verba.certificates import Certificate, commutator_factor
 from verba.errors import (
@@ -214,6 +215,44 @@ def test_facts_error_reports_line_number():
         engine.load_facts("SCL FREE [x,y] => 1/2\nSCL FREE [x,y] = oops\n")
 
 
+def test_loading_a_ladder_parses_its_word_and_spec_once(monkeypatch):
+    calls = [0]
+    real = grammar.parse
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grammar, "parse", counted)
+    engine = BoundEngine()
+    engine.load_facts(
+        "".join(f"L FREE [a,b] | [a,b] @ {m} = 0 {m}\n" for m in range(1, 201))
+    )
+    assert len(engine.facts) == 200
+    assert calls[0] <= 2
+
+
+def test_a_bad_facts_line_fails_the_same_way_every_time():
+    engine = BoundEngine()
+    engine.load_facts("L FREE [a,b] | [a,b] @ 1 = 0 1\n")
+    bad = [
+        "L FREE [a,b | [a,b] @ 2 = 0 2",  # bad word
+        "L FREE [a,b] | [a, @ 2 = 0 2",  # bad template spec
+        "L FREE [a,b] | gamma99999999999999999999999 @ 2 = 0 2",
+        "L FREE TARGET | [a,b] @ 2 = 0 2",  # reserved name
+    ]
+    for line in bad:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as info:
+                engine.load_facts(f"# first line\n{line}\n")
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("facts line 2: ")
+    engine.load_facts("L FREE [a,b] | [a,b] @ 2 = 0 2\n")
+    assert engine.interval("L FREE [a,b] | [a,b] @ 2") == (F(0), F(2))
+
+
 # ---------------------------------------------------------------------------
 # inconsistency and the event log
 
@@ -284,6 +323,26 @@ def _ladder(word, his, seeds=False, extra=(), facts=()):
     engine.load_facts("\n".join(facts))
     shown = [engine.declare(text) for text in (f"SL FREE {word} | {word}", *extra)]
     shown.append(engine.parse_quantity(f"L FREE {word} | {word} @ {len(his)}"))
+    engine.propagate()
+    return engine, shown
+
+
+def _mirror_ladder():
+    """A gamma2 ladder of [a,b] and some powers of its inverse [b,a], each short
+    where the other is not, so R13 carries bounds across both ways."""
+    engine = BoundEngine()
+    engine.load_facts(
+        "".join(f"L FREE [a,b] | gamma2 @ {m} = 0 {3 if m == 4 else m}\n" for m in range(1, 25))
+        + "".join(
+            f"L FREE [b,a] | gamma2 @ {m} = 0 {hi}\n"
+            for m, hi in ((2, 2), (3, 2), (4, 4), (5, 3), (12, 12), (13, 7))
+        )
+    )
+    shown = [
+        engine.declare("SL FREE [a,b] | gamma2"),
+        engine.parse_quantity("L FREE [a,b] | gamma2 @ 24"),
+        engine.parse_quantity("L FREE [b,a] | gamma2 @ 13"),
+    ]
     engine.propagate()
     return engine, shown
 
@@ -372,7 +431,9 @@ def _cl_alias_to_length():
 # output or text formats moves them.  The [a,b] ladder holds Culler's values
 # cl([a,b]^m) = m//2 + 1, so the stable ratios (R4, R5) tighten many times in
 # key order; the other ladders have one short power, which power splitting
-# (R13) carries up the ladder over several rounds.  The last six reach R6, R14
+# (R13) carries up the ladder over several rounds (four rounds, three of them
+# with R13 events, for the 120 rungs of ladder_plain_long); ladder_mirror also
+# carries them across to the inverse word and back.  The last six reach R6, R14
 # and R-CL, which no other entry does, and R8 with both of its sides tightening
 # in one round, which pins the order of the four linked proposals.
 _PINNED_LOGS = {
@@ -388,6 +449,14 @@ _PINNED_LOGS = {
     "ladder_plain": (
         lambda: _ladder("a^2 b a^-1 b", [3 if m == 4 else m for m in range(1, 41)]),
         "1a28d90ebb4dc5147b6a578c564a38821fb135dfd08b9773e92cbe0b0a3914a4",
+    ),
+    "ladder_plain_long": (
+        lambda: _ladder("a b^2 a^-1 b", [2 if m == 3 else m for m in range(1, 121)]),
+        "c205fd6eec9f8eb7a4d0065b32ede934452f1f2d0e8db4b654b9ad3004db3ca9",
+    ),
+    "ladder_mirror": (
+        _mirror_ladder,
+        "ad9d6393a9e4cdb52d009bfee3d98f807ecd617b839108d6d6fed95f93920376",
     ),
     # [x,y^2] is one commutator, so the gamma2 ladder follows the diagonal one (R1)
     "ladder_scl": (
@@ -482,6 +551,134 @@ def test_propagate_formats_words_linearly_in_the_ladder_length(monkeypatch):
         calls[n] = count[0]
     # four times the facts: at most four times the formatting (pairwise would be ~16x)
     assert calls[80] <= 4 * calls[20]
+
+
+def test_power_splitting_skips_splits_that_cannot_tighten(monkeypatch):
+    """A split and its mirror are one sum, and settled splits are not summed again."""
+    real = Fraction.__add__
+    for n in (20, 80):
+        engine = BoundEngine()
+        engine.load_facts(
+            "".join(f"L FREE [a,b] | [a,b] @ {m} = 0 {m}\n" for m in range(1, n + 1))
+        )
+        engine.declare("SL FREE [a,b] | [a,b]")
+        engine.declare("SCL FREE [a,b]")
+        count = [0]
+
+        def counted(a, b):
+            count[0] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, "__add__", counted)
+        engine.propagate()
+        monkeypatch.setattr(Fraction, "__add__", real)
+        # every split in every round would be about n**2 sums
+        assert count[0] <= n * n / 3, (n, count[0])
+
+
+def _all_pairs_exponent_splitting(engine, facts):
+    """Power splitting (R13) that proposes every split of every ladder in every round."""
+    for target in facts.of(QuantityKind.L):
+        tq = target.quantity
+        n = tq.exponent
+        ladder = facts.ladder(tq.context, tq.word, tq.template_key)
+        for a, part in ladder.items():
+            if part.hi is None:
+                continue
+            other = ladder.get(n - a)
+            if other is None or other.hi is None:
+                continue
+            yield (
+                tq,
+                "hi",
+                part.hi + other.hi,
+                "R13",
+                "factorizations of two powers concatenate",
+                [part.quantity, other.quantity],
+            )
+        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template_key).get(n)
+        if mirror is not None and mirror.hi is not None:
+            yield (
+                tq,
+                "hi",
+                mirror.hi,
+                "R13",
+                "inverting a factorization factors the inverse",
+                [mirror.quantity],
+            )
+
+
+# a word, its inverse, and a second template
+_SPLIT_WORDS = (
+    ("[a,b]", "[b,a]", "gamma2"),
+    ("a^2 b a^-1 b", "b^-1 a b^-1 a^-2", "gamma3"),
+    ("a b^2", "b^-2 a^-1", "[a,b^2]"),
+)
+
+
+def _random_rungs(rng, word, template, top, lows):
+    """Facts on some of the powers 1..top of ``word``, with whole, half and infinite bounds."""
+    exponents = sorted(rng.sample(range(1, top + 1), rng.randint(1, top)))
+    lines = []
+    for m in exponents:
+        roll = rng.random()
+        if roll < 0.15:
+            hi = "inf"
+        elif roll < 0.4:
+            hi = str(Fraction(rng.randint(m + 2, 4 * m + 2), 2))
+        else:
+            hi = str(rng.randint(m // 2 + 1, 2 * m))
+        lo = rng.choice(lows)
+        lines.append(f"L FREE {word} | {template} @ {m} = {lo} {hi}")
+    return lines
+
+
+def _random_split_run(rng):
+    """Load, propagate, maybe add facts and propagate again; the log and every interval.
+
+    Without stable ratios and with every lower bound at one, power splitting
+    makes the first event of a round, which the skipping must not miss.
+    """
+    word, inverse, other_template = rng.choice(_SPLIT_WORDS)
+    templates = [word] if rng.random() < 0.5 else [word, other_template]
+    stable = rng.random() < 0.5
+    lows = ("0", "0", "1", "1/2") if stable else ("1",)
+    lines = []
+    for template in templates:
+        lines += _random_rungs(rng, word, template, rng.randint(2, 24), lows)
+        if rng.random() < 0.5:
+            lines += _random_rungs(rng, inverse, template, rng.randint(2, 16), lows)
+    later = _random_rungs(rng, word, rng.choice(templates), rng.randint(2, 30), lows)
+    shown = [f"SL FREE {word} | {template}" for template in templates if stable]
+    engine = BoundEngine()
+    engine.load_facts("\n".join(lines))
+    for text in shown:
+        engine.declare(text)
+    engine.propagate()
+    if rng.random() < 0.5:
+        engine.load_facts("\n".join(later))
+        engine.propagate()
+    explained = [engine.explain(engine.facts[key].quantity) for key in sorted(engine.facts)]
+    return "\n".join(engine.record_lines() + explained)
+
+
+def test_power_splitting_matches_the_all_pairs_rule(monkeypatch):
+    """Skipping splits changes no event, antecedent or event order."""
+    oracle_rules = tuple(
+        _all_pairs_exponent_splitting if rule is bounds._rule_exponent_splitting else rule
+        for rule in bounds._RULES
+    )
+    rng = random.Random(1986)
+    split = 0
+    for case in range(200):
+        seed = rng.randrange(2**32)
+        fast = _random_split_run(random.Random(seed))
+        monkeypatch.setattr(bounds, "_RULES", oracle_rules)
+        slow = _random_split_run(random.Random(seed))
+        monkeypatch.undo()
+        assert fast == slow, (case, seed)
+        split += "concatenate" in fast
+    assert split >= 150, split
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from helpers import relabel
+from helpers import relabel, table_text
 from verba import finite, grammar
 from verba.errors import ParseError, ResourceBudgetError, UnknownNameError
 from verba.finite import (
@@ -280,37 +280,102 @@ def test_dihedral_table_matches_the_formula():
         assert dihedral_table(k).tolist() == want
 
 
+_BAD_TABLE_FILES = [
+    ("", "empty table file"),
+    ("# only a comment\n\n", "empty table file"),
+    ("2\n0 1\n1 0\n", "table file must start with 'order N'"),
+    ("order two\n0 1\n1 0\n", "table file must start with 'order N'"),
+    ("order 2\n0 1\n", "expected 2 rows of 2 entries"),
+    ("order 2\n0 1\n1 0\n0 1\n", "expected 2 rows of 2 entries"),
+    ("order 2\n0 1 0\n1 0 1\n", "expected 2 rows of 2 entries"),
+    ("order 3\n0 1 2\n1 2 0 2\n2 0\n", "expected 3 rows of 3 entries"),
+    ("order 2\n0 x\n1 0\n", "bad table row '0 x'"),
+    ("order 3\n0 1 2\n1 2.5 0\n2 0 1\n", "bad table row '1 2.5 0'"),
+    ("order 3\n0 1 2\n1 2 0 # ok\n2 0 1x\n", "bad table row '2 0 1x'"),
+    ("order 2\n0 1\n1,0\n", "bad table row '1,0'"),
+    # a bad token is reported before the row count is checked
+    ("order 3\n0 1 2\n1 y 0\n", "bad table row '1 y 0'"),
+    ("order 2\n0 1\n1 99999999999999999999\n", "table entries must be ids in range"),
+    ("order 2\n0 -1\n1 0\n", "table entries must be ids in range"),
+    ("order 0\n", "multiplication table must be square"),
+]
+
+
 def test_parse_table_text_errors():
-    with pytest.raises(ParseError):
-        parse_table_text("t", "")
-    with pytest.raises(ParseError):
-        parse_table_text("t", "2\n0 1\n1 0\n")  # missing 'order' keyword
-    with pytest.raises(ParseError):
-        parse_table_text("t", "order 2\n0 1\n")  # wrong row count
-    with pytest.raises(ParseError):
-        parse_table_text("t", "order 2\n0 x\n1 0\n")  # bad token
-    with pytest.raises(ParseError):
-        parse_table_text("t", "order 2\n0 1 0\n1 0 1\n")  # wrong row width
+    for text, message in _BAD_TABLE_FILES:
+        with pytest.raises(ParseError) as info:
+            parse_table_text("t", text)
+        assert str(info.value) == message, text
+
+
+def test_table_file_of_order_2048_loads_to_the_dihedral_table(tmp_path):
+    want = dihedral_table(1024)
+    path = tmp_path / "d1024.tbl"
+    path.write_text(table_text(want))
+    group = load_group(f"table:{path}")
+    assert group.order == 2048 and group.identity == 0
+    ids = np.arange(2048)
+    assert np.array_equal(group.mul(ids[:, None], ids), want)
+
+
+_REJECTED_TABLES = [
+    (np.zeros((2, 3), dtype=np.int64), "multiplication table must be square"),
+    (np.array([[0, 1], [1, 2]]), "table entries must be ids in range"),
+    (np.array([[0, -1], [1, 0]]), "table entries must be ids in range"),
+    (np.array([[0, 0], [1, 1]]), "table rows are not permutations (not left-cancellative)"),
+    (np.array([[0, 1], [0, 1]]), "table columns are not permutations (not right-cancellative)"),
+    # x*y = -x-y mod 3: a Latin square with no identity
+    (np.array([[0, 2, 1], [2, 1, 0], [1, 0, 2]]), "table has no identity element"),
+    # an order-5 loop (identity 0) that is not associative
+    (
+        np.array(
+            [
+                [0, 1, 2, 3, 4],
+                [1, 0, 3, 4, 2],
+                [2, 4, 0, 1, 3],
+                [3, 2, 4, 0, 1],
+                [4, 3, 1, 2, 0],
+            ]
+        ),
+        "table is not associative (first failure at element 1)",
+    ),
+]
 
 
 def test_table_group_validation():
-    with pytest.raises(ParseError):
-        TableGroup("t", np.array([[0, 1], [0, 1]]))  # columns not cancellative
-    with pytest.raises(ParseError):
-        TableGroup("t", np.array([[0, 1], [1, 2]]))  # entry out of range
-    # Latin square without associativity (order-5 quasigroup, not a group).
-    latin = np.array(
-        [
-            [0, 1, 2, 3, 4],
-            [1, 0, 3, 4, 2],
-            [2, 4, 0, 1, 3],
-            [3, 2, 4, 0, 1],
-            [4, 3, 1, 2, 0],
-        ]
-    )
-    with pytest.raises(ParseError, match="not associative"):
-        TableGroup("t", latin)
-    assert not oracle_is_group(latin)
+    for table, message in _REJECTED_TABLES:
+        with pytest.raises(ParseError) as info:
+            TableGroup("t", table)
+        assert str(info.value) == message
+        if table.shape[0] == table.shape[1]:
+            assert not oracle_is_group(table)
+
+
+def test_validation_runs_on_a_compact_copy_and_the_group_keeps_its_table(monkeypatch):
+    seen = []
+
+    def recording(table, s):
+        seen.append(table.dtype)
+        return associates_through(table, s)
+
+    associates_through = finite._associates_through
+    monkeypatch.setattr(finite, "_associates_through", recording)
+    s6 = load_group("S6")
+    ids = np.arange(s6.order)
+    perm = np.random.default_rng(9).permutation(s6.order)
+    table = relabel(s6.mul(ids[:, None], ids).astype(np.int64), perm)
+    cases = [
+        (table, 720, np.uint16),
+        (dihedral_table(1024), 2048, np.uint16),
+        (dihedral_table(5), 10, np.uint8),
+    ]
+    for table, order, compact in cases:
+        seen.clear()
+        group = TableGroup("t", table)
+        assert group.order == order
+        assert seen and set(seen) == {np.dtype(compact)}
+        assert group._table.dtype == np.int16
+        assert np.array_equal(group._table, table)
 
 
 def _random_loop(rng, n):
