@@ -63,6 +63,7 @@ from .templates import (
 from .words import EMPTY, Word, canonical_renumber, in_commutator_subgroup, power
 
 Bound = Fraction | None  # None is +infinity (upper bounds only)
+_MAX_ROUNDS = 50  # propagate gives up after this many rounds that tighten
 
 
 class Context(enum.Enum):
@@ -324,7 +325,6 @@ class BoundEngine:
         template: Template,
         exponent: int,
         cert: Certificate,
-        context: Context = Context.FREE,
         label: str = "",
     ) -> Quantity:
         """Record ``L(base, template, exponent) <= #factors`` from ``cert``.
@@ -342,20 +342,13 @@ class BoundEngine:
                     f"factor {factor.kind_token()} is not a visible"
                     f" {template.label} instance"
                 )
-        quantity = self.make_quantity(
-            QuantityKind.L, context, base, template, exponent
-        )
+        quantity = self.make_quantity(QuantityKind.L, Context.FREE, base, template, exponent)
         return self.add_fact(
             quantity, hi=len(cert.factors), provenance="CERTIFICATE", label=label
         )
 
     def add_quotient_floor(
-        self,
-        quantity: Quantity | str,
-        group,
-        images: dict[int, int],
-        budget: int | None = None,
-        label: str = "",
+        self, quantity: Quantity | str, group, images: dict[int, int]
     ) -> int | None:
         """Lower-bound an ``L`` or ``CL`` quantity through a finite quotient.
 
@@ -377,25 +370,17 @@ class BoundEngine:
             template = gamma_word(2)
         else:
             raise VerbaError("quotient floors apply to L and CL quantities")
-        kwargs = {} if budget is None else {"budget": budget}
-        value = finite.quotient_length(word, template, group, images, **kwargs)
+        value = finite.quotient_length(word, template, group, images)
         if value is None:
             return None
         self.declare(quantity)
-        self._tighten(
-            quantity,
-            "lo",
-            Fraction(value),
-            "QUOTIENT",
-            None,
-            label or f"image length in {group.spec}",
-            (),
-        )
+        label = f"image length in {group.spec}"
+        self._tighten(quantity, "lo", Fraction(value), "QUOTIENT", None, label, ())
         return value
 
     # -- facts files ---------------------------------------------------------
 
-    def load_facts(self, text: str, provenance: str = "SEED") -> int:
+    def load_facts(self, text: str) -> int:
         count = 0
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -403,13 +388,15 @@ class BoundEngine:
             if not line:
                 continue
             try:
-                self._load_fact_line(line, label, provenance)
+                self._load_fact_line(line, label)
             except VerbaError as exc:
-                raise ParseError(f"facts line {lineno}: {exc}") from exc
+                # keep the error's class, so a budget still exits 3 and a contradiction 1
+                exc.args = (f"facts line {lineno}: {exc}",)
+                raise
             count += 1
         return count
 
-    def _load_fact_line(self, line: str, label: str, provenance: str) -> None:
+    def _load_fact_line(self, line: str, label: str) -> None:
         if "=>" in line:
             quantity_text, _, value_text = line.partition("=>")
             lo = hi = _parse_bound(value_text.strip(), allow_inf=False)
@@ -423,7 +410,7 @@ class BoundEngine:
         else:
             raise ParseError("facts line needs '=' or '=>'")
         # a lower bound of 0 tightens nothing and records no event
-        self.add_fact(quantity_text.strip(), lo, hi, provenance, label)
+        self.add_fact(quantity_text.strip(), lo, hi, "SEED", label)
 
     def load_default_seeds(self) -> int:
         text = resources.files("verba").joinpath("data/seed.facts").read_text()
@@ -489,11 +476,11 @@ class BoundEngine:
 
     # -- propagation ----------------------------------------------------------
 
-    def propagate(self, max_rounds: int = 50) -> int:
+    def propagate(self) -> int:
         """Apply the rule catalog to a fixed point; returns tightenings made."""
         total = 0
         since = None  # the first event of the previous round
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             start = len(self.events)
             changed = 0
             for proposal in self._proposals(since):
@@ -504,7 +491,7 @@ class BoundEngine:
             if changed == 0:
                 return total
             since = start
-        raise VerbaError(f"propagation did not stabilize in {max_rounds} rounds")
+        raise VerbaError(f"propagation did not stabilize in {_MAX_ROUNDS} rounds")
 
     def _proposals(self, since: int | None):
         facts = _RoundFacts([self.facts[key] for key in sorted(self.facts)], since)

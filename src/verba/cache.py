@@ -98,12 +98,12 @@ def load(group: FiniteGroup, template: Template) -> DistanceTable | None:
         return None
 
 
-def distance_table(group: FiniteGroup, template: Template, **kwargs) -> DistanceTable:
+def distance_table(group: FiniteGroup, template: Template) -> DistanceTable:
     """Load the distance table from cache, computing and storing on a miss."""
     cached = load(group, template)
     if cached is not None:
         return cached
-    table = wlength_table(group, template, **kwargs)
+    table = wlength_table(group, template)
     try:
         store(table, template)
     except OSError as exc:

@@ -154,11 +154,10 @@ def commutator_factor(u: Word, v: Word, conj: Word = EMPTY) -> Factor:
     )
 
 
-def gamma3_factor(w1: Word, w2: Word, w3: Word, conj: Word = EMPTY) -> Factor:
+def gamma3_factor(w1: Word, w2: Word, w3: Word) -> Factor:
     return Factor(
         FactorKind.GAMMA_N_WORD,
         base=commutator(w1, commutator(w2, w3)),
-        conjugator=conj,
         template=gamma_word(3),
         witness={1: w1, 2: w2, 3: w3},
     )

@@ -158,18 +158,18 @@ def _cmd_wlength(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     engine = BoundEngine()
-    if not args.no_default_seeds:
-        seeds = os.environ.get("VERBA_SEEDS")
-        if seeds:
-            engine.load_facts(_read_text(seeds))
-        else:
-            engine.load_default_seeds()
-    for path in args.facts or ():
-        engine.load_facts(_read_text(path))
     declared = []
-    for text in args.declare or ():
-        declared.append(engine.declare(text))
     try:
+        if not args.no_default_seeds:
+            seeds = os.environ.get("VERBA_SEEDS")
+            if seeds:
+                engine.load_facts(_read_text(seeds))
+            else:
+                engine.load_default_seeds()
+        for path in args.facts or ():
+            engine.load_facts(_read_text(path))
+        for text in args.declare or ():
+            declared.append(engine.declare(text))
         engine.propagate()
     except InconsistencyError as exc:
         print(f"INCONSISTENT: {exc}")

@@ -18,8 +18,8 @@ from .certificates import Certificate, commutator_factor
 from .cover import cover_invariants, known_shape_certificate, verify_shape_certificate
 from .finite import (
     bi_invariance_check,
-    eval_word,
     load_group,
+    quotient_length,
     registry_small_groups,
     wlength_table,
 )
@@ -369,12 +369,11 @@ def _cube_commutator_quotient_floor() -> list[str]:
     best = 0
     for spec in registry_small_groups():
         group = load_group(spec)
-        table = wlength_table(group, template)
         limit = group.order if group.order <= 24 else 16
         floor = 0
         for i in range(limit):
             for j in range(limit):
-                d = table.distance(eval_word(group, word, {1: i, 2: j}))
+                d = quotient_length(word, template, group, {1: i, 2: j})
                 if d is not None and d > floor:
                     floor = d
         lines.append(f"{spec}: best floor {floor} over {limit * limit} assignments")

@@ -62,8 +62,8 @@ class FiniteGroup:
         self._table: np.ndarray | None = None
         self._inverses: np.ndarray | None = None
         self._classes: tuple[np.ndarray, np.ndarray] | None = None
-        # quotient_length's tables, keyed by (template key, budget)
-        self._distance_tables: dict[tuple[str, int], DistanceTable] = {}
+        # quotient_length's tables, keyed by template key
+        self._distance_tables: dict[str, DistanceTable] = {}
 
     def multiply(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -221,7 +221,7 @@ class TableGroup(FiniteGroup):
             )
         identity = _validate_table(table)
         super().__init__(spec, order, identity)
-        self._table = table.astype(_TABLE_IDS)
+        self._table = table.astype(_TABLE_IDS, copy=False)
         # a validated table is a group, so right inverses are inverses
         self._inverses = np.argmax(self._table == identity, axis=1).astype(np.int32)
 
@@ -289,14 +289,16 @@ def parse_table_text(spec: str, text: str) -> TableGroup:
                 order = int(value)
                 continue
             try:
-                rows.append(np.fromstring(line, dtype=np.int64, sep=" "))
+                row = np.fromstring(line, dtype=np.int64, sep=" ")
             except (ValueError, DeprecationWarning) as exc:
                 raise ParseError(f"bad table row {line!r}") from exc
+            # narrowed as read; -1 stands in for an id out of range, which validation rejects
+            rows.append(np.where((row >= 0) & (row < order), row, -1).astype(_TABLE_IDS))
     if order is None:
         raise ParseError("empty table file")
     if len(rows) != order or any(row.size != order for row in rows):
         raise ParseError(f"expected {order} rows of {order} entries")
-    return TableGroup(spec, np.array(rows, dtype=np.int64))
+    return TableGroup(spec, np.array(rows, dtype=_TABLE_IDS))
 
 
 def dihedral_table(k: int) -> np.ndarray:
@@ -394,29 +396,27 @@ def _row_blocks(ids: np.ndarray, width: int):
         yield ids[start : start + step, None]
 
 
-def template_values(
-    group: FiniteGroup, template: Template, budget: int = ENUMERATION_BUDGET
-) -> np.ndarray:
+def template_values(group: FiniteGroup, template: Template) -> np.ndarray:
     """Sorted ids of all values of ``template`` in ``group``.
 
     A word map commutes with simultaneous conjugation, so with ``k >= 2``
     variables the first runs over one representative per conjugacy class,
     the others over the whole group, and the values found are closed under
-    conjugation: ``classes * order**(k-1)`` assignments.  The budget still
-    counts ``order**k`` (``ResourceBudgetError`` beyond it).  The set-valued
+    conjugation: ``classes * order**(k-1)`` assignments.  ``ENUMERATION_BUDGET``
+    still counts ``order**k`` (``ResourceBudgetError`` beyond it).  The set-valued
     commutator-of-derived-element family is computed from the derived
     subgroup instead of by assignment enumeration.
     """
     if template is GAMMA3_FAMILY or template.key == GAMMA3_FAMILY.key:
-        return _gamma3_family_values(group, budget)
+        return _gamma3_family_values(group)
     if template.body is None:
         raise UnknownNameError(f"cannot enumerate template {template.label!r}")
     k = len(template.variables)
     total = group.order**k
-    if total > budget:
+    if total > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
             f"enumerating {template.label} over {group.spec} needs {group.order}^{k} assignments"
-            f" (budget {budget})"
+            f" (budget {ENUMERATION_BUDGET})"
         )
     if k < 2:
         first, count = np.arange(group.order, dtype=np.int32), total
@@ -465,16 +465,16 @@ def closure(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
     return np.nonzero(_bfs_distances(group, seed_ids) >= 0)[0].astype(np.int32)
 
 
-def derived_subgroup(group: FiniteGroup, budget: int = ENUMERATION_BUDGET) -> np.ndarray:
+def derived_subgroup(group: FiniteGroup) -> np.ndarray:
     from .templates import gamma_word
 
-    commutators = template_values(group, gamma_word(2), budget)
+    commutators = template_values(group, gamma_word(2))
     return closure(group, commutators)
 
 
-def _gamma3_family_values(group: FiniteGroup, budget: int) -> np.ndarray:
-    derived = derived_subgroup(group, budget)
-    if group.order * len(derived) > budget:
+def _gamma3_family_values(group: FiniteGroup) -> np.ndarray:
+    derived = derived_subgroup(group)
+    if group.order * len(derived) > ENUMERATION_BUDGET:
         raise ResourceBudgetError("commutator-of-derived enumeration over budget")
     # The derived subgroup is normal, so [u, d] need only run over one u
     # per conjugacy class.
@@ -514,11 +514,9 @@ class DistanceTable:
         return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def wlength_table(
-    group: FiniteGroup, template: Template, budget: int = ENUMERATION_BUDGET
-) -> DistanceTable:
+def wlength_table(group: FiniteGroup, template: Template) -> DistanceTable:
     """Breadth-first word lengths over the template's value set in ``group``."""
-    values = template_values(group, template, budget)
+    values = template_values(group, template)
     return DistanceTable(group.spec, template.key, _bfs_distances(group, values))
 
 
@@ -550,20 +548,15 @@ def bi_invariance_check(
 
 
 def quotient_length(
-    w: Word,
-    template: Template,
-    group: FiniteGroup,
-    images: dict[int, int],
-    budget: int = ENUMERATION_BUDGET,
+    w: Word, template: Template, group: FiniteGroup, images: dict[int, int]
 ) -> int | None:
     """Length of the image of ``w`` in ``group`` over the template's values.
 
     ``None`` means the image is not a product of values at all, which
     certifies that ``w`` itself is no such product.  Any finite result is a
     lower bound for the length of ``w`` wherever the assignment lifts.  The
-    distance table is built once per group instance, template and budget.
+    distance table is built once per group instance and template.
     """
-    key = (template.key, budget)
-    if key not in group._distance_tables:
-        group._distance_tables[key] = wlength_table(group, template, budget)
-    return group._distance_tables[key].distance(eval_word(group, w, images))
+    if template.key not in group._distance_tables:
+        group._distance_tables[template.key] = wlength_table(group, template)
+    return group._distance_tables[template.key].distance(eval_word(group, w, images))

@@ -22,7 +22,7 @@ from .certificates import (
     w_word_factor as _w_factor,
     with_conjugator_prefix as _prefix_conj,
 )
-from .errors import CertificateError, ParseError
+from .errors import ParseError
 from .templates import template_from_word, visible_commutator
 from .words import (
     EMPTY,
@@ -34,6 +34,7 @@ from .words import (
     gen,
     in_commutator_subgroup,
     power,
+    power_length,
 )
 
 
@@ -87,6 +88,12 @@ def hall_witt(x: Word, y: Word, z: Word) -> Word:
     )
 
 
+def _powers_length(w: Word, n: int) -> int:
+    """``len(w^1) + ... + len(w^n)``; ``len(w^i)`` is affine in ``i >= 1``."""
+    one, two = power_length(w, 1), power_length(w, 2)
+    return n * (2 * one - two) + (two - one) * n * (n + 1) // 2
+
+
 def _checked(target: Word, factors: Sequence[Factor], flags: Sequence[str] = ()) -> Certificate:
     cert = Certificate(target=target, factors=tuple(factors), flags=tuple(flags))
     cert.check()
@@ -96,22 +103,18 @@ def _checked(target: Word, factors: Sequence[Factor], flags: Sequence[str] = ())
 # ---------------------------------------------------------------------------
 # rewrite rules
 
-def culler_factors(x: Word, y: Word) -> tuple[Word, Word]:
-    """The two commutators whose product is ``[x,y]^3``."""
-    a = commutator(conjugate(y, x), conjugate(x, y.inverse()) * power(x, -2))
-    b = commutator(conjugate(x, y.inverse()), power(y, 2))
-    return a, b
+def culler_pairs(x: Word, y: Word) -> tuple[tuple[Word, Word], tuple[Word, Word]]:
+    """The pairs ``(u, v)`` of the two commutators ``[u,v]`` whose product is ``[x,y]^3``."""
+    return (
+        (conjugate(y, x), conjugate(x, y.inverse()) * power(x, -2)),
+        (conjugate(x, y.inverse()), power(y, 2)),
+    )
 
 
 def culler_identity(x: Word, y: Word) -> Certificate:
     """``[x,y]^3`` as a product of two explicit commutators."""
-    a, b = culler_factors(x, y)
     return _checked(
-        power(commutator(x, y), 3),
-        [
-            _commutator_factor(conjugate(y, x), conjugate(x, y.inverse()) * power(x, -2)),
-            _commutator_factor(conjugate(x, y.inverse()), power(y, 2)),
-        ],
+        power(commutator(x, y), 3), [_commutator_factor(*pair) for pair in culler_pairs(x, y)]
     )
 
 
@@ -123,14 +126,14 @@ def culler_chain_squares(x: Word, y: Word) -> Certificate:
     ``abab = a^2 b^2 c``) gives ``(ab)^4 = a^2 b^2 c^2 (a^2)^(c^-1) (b^2)^(c^-1)``,
     and ``(ab)^4 = [x,y]^12`` is the sixth power of ``[x,y]^2``.
     """
-    a, b = culler_factors(x, y)
+    pair_a, pair_b = culler_pairs(x, y)
+    a, b = commutator(*pair_a), commutator(*pair_b)
     c_first = b.inverse()
     c_second = b.inverse() * a.inverse() * b.inverse()
     square = template_from_word(
         power(commutator(gen(1), gen(2)), 2), label="square_of_commutator"
     )
-    witness_a = {1: conjugate(y, x), 2: conjugate(x, y.inverse()) * power(x, -2)}
-    witness_b = {1: conjugate(x, y.inverse()), 2: power(y, 2)}
+    witness_a, witness_b = dict(enumerate(pair_a, 1)), dict(enumerate(pair_b, 1))
     witness_c = {1: c_first, 2: c_second}
     c = commutator(c_first, c_second)
     return _checked(
@@ -175,6 +178,11 @@ def herd_powers(g: Word, h: Word, n: int) -> Certificate:
     """
     if n < 1:
         raise ValueError("herd_powers needs n >= 1")
+    check_size(n, "factors")
+    # letters as square_to_gamma3 counts them, each factor's base plus twice its
+    # conjugator: (gh)^n, then [g^i, h] conjugated by h^-i g^-i h^-1 for i < n
+    letters = power_length(g * h, n) + 4 * len(h) * (n - 1)
+    check_size(letters + 4 * _powers_length(g, n - 1) + 2 * _powers_length(h, n - 1), "letters")
     factors = [_raw(power(g * h, n))]
     for i in range(1, n):
         conj = power(h, -i) * power(g, -i) * h.inverse()
@@ -270,8 +278,18 @@ def gamma3_triangle(g: Word, k: Word, m: int) -> Certificate:
     """
     if m < 0:
         raise ValueError("gamma3_triangle needs m >= 0")
-    shift = power(g * k, m)
+    check_size(m * (m - 1) // 2, "factors")
     g_in_k = conjugate(g, k)
+    # letters as square_to_gamma3 counts them, each factor's base plus twice its
+    # conjugator: [g,k] conjugated by (gk)^m k^-(j-1) g^-(j-1) k^-1 (g^k)^t, t < j-1
+    shift_length = power_length(g * k, m)
+    letters = 0
+    for j in range(2, m + 1):
+        sigma_length = power_length(k, j - 1) + power_length(g, j - 1) + len(k)
+        letters += (j - 1) * (2 * len(g) + 2 * len(k) + 2 * (shift_length + sigma_length))
+        letters += 2 * _powers_length(g_in_k, j - 2)
+        check_size(letters, "letters")
+    shift = power(g * k, m)
     factors: list[Factor] = []
     for j in range(2, m + 1):
         sigma = power(k, -(j - 1)) * power(g, -(j - 1)) * k.inverse()
@@ -282,29 +300,19 @@ def gamma3_triangle(g: Word, k: Word, m: int) -> Certificate:
     return _checked(target, factors)
 
 
-def hall_witt_split(
-    g: Word,
-    a: Word,
-    b: Word,
-    a_pair: tuple[Word, Word] | None = None,
-    b_pair: tuple[Word, Word] | None = None,
-) -> Certificate:
+def hall_witt_split(g: Word, a: Word, b: Word) -> Certificate:
     """``[g,[a,b]]`` as two factors via the three-term identity.
 
     With ``c = b^-1 g b`` the identity gives
-    ``[g,[a,b]] = [[b,c], a^c] [[c,a], b^a]``.  When ``a`` and ``b`` are single
-    commutators (supplied as ``a_pair``/``b_pair`` or found syntactically) both
-    factors carry commutator-of-commutators witnesses; otherwise they are RAW
-    with a flag.
+    ``[g,[a,b]] = [[b,c], a^c] [[c,a], b^a]``.  When ``a`` and ``b`` are visibly
+    single commutators both factors carry commutator-of-commutators witnesses;
+    otherwise they are RAW with a flag.
     """
     if commutator(g, commutator(a, b)) == EMPTY:
         return _checked(EMPTY, [])
     c = conjugate(g, b.inverse())
-    a_pair = a_pair or visible_commutator(a)
-    b_pair = b_pair or visible_commutator(b)
-    for name, word, pair in (("a", a, a_pair), ("b", b, b_pair)):
-        if pair is not None and commutator(*pair) != word:
-            raise CertificateError(f"supplied witness pair for {name} is not a splitting")
+    a_pair = visible_commutator(a)
+    b_pair = visible_commutator(b)
     if a_pair is not None and b_pair is not None:
         factors = [
             _beta2_factor(b, c, conjugate(a_pair[0], c), conjugate(a_pair[1], c)),
@@ -343,6 +351,10 @@ def oddball_iterate(x: Word, y: Word, z: Word, n: int) -> Certificate:
     yz = commutator(y, z)
     if commutator(x, yz) == EMPTY:
         return _checked(EMPTY, [])
+    # letters as square_to_gamma3 counts them, each factor's base plus twice its
+    # conjugator: [x, yz^n], then [[x, yz^k], yz] conjugated by [yz^k, x] for k < n
+    letters = 2 * len(x) + 2 * power_length(yz, n) + (n - 1) * (8 * len(x) + 2 * len(yz))
+    check_size(letters + 8 * _powers_length(yz, n - 1), "letters")
     factors = [_commutator_factor(x, power(yz, n))]
     for k in range(n - 1, 0, -1):
         factors.append(

@@ -127,6 +127,25 @@ def gen(index: int) -> Word:
     return Word(((index, 1),))
 
 
+def _shell_length(letters: tuple[Letter, ...]) -> int:
+    """Length of ``s`` in ``s c s^-1``, with ``c`` cyclically reduced."""
+    head = 0
+    while head < len(letters) - head - 1 and letters[head] == (
+        letters[-1 - head][0],
+        -letters[-1 - head][1],
+    ):
+        head += 1
+    return head
+
+
+def power_length(w: Word, n: int) -> int:
+    """``len(power(w, n))``, without building the power."""
+    if n == 0 or not w:
+        return 0
+    head = _shell_length(w.letters)
+    return 2 * head + (len(w) - 2 * head) * abs(n)
+
+
 def power(w: Word, n: int) -> Word:
     """``w`` raised to an integer power (negative powers invert)."""
     if n < 0:
@@ -134,13 +153,8 @@ def power(w: Word, n: int) -> Word:
     if n == 0 or not w:
         return EMPTY
     # Strip the conjugating shell once so repetition only cancels at the seam.
-    head = 0
     letters = w.letters
-    while head < len(letters) - head - 1 and letters[head] == (
-        letters[-1 - head][0],
-        -letters[-1 - head][1],
-    ):
-        head += 1
+    head = _shell_length(letters)
     shell = letters[:head]
     core = letters[head : len(letters) - head]
     check_size(2 * head + len(core) * n, "letters")

@@ -14,6 +14,7 @@ from verba.errors import (
     CertificateError,
     InconsistencyError,
     ParseError,
+    ResourceBudgetError,
     UnknownNameError,
     VerbaError,
 )
@@ -236,15 +237,15 @@ def test_a_bad_facts_line_fails_the_same_way_every_time():
     engine = BoundEngine()
     engine.load_facts("L FREE [a,b] | [a,b] @ 1 = 0 1\n")
     bad = [
-        "L FREE [a,b | [a,b] @ 2 = 0 2",  # bad word
-        "L FREE [a,b] | [a, @ 2 = 0 2",  # bad template spec
-        "L FREE [a,b] | gamma99999999999999999999999 @ 2 = 0 2",
-        "L FREE TARGET | [a,b] @ 2 = 0 2",  # reserved name
+        ("L FREE [a,b | [a,b] @ 2 = 0 2", ParseError),  # bad word
+        ("L FREE [a,b] | [a, @ 2 = 0 2", ParseError),  # bad template spec
+        ("L FREE [a,b] | gamma99999999999999999999999 @ 2 = 0 2", ResourceBudgetError),
+        ("L FREE TARGET | [a,b] @ 2 = 0 2", ParseError),  # reserved name
     ]
-    for line in bad:
+    for line, error in bad:
         messages = []
         for _ in range(2):
-            with pytest.raises(ParseError) as info:
+            with pytest.raises(error) as info:
                 engine.load_facts(f"# first line\n{line}\n")
             messages.append(str(info.value))
         assert messages[0] == messages[1]

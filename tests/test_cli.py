@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
@@ -191,6 +192,24 @@ def test_rewrite_rejects_bad_arguments(capsys, argv, message):
 )
 def test_size_budget_exit_code(capsys, argv):
     code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource budget exceeded:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["herd_powers", "x", "y", "3000"],
+        ["gamma3_triangle", "x", "y", "1000"],
+        ["oddball_iterate", "x", "y", "z", "3000"],
+    ],
+)
+def test_quadratic_rules_exit_3_before_building(capsys, argv):
+    # each used to build for 7-25 s; the letter count comes first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rewrite", *argv)
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert out == ""
     assert err.startswith("resource budget exceeded:") and err.count("\n") == 1
@@ -414,6 +433,32 @@ def test_bound_inconsistency_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "bound", "--facts", str(facts))
     assert code == 1
     assert "INCONSISTENT" in out + err
+
+
+def test_bound_facts_errors_keep_their_exit_code(capsys, tmp_path):
+    facts = tmp_path / "budget.facts"
+    facts.write_text("L FREE [a,b] | gamma99999999999999999999999 @ 2 = 0 2\n")
+    code, out, err = run(capsys, "bound", "--facts", str(facts))
+    assert (code, out) == (3, "")
+    assert err.startswith("resource budget exceeded: facts line 1: ")
+    # the same quantity through --declare exits 3 as well
+    quantity = "L FREE [a,b] | gamma99999999999999999999999 @ 2"
+    assert run(capsys, "bound", "--declare", quantity)[0] == 3
+    # a line that contradicts the default seed [a,b] => 1/2
+    facts.write_text("# comment\nSCL FREE [a,b] = 1 2\n")
+    code, out, err = run(capsys, "bound", "--facts", str(facts))
+    assert code == 1
+    assert out == (
+        "INCONSISTENT: facts line 2: contradiction on SCL FREE a b a^-1 b^-1:"
+        " lower bound 1 exceeds upper bound 1/2\n"
+        "SCL FREE a b a^-1 b^-1 = [1, 1/2]\n"
+        "  lo 1 by SEED\n"
+        "  hi 1/2 by SEED  # basic commutator\n"
+    )
+    facts.write_text("SCL FREE [a,b] => 1/2\nSCL FREE [a,b] = 0 oops\n")
+    code, _, err = run(capsys, "bound", "--facts", str(facts))
+    assert code == 2
+    assert err == "error: facts line 2: bad rational 'oops'\n"
 
 
 def test_bound_parse_error(capsys, tmp_path):

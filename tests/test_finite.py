@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,8 @@ _BAD_TABLE_FILES = [
     ("order 3\n0 1 2\n1 y 0\n", "bad table row '1 y 0'"),
     ("order 2\n0 1\n1 99999999999999999999\n", "table entries must be ids in range"),
     ("order 2\n0 -1\n1 0\n", "table entries must be ids in range"),
+    # 65536 is 0 in 16 bits, which would make this Z/2
+    ("order 2\n0 1\n1 65536\n", "table entries must be ids in range"),
     ("order 0\n", "multiplication table must be square"),
 ]
 
@@ -316,6 +319,21 @@ def test_table_file_of_order_2048_loads_to_the_dihedral_table(tmp_path):
     assert group.order == 2048 and group.identity == 0
     ids = np.arange(2048)
     assert np.array_equal(group.mul(ids[:, None], ids), want)
+
+
+def test_parsing_a_table_file_of_order_2048_keeps_one_16_bit_table():
+    # rows are narrowed to 16-bit ids as they are read and stacked once;
+    # 64-bit rows and a 64-bit stack of them peaked at 92 MiB
+    text = table_text(dihedral_table(1024))
+    tracemalloc.start()
+    try:
+        group = parse_table_text("t", text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20
+    assert group._table.dtype == np.int16
+    assert TableGroup("t", group._table)._table is group._table
 
 
 _REJECTED_TABLES = [
@@ -710,21 +728,25 @@ def test_representative_values_match_brute_force(spec, letters):
     assert set(got.tolist()) == tabled_oracle_values(spec, template)
 
 
-def test_budget_counts_every_assignment():
+def test_budget_counts_every_assignment(monkeypatch):
     # Only 5 * 60 gamma2 assignments are enumerated over A5, but the budget
     # is checked against all 60**2 of them.
     group = load_group("A5")
-    assert len(template_values(group, gamma_word(2), budget=60**2)) == 60
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60**2)
+    assert len(template_values(group, gamma_word(2))) == 60
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60**2 - 1)
     with pytest.raises(ResourceBudgetError):
-        template_values(group, gamma_word(2), budget=60**2 - 1)
+        template_values(group, gamma_word(2))
 
 
-def test_template_values_budget():
+def test_template_values_budget(monkeypatch):
     group = load_group("A5")
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 100)
     with pytest.raises(ResourceBudgetError):
-        template_values(group, gamma_word(2), budget=100)
+        template_values(group, gamma_word(2))
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 10**8)
     with pytest.raises(ResourceBudgetError):
-        template_values(group, gamma_word(5), budget=10**8)
+        template_values(group, gamma_word(5))
 
 
 # ---------------------------------------------------------------------------
@@ -832,9 +854,9 @@ def test_quotient_length_builds_one_table_per_group_template_and_budget(monkeypa
     built = []
     build = finite.wlength_table
 
-    def counting(group, template, budget=finite.ENUMERATION_BUDGET):
-        built.append((group.spec, template.key, budget))
-        return build(group, template, budget)
+    def counting(group, template):
+        built.append((group.spec, template.key))
+        return build(group, template)
 
     monkeypatch.setattr(finite, "wlength_table", counting)
     word = commutator(gen(1), gen(2)) * gen(3)
@@ -846,14 +868,22 @@ def test_quotient_length_builds_one_table_per_group_template_and_budget(monkeypa
     assert floors == [table.distance(eval_word(group, word, im)) for im in images]
     quotient_length(word, gamma_word(2), load_group("A4"), images[0])
     assert len(built) == 2
-    quotient_length(word, gamma_word(2), group, images[0], budget=10**6)
-    assert len(built) == 3
+    # the budget is read when a table is built; it is not part of the memo key
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 10**6)
+    quotient_length(word, gamma_word(2), group, images[0])
+    assert len(built) == 2
     quotient_length(word, GAMMA3_FAMILY, group, images[0])
-    assert len(built) == 4
+    assert len(built) == 3
+    # an over-budget table is not memoized, so each call tries again
+    fresh = load_group("A4")
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 100)
     with pytest.raises(ResourceBudgetError):
-        quotient_length(word, gamma_word(2), group, images[0], budget=100)
+        quotient_length(word, gamma_word(2), fresh, images[0])
     with pytest.raises(ResourceBudgetError):
-        quotient_length(word, gamma_word(2), group, images[0], budget=100)
+        quotient_length(word, gamma_word(2), fresh, images[0])
+    assert len(built) == 5
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 10**8)
+    assert quotient_length(word, gamma_word(2), fresh, images[1]) == floors[1]
     assert len(built) == 6
     assert quotient_length(word, gamma_word(2), group, images[1]) == floors[1]
     assert len(built) == 6

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from helpers import random_word
 
+from verba import identities, words
 from verba.certificates import FactorKind
+from verba.errors import ResourceBudgetError
 from verba.grammar import NameTable
 from verba.identities import (
     REWRITE_RULES,
@@ -26,7 +28,6 @@ from verba.identities import (
     telescope_line,
     verify_identity,
 )
-from verba.errors import CertificateError
 from verba.words import EMPTY, commutator, gen, power, substitute
 
 
@@ -202,8 +203,24 @@ def test_hall_witt_split_tags_with_supplied_pairs():
     assert all(f.kind is FactorKind.RAW for f in cert.factors)
     assert cert.flags
 
-    with pytest.raises(CertificateError):
-        hall_witt_split(g, a, b, a_pair=(gen(2), gen(4)))
+
+@pytest.mark.parametrize("rule", ["herd_powers", "gamma3_triangle", "oddball_iterate"])
+def test_quadratic_rules_count_every_letter_against_the_size_budget(rule, monkeypatch):
+    # A certificate whose factors' bases plus twice their conjugators pass
+    # words.SIZE_BUDGET is refused; the count may only overestimate.
+    build = getattr(identities, rule)
+    arity = 3 if rule == "oddball_iterate" else 2
+    rng = random.Random(2010)
+    for _ in range(150):
+        ws = [random_word(rng, rank=3, max_length=5) for _ in range(arity)]
+        n = rng.randrange(1, 9)
+        monkeypatch.setattr(words, "SIZE_BUDGET", 10**7)
+        cert = build(*ws, n)
+        letters = sum(len(f.base) + 2 * len(f.conjugator) for f in cert.factors)
+        if letters:
+            monkeypatch.setattr(words, "SIZE_BUDGET", letters - 1)
+            with pytest.raises(ResourceBudgetError):
+                build(*ws, n)
 
 
 def test_oddball_step_and_iterate():

@@ -15,6 +15,7 @@ from verba.words import (
     gen,
     in_commutator_subgroup,
     power,
+    power_length,
     substitute,
 )
 
@@ -61,6 +62,7 @@ def test_power_helper_matches_repeated_product():
         w = shell * core * shell.inverse()
         for n in (0, 1, 2, 5, -3):
             assert power(w, n) == w**n
+            assert power_length(w, n) == len(w**n)
 
 
 def test_conjugation_convention():
