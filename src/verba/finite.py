@@ -14,18 +14,24 @@ Backends:
 Multiplication is "first left, then right" for permutation-like backends,
 matching how words act in :mod:`verba.cover`.
 
-Value-set enumeration, conjugacy classes, subgroup closure and breadth-first
-ball growth use one contract: :meth:`FiniteGroup.mul` over broadcast numpy id
-arrays, plus :meth:`FiniteGroup.inverses`.  ``mul`` looks products up in a
-dense table of 16-bit ids built on first use, except for permutation groups
-of order above ``TABLE_CAP`` (S7, S8, A8), where it composes the
-permutations directly.
+Word evaluation, value-set enumeration, conjugacy classes, subgroup closure,
+breadth-first ball growth and the bi-invariance check use one contract:
+:meth:`FiniteGroup.mul` over broadcast numpy id arrays, plus
+:meth:`FiniteGroup.inverses`.  ``mul`` looks products up in a dense table of
+16-bit ids built on first use, except for permutation groups of order above
+``TABLE_CAP`` (S7, S8, A8), where it composes the permutations directly.
 The scalar ``multiply`` / ``inverse`` use each backend's own arithmetic and
-serve as an independent check of ``mul``.
+serve only as an independent check of ``mul``.
+
+Every template's values come from one enumeration loop over per-variable
+domains of ids (``template_values``); ``Gamma3`` is ``[x1, x2]`` with ``x2``
+over the derived subgroup.  Bi-invariance of a distance table is decided
+exactly, by conjugation with each element of a generating set.
 """
 from __future__ import annotations
 
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -34,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ResourceBudgetError, UnknownNameError
-from .templates import GAMMA3_FAMILY, Template
-from .words import Word
+from .templates import GAMMA3_FAMILY, Template, gamma_word
+from .words import Word, commutator, gen
 
 TABLE_CAP = 4096
 # Dense tables have order at most 4096 (TABLE_CAP, SL2_13 at 2184, and
@@ -117,8 +123,10 @@ class PermutationGroup(FiniteGroup):
         radix = degree ** np.arange(degree, dtype=np.int64)
         self._radix = radix
         codes = self._perms @ radix
-        lookup = np.full(degree**degree, -1, dtype=np.int32)
-        lookup[codes] = np.arange(len(perms), dtype=np.int32)
+        # ids as narrow as the dense table's; above TABLE_CAP ``mul`` computes with them
+        ids = _TABLE_IDS if len(perms) <= TABLE_CAP else np.int32
+        lookup = np.full(degree**degree, -1, dtype=ids)
+        lookup[codes] = np.arange(len(perms))
         self._lookup = lookup
         identity = int(lookup[np.arange(degree, dtype=np.int64) @ radix])
         super().__init__(spec, len(perms), identity)
@@ -357,35 +365,17 @@ def eval_word(group: FiniteGroup, w: Word, images: dict[int, int]) -> int:
     missing = [i for i in w.generators() if i not in images]
     if missing:
         raise ValueError(f"assignment misses generators {missing}")
-    acc = group.identity
-    for index, sign in w.letters:
-        value = images[index] if sign == 1 else group.inverse(images[index])
-        acc = group.multiply(acc, value)
-    return acc
+    return int(_evaluate(group, w, images))
 
 
-def _assignment_columns(
-    group: FiniteGroup, first: np.ndarray, count: int, start: int, stop: int
-) -> list[np.ndarray]:
-    """Columns of the mixed-radix assignment block ``start..stop``: the first
-    variable runs over the ids ``first``, the others over the whole group."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    columns = [first[idx % len(first)]]
-    idx //= len(first)
-    for _ in range(count - 1):
-        columns.append((idx % group.order).astype(np.int32))
-        idx //= group.order
-    return columns
-
-
-def _eval_template_block(
-    group: FiniteGroup, body: Word, columns: dict[int, np.ndarray], size: int
-) -> np.ndarray:
+def _evaluate(group: FiniteGroup, body: Word, values):
+    """Image of ``body`` with generator ``i`` sent to ``values[i]``, an id or
+    an array of ids (one entry per assignment), multiplied through ``mul``."""
     inv = group.inverses()
-    acc = np.full(size, group.identity, dtype=np.int32)
-    for index, sign in body.letters:
-        col = columns[index] if sign == 1 else inv[columns[index]]
-        acc = group.mul(acc, col)
+    acc = group.identity
+    for n, (index, sign) in enumerate(body.letters):
+        value = values[index] if sign == 1 else inv[values[index]]
+        acc = value if n == 0 else group.mul(acc, value)
     return acc
 
 
@@ -399,36 +389,43 @@ def _row_blocks(ids: np.ndarray, width: int):
 def template_values(group: FiniteGroup, template: Template) -> np.ndarray:
     """Sorted ids of all values of ``template`` in ``group``.
 
-    A word map commutes with simultaneous conjugation, so with ``k >= 2``
-    variables the first runs over one representative per conjugacy class,
-    the others over the whole group, and the values found are closed under
-    conjugation: ``classes * order**(k-1)`` assignments.  ``ENUMERATION_BUDGET``
-    still counts ``order**k`` (``ResourceBudgetError`` beyond it).  The set-valued
-    commutator-of-derived-element family is computed from the derived
-    subgroup instead of by assignment enumeration.
+    Each variable runs over a domain of ids, and one loop evaluates the body
+    on every assignment, in blocks of ``_CHUNK``.  A word template's variables
+    run over the whole group; ``GAMMA3_FAMILY`` is ``[x1, x2]`` with ``x2``
+    over the derived subgroup.  A word map commutes with simultaneous
+    conjugation and the derived subgroup is normal, so with ``k >= 2``
+    variables ``x1`` runs over one representative per conjugacy class instead
+    and the values found are closed under conjugation: ``classes * order**(k-1)``
+    assignments for a word, ``classes * |derived|`` for ``Gamma3``.
+    ``ENUMERATION_BUDGET`` counts ``order**k`` for every template before any
+    is formed (``ResourceBudgetError`` beyond it); for ``Gamma3`` that is what
+    the derived subgroup's commutators cost.
     """
-    if template is GAMMA3_FAMILY or template.key == GAMMA3_FAMILY.key:
-        return _gamma3_family_values(group)
-    if template.body is None:
+    gamma3 = template.key == GAMMA3_FAMILY.key
+    body = commutator(gen(1), gen(2)) if gamma3 else template.body
+    if body is None:
         raise UnknownNameError(f"cannot enumerate template {template.label!r}")
-    k = len(template.variables)
-    total = group.order**k
-    if total > ENUMERATION_BUDGET:
+    variables = body.generators()
+    k = len(variables)
+    if group.order**k > ENUMERATION_BUDGET:
         raise ResourceBudgetError(
             f"enumerating {template.label} over {group.spec} needs {group.order}^{k} assignments"
             f" (budget {ENUMERATION_BUDGET})"
         )
-    if k < 2:
-        first, count = np.arange(group.order, dtype=np.int32), total
-    else:
-        first = group.conjugacy_labels()[1]
-        count = len(first) * group.order ** (k - 1)
+    domains = dict.fromkeys(variables, np.arange(group.order, dtype=np.int32))
+    if gamma3:
+        domains[2] = derived_subgroup(group)
+    if k >= 2:
+        domains[1] = group.conjugacy_labels()[1]
+    count = math.prod(len(ids) for ids in domains.values())
     seen = np.zeros(group.order, dtype=bool)
     for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        cols = _assignment_columns(group, first, k, start, stop)
-        columns = dict(zip(template.variables, cols))
-        seen[_eval_template_block(group, template.body, columns, stop - start)] = True
+        rest = np.arange(start, min(start + _CHUNK, count), dtype=np.int32)  # count <= budget < 2**31
+        columns = {}
+        for var, ids in domains.items():  # mixed radix, x1 the fastest digit
+            columns[var] = ids[rest % len(ids)]
+            rest //= len(ids)
+        seen[_evaluate(group, body, columns)] = True
     if k >= 2:
         seen = _conjugates(group, seen)
     return np.flatnonzero(seen).astype(np.int32)
@@ -466,24 +463,7 @@ def closure(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
 
 
 def derived_subgroup(group: FiniteGroup) -> np.ndarray:
-    from .templates import gamma_word
-
-    commutators = template_values(group, gamma_word(2))
-    return closure(group, commutators)
-
-
-def _gamma3_family_values(group: FiniteGroup) -> np.ndarray:
-    derived = derived_subgroup(group)
-    if group.order * len(derived) > ENUMERATION_BUDGET:
-        raise ResourceBudgetError("commutator-of-derived enumeration over budget")
-    # The derived subgroup is normal, so [u, d] need only run over one u
-    # per conjugacy class.
-    inv = group.inverses()
-    seen = np.zeros(group.order, dtype=bool)
-    for u in _row_blocks(group.conjugacy_labels()[1], len(derived)):
-        ud = group.mul(u, derived)
-        seen[group.mul(group.mul(ud, inv[u]), inv[derived])] = True
-    return np.flatnonzero(_conjugates(group, seen)).astype(np.int32)
+    return closure(group, template_values(group, gamma_word(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -520,31 +500,25 @@ def wlength_table(group: FiniteGroup, template: Template) -> DistanceTable:
     return DistanceTable(group.spec, template.key, _bfs_distances(group, values))
 
 
-def bi_invariance_check(
-    group: FiniteGroup,
-    table: DistanceTable,
-    trials: int = 1000,
-    seed: int = 0,
-) -> bool:
-    """Spot-check ``d(g,h) = d(fg,fh) = d(gf,hf)`` on random triples.
+def bi_invariance_check(group: FiniteGroup, table: DistanceTable) -> bool:
+    """Decide whether the metric ``d(g,h) = table distance of g^-1 h`` is bi-invariant.
 
-    ``d(g,h)`` means the table distance of ``g^-1 h``; ``g`` and ``h`` are
-    sampled from the reachable set so the distances are defined, ``f`` from
-    the whole group.
+    It is left-invariant in every group, as ``(fg)^-1 fh = g^-1 h``.  It is
+    right-invariant exactly when ``d(f^-1 x f) = d(x)`` for every ``x`` and
+    ``f``, and so when that holds for each ``f`` of a generating set, picked
+    as table validation picks its own: the least id outside the span so far.
     """
-    rng = np.random.default_rng(seed)
-    reachable = np.nonzero(table.distances >= 0)[0]
-    if reachable.size == 0:
-        return True
-    g = rng.choice(reachable, size=trials)
-    h = rng.choice(reachable, size=trials)
-    f = rng.integers(group.order, size=trials)
-    inv = group.inverses()
     d = table.distances
-    base = d[group.mul(inv[g], h)]
-    left = d[group.mul(inv[group.mul(f, g)], group.mul(f, h))]
-    right = d[group.mul(inv[group.mul(g, f)], group.mul(h, f))]
-    return bool(np.array_equal(base, left) and np.array_equal(base, right))
+    ids = np.arange(group.order)
+    inv = group.inverses()
+    spanned, chosen = ids == group.identity, []
+    while not spanned.all():
+        f = int(np.argmin(spanned))
+        if not np.array_equal(d[group.mul(group.mul(inv[f], ids), f)], d):
+            return False
+        chosen.append(f)
+        spanned = _bfs_distances(group, np.array(chosen)) >= 0
+    return True
 
 
 def quotient_length(

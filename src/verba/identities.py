@@ -94,6 +94,13 @@ def _powers_length(w: Word, n: int) -> int:
     return n * (2 * one - two) + (two - one) * n * (n + 1) // 2
 
 
+def _check_build(factors: int, letters: int) -> None:
+    """Refuse a certificate before it is built when its ``letters`` (bases plus
+    twice the conjugators) and 256 per factor pass ``words.SIZE_BUDGET``: an
+    empty factor takes as long to build as about 300 letters."""
+    check_size(letters + 256 * factors, "letters (with 256 per factor)")
+
+
 def _checked(target: Word, factors: Sequence[Factor], flags: Sequence[str] = ()) -> Certificate:
     cert = Certificate(target=target, factors=tuple(factors), flags=tuple(flags))
     cert.check()
@@ -178,11 +185,9 @@ def herd_powers(g: Word, h: Word, n: int) -> Certificate:
     """
     if n < 1:
         raise ValueError("herd_powers needs n >= 1")
-    check_size(n, "factors")
-    # letters as square_to_gamma3 counts them, each factor's base plus twice its
-    # conjugator: (gh)^n, then [g^i, h] conjugated by h^-i g^-i h^-1 for i < n
+    # (gh)^n, then [g^i, h] conjugated by h^-i g^-i h^-1 for i < n
     letters = power_length(g * h, n) + 4 * len(h) * (n - 1)
-    check_size(letters + 4 * _powers_length(g, n - 1) + 2 * _powers_length(h, n - 1), "letters")
+    _check_build(n, letters + 4 * _powers_length(g, n - 1) + 2 * _powers_length(h, n - 1))
     factors = [_raw(power(g * h, n))]
     for i in range(1, n):
         conj = power(h, -i) * power(g, -i) * h.inverse()
@@ -201,6 +206,9 @@ def rotate_product(ws: Sequence[Word], k: int) -> Certificate:
     if k < 0:
         raise ValueError("rotate_product needs k >= 0")
     head = ws[0]
+    # head^k, then each later w_j conjugated by head^-i for i < k
+    tail = sum(k * len(w) + 2 * _powers_length(head, max(k - 1, 0)) for w in ws[1:])
+    _check_build(1 + (len(ws) - 1) * k, power_length(head, k) + tail)
     factors = [_raw(power(head, k))]
     for i in range(k - 1, -1, -1):
         conj = power(head, -i)
@@ -224,6 +232,13 @@ def telescope_line(
     """
     if not (len(gs) == len(before) == len(after)):
         raise ValueError("telescope_line needs equally long word and exponent lists")
+    # g_i^(b_i - a_i) conjugated by the later g_j^b_j; the two products hold
+    # each g_i^a_i and g_i^b_i once
+    lengths = [
+        (power_length(g, b - a) + power_length(g, a), power_length(g, b))
+        for g, a, b in zip(gs, before, after)
+    ]
+    _check_build(len(gs), sum(own + (2 * j + 1) * b for j, (own, b) in enumerate(lengths)))
     suffix = EMPTY  # g_{i+1}^{b_{i+1}} ... g_m^{b_m}, maintained right to left
     factors: list[Factor] = []
     for g, a, b in zip(reversed(gs), reversed(before), reversed(after)):
@@ -278,17 +293,17 @@ def gamma3_triangle(g: Word, k: Word, m: int) -> Certificate:
     """
     if m < 0:
         raise ValueError("gamma3_triangle needs m >= 0")
-    check_size(m * (m - 1) // 2, "factors")
+    count = m * (m - 1) // 2
+    _check_build(count, 0)
     g_in_k = conjugate(g, k)
-    # letters as square_to_gamma3 counts them, each factor's base plus twice its
-    # conjugator: [g,k] conjugated by (gk)^m k^-(j-1) g^-(j-1) k^-1 (g^k)^t, t < j-1
+    # [g,k] conjugated by (gk)^m k^-(j-1) g^-(j-1) k^-1 (g^k)^t, t < j-1
     shift_length = power_length(g * k, m)
     letters = 0
     for j in range(2, m + 1):
         sigma_length = power_length(k, j - 1) + power_length(g, j - 1) + len(k)
         letters += (j - 1) * (2 * len(g) + 2 * len(k) + 2 * (shift_length + sigma_length))
         letters += 2 * _powers_length(g_in_k, j - 2)
-        check_size(letters, "letters")
+        _check_build(count, letters)
     shift = power(g * k, m)
     factors: list[Factor] = []
     for j in range(2, m + 1):
@@ -351,10 +366,9 @@ def oddball_iterate(x: Word, y: Word, z: Word, n: int) -> Certificate:
     yz = commutator(y, z)
     if commutator(x, yz) == EMPTY:
         return _checked(EMPTY, [])
-    # letters as square_to_gamma3 counts them, each factor's base plus twice its
-    # conjugator: [x, yz^n], then [[x, yz^k], yz] conjugated by [yz^k, x] for k < n
+    # [x, yz^n], then [[x, yz^k], yz] conjugated by [yz^k, x] for k < n
     letters = 2 * len(x) + 2 * power_length(yz, n) + (n - 1) * (8 * len(x) + 2 * len(yz))
-    check_size(letters + 8 * _powers_length(yz, n - 1), "letters")
+    _check_build(n, letters + 8 * _powers_length(yz, n - 1))
     factors = [_commutator_factor(x, power(yz, n))]
     for k in range(n - 1, 0, -1):
         factors.append(

@@ -18,7 +18,7 @@ coincide.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import grammar
 from .words import (
@@ -38,7 +38,7 @@ Substitution = dict[int, Word]
 @dataclass(frozen=True)
 class Template:
     key: str
-    label: str
+    label: str = field(compare=False)  # a display name; templates compare by structure
     body: Word | None
     variables: tuple[int, ...]
 

@@ -247,7 +247,7 @@ def test_acceptance_5_finite_group_cross_check():
                         template.label,
                         element,
                     )
-                assert bi_invariance_check(group, table, trials=1000, seed=9)
+                assert bi_invariance_check(group, table)
         a5 = wlength_table(load_group("A5"), gamma_word(2))
         assert a5.histogram() == {0: 1, 1: 59}
 

@@ -203,10 +203,18 @@ def test_size_budget_exit_code(capsys, argv):
         ["herd_powers", "x", "y", "3000"],
         ["gamma3_triangle", "x", "y", "1000"],
         ["oddball_iterate", "x", "y", "z", "3000"],
+        # empty factors count too: these built for 7 s and 6 s at 175 MB
+        ["herd_powers", "1", "1", "100000"],
+        ["gamma3_triangle", "1", "1", "450"],
+        ["rotate_product", "100000", "1", "1"],
+        # conjugators by ever longer powers: 4 * 10^8 letters
+        ["rotate_product", "20000", "x", "y"],
+        # conjugators by ever longer suffixes: 2 * 10^9 letters
+        ["telescope_line", ";".join(["x", "y"] * 100), ",".join(["0"] * 200), ",".join(["50000"] * 200)],
     ],
 )
 def test_quadratic_rules_exit_3_before_building(capsys, argv):
-    # each used to build for 7-25 s; the letter count comes first
+    # each used to build for 6-25 s or more; the letter and factor count comes first
     start = time.perf_counter()
     code, out, err = run(capsys, "rewrite", *argv)
     assert time.perf_counter() - start < 1
@@ -322,6 +330,20 @@ def test_wlength_budget_exit_code(capsys):
     code, _, err = run(capsys, "wlength", "--group", "A5", "--template", "gamma5")
     assert code == 3
     assert "budget" in err
+
+
+def test_wlength_gamma3_family_budget_exit_code(capsys, monkeypatch):
+    # A5 is perfect, so Gamma3 enumerates 5 classes times all 60 elements and
+    # the budget counts 60^2, as it does for the commutators behind them.
+    argv = ["wlength", "--group", "A5", "--template", "Gamma3", "--no-cache"]
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60 * 60 - 1)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource budget exceeded: enumerating ")
+    assert err.endswith(" over A5 needs 60^2 assignments (budget 3599)\n")
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60 * 60)
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "0 1\n1 59\n")
 
 
 def test_wlength_unknown_group(capsys):

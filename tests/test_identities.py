@@ -204,23 +204,33 @@ def test_hall_witt_split_tags_with_supplied_pairs():
     assert cert.flags
 
 
-@pytest.mark.parametrize("rule", ["herd_powers", "gamma3_triangle", "oddball_iterate"])
+_SIZED_RULES = {
+    "herd_powers": lambda ws, n: identities.herd_powers(ws[0], ws[1], n),
+    "gamma3_triangle": lambda ws, n: identities.gamma3_triangle(ws[0], ws[1], n),
+    "oddball_iterate": lambda ws, n: identities.oddball_iterate(*ws, n),
+    "rotate_product": lambda ws, n: identities.rotate_product(ws, n),
+    "telescope_line": lambda ws, n: identities.telescope_line(ws, [n, -1, 0], [2, n, -n]),
+}
+
+
+@pytest.mark.parametrize("rule", list(_SIZED_RULES))
 def test_quadratic_rules_count_every_letter_against_the_size_budget(rule, monkeypatch):
-    # A certificate whose factors' bases plus twice their conjugators pass
-    # words.SIZE_BUDGET is refused; the count may only overestimate.
-    build = getattr(identities, rule)
-    arity = 3 if rule == "oddball_iterate" else 2
+    # A certificate whose factors' bases plus twice their conjugators, plus
+    # 256 per factor, pass words.SIZE_BUDGET is refused; the count may only
+    # overestimate.
+    build = _SIZED_RULES[rule]
     rng = random.Random(2010)
     for _ in range(150):
+        arity = 2 if rule in ("herd_powers", "gamma3_triangle") else 3
         ws = [random_word(rng, rank=3, max_length=5) for _ in range(arity)]
-        n = rng.randrange(1, 9)
+        n = rng.randrange(0 if rule == "rotate_product" else 1, 9)
         monkeypatch.setattr(words, "SIZE_BUDGET", 10**7)
-        cert = build(*ws, n)
-        letters = sum(len(f.base) + 2 * len(f.conjugator) for f in cert.factors)
-        if letters:
-            monkeypatch.setattr(words, "SIZE_BUDGET", letters - 1)
+        cert = build(ws, n)
+        cost = sum(len(f.base) + 2 * len(f.conjugator) + 256 for f in cert.factors)
+        if cost:
+            monkeypatch.setattr(words, "SIZE_BUDGET", cost - 1)
             with pytest.raises(ResourceBudgetError):
-                build(*ws, n)
+                build(ws, n)
 
 
 def test_oddball_step_and_iterate():

@@ -3,18 +3,26 @@ elements are named or on what the distance-table cache holds.
 
 Relabelling a group's elements gives an isomorphic group, so its distance
 histograms are the same.  Ore's conjecture (Liebeck, O'Brien, Shalev and
-Tiep, 2010) makes every element of A5, A6 and A7 a commutator.
+Tiep, 2010) makes every element of A5, A6 and A7 a commutator.  Renaming the
+generators of a certificate by a signed permutation is an automorphism of the
+free group, so the renamed certificate still checks, with the same counts.
 """
 from __future__ import annotations
+
+import dataclasses
+import random
 
 import numpy as np
 import pytest
 
-from helpers import relabel, table_text
+from helpers import random_word, relabel, table_text
 from verba import cache
+from verba.certificates import Certificate, parse_certificate
 from verba.cli import main
 from verba.finite import load_group, registry_small_groups
+from verba.identities import REWRITE_RULES
 from verba.templates import gamma_word
+from verba.words import commutator, gen, substitute
 
 
 @pytest.fixture(autouse=True)
@@ -36,10 +44,12 @@ def test_relabelled_table_has_the_same_histograms(capsys, tmp_path, spec):
     perm = np.random.default_rng(sum(map(ord, spec))).permutation(group.order)
     path = tmp_path / f"{spec}-relabelled.tbl"
     path.write_text(table_text(relabel(group.mul(ids[:, None], ids).astype(np.int64), perm)))
-    for template in ("gamma2", "gamma3"):
-        want = wlength(capsys, "--group", spec, "--template", template, "--no-cache")
-        got = wlength(capsys, "--group", f"table:{path}", "--template", template, "--no-cache")
+    flags = ("--no-cache", "--check-bi-invariance")
+    for template in ("gamma2", "gamma3", "Gamma3"):
+        want = wlength(capsys, "--group", spec, "--template", template, *flags)
+        got = wlength(capsys, "--group", f"table:{path}", "--template", template, *flags)
         assert got == want, template
+        assert got.endswith("\nbi-invariance: PASS\n"), template
 
 
 @pytest.mark.parametrize("spec, order", [("A5", 60), ("A6", 360), ("A7", 2520)])
@@ -66,3 +76,60 @@ def test_cold_warm_and_corrupted_caches_print_the_same(capsys, spec, n, extra):
     with pytest.warns(UserWarning, match="discarding corrupt cache file"):
         corrupted = wlength(capsys, *argv)
     assert cold == warm == corrupted == uncached
+
+
+def _word(rng):
+    return random_word(rng, rank=4, max_length=4)
+
+
+def _bracket(rng):
+    return commutator(_word(rng), _word(rng)) if rng.random() < 0.5 else _word(rng)
+
+
+#: seeded arguments for each rule, in the order ``RewriteRule.fn`` takes them
+RULE_INPUTS = {
+    "culler_identity": lambda rng: (_word(rng), _word(rng)),
+    "culler_chain_squares": lambda rng: (_word(rng), _word(rng)),
+    "culler_power_pair": lambda rng: (rng.randrange(1, 5),),
+    "herd_powers": lambda rng: (_word(rng), _word(rng), rng.randrange(1, 5)),
+    "rotate_product": lambda rng: (rng.randrange(0, 4), [_word(rng) for _ in range(3)]),
+    "telescope_line": lambda rng: (
+        [_word(rng), _word(rng)], [rng.randrange(-3, 4) for _ in "ab"], [rng.randrange(-3, 4) for _ in "ab"]
+    ),
+    "square_to_gamma3": lambda rng: (_word(rng), _bracket(rng), rng.randrange(0, 3)),
+    "gamma3_triangle": lambda rng: (_word(rng), _word(rng), rng.randrange(0, 4)),
+    "hall_witt_split": lambda rng: (_word(rng), _bracket(rng), _bracket(rng)),
+    "oddball_step": lambda rng: (_word(rng), _word(rng), _word(rng), rng.randrange(1, 4)),
+    "oddball_iterate": lambda rng: (_word(rng), _word(rng), _word(rng), rng.randrange(1, 4)),
+}
+
+
+def _renamed(cert: Certificate, images: dict) -> Certificate:
+    def rename(w):
+        return substitute(w, images)
+
+    factors = tuple(
+        dataclasses.replace(
+            f,
+            base=rename(f.base),
+            conjugator=rename(f.conjugator),
+            witness=None if f.witness is None else {v: rename(w) for v, w in f.witness.items()},
+        )
+        for f in cert.factors
+    )
+    return Certificate(rename(cert.target), factors, cert.flags)
+
+
+@pytest.mark.parametrize("rule", sorted(REWRITE_RULES))
+def test_renaming_generators_keeps_certificates_checked(rule):
+    assert set(RULE_INPUTS) == set(REWRITE_RULES)
+    rng = random.Random(f"rename {rule}")
+    for _ in range(25):
+        cert = REWRITE_RULES[rule].fn(*RULE_INPUTS[rule](rng))
+        targets = rng.sample(range(1, 5), 4)
+        images = {i: gen(p) ** rng.choice((1, -1)) for i, p in enumerate(targets, 1)}
+        renamed = _renamed(cert, images)
+        renamed.check()
+        assert renamed.counts() == cert.counts()
+        for c in (cert, renamed):
+            assert parse_certificate(c.serialize()) == c

@@ -19,6 +19,14 @@ resolved through the module's own definitions and its imports, ``as``
 aliases and package re-exports included.  Reaching a class reaches all of its
 methods.  Local names that shadow a top-level one count as uses of it, so the
 scan can miss dead code but does not report live code.
+
+A second scan finds defaulted parameters that only the tests set.  A call in
+``src/verba`` or in perfbench's non-test modules sets a parameter by keyword
+or by position, a method's positions being shifted by ``self``.  Calls resolve
+through the same imports and ``as`` aliases; a call ``obj.name(...)`` on
+anything but a package module may be any method called ``name``, and a call
+with ``*args`` or ``**kwargs`` sets every parameter, so again the scan can
+miss a parameter no caller sets but does not report one that a caller sets.
 """
 from __future__ import annotations
 
@@ -35,6 +43,9 @@ BENCH = ROOT / "perfbench"
 PACKAGE = "__init__"
 
 Key = tuple[str, str]  # (module stem, top-level name)
+
+#: ``cli.main(argv)`` is how the tests run the command line in-process.
+TEST_HOOKS = {"cli.main(argv)"}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -101,9 +112,11 @@ class _Scan:
                 for deco in getattr(stmt, "decorator_list", ()):
                     if self._loads(stem, deco.func if isinstance(deco, ast.Call) else deco):
                         self.roots.append((stem, stmt.name))
+        self.callers = dict(self.trees)
         for path in sorted(BENCH.rglob("*.py")):
             if not path.name.startswith("test_"):
                 tree = _parse(path)
+                self.callers[str(path)] = tree
                 self.bindings[str(path)] = _bindings(tree, stems)
                 self.roots += self._loads(str(path), tree)
 
@@ -151,6 +164,66 @@ class _Scan:
             if (stem, name) not in reached
         ]
 
+    def _callees(self, stem: str, func: ast.expr, methods: list[str]) -> list[tuple[str, int]]:
+        """Signature keys a call of ``func`` may reach, with the number of
+        leading parameters that the call binds implicitly (``self``)."""
+        key = None
+        if isinstance(func, ast.Name):
+            key = self.resolve(stem, func.id)
+        elif isinstance(func, ast.Attribute):
+            bound = isinstance(func.value, ast.Name) and self.bindings[stem].get(func.value.id)
+            if not (bound and bound[0] == "module"):
+                return [(k, 1) for k in methods if k.rsplit(".", 1)[-1] == func.attr]
+            key = self.resolve(bound[1], func.attr)
+        if key is None:
+            return []
+        if isinstance(self.defs[key[0]][key[1]], ast.ClassDef):
+            return [(f"{key[0]}.{key[1]}.__init__", 1)]
+        return [(f"{key[0]}.{key[1]}", 0)]
+
+    def signatures(self) -> dict[str, ast.arguments]:
+        """Every top-level function and method, by ``stem.name`` or ``stem.Class.name``."""
+        out = {}
+        for stem, defs in self.defs.items():
+            for name, stmt in defs.items():
+                if isinstance(stmt, ast.ClassDef):
+                    for sub in stmt.body:
+                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                            out[f"{stem}.{name}.{sub.name}"] = sub.args
+                elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    out[f"{stem}.{name}"] = stmt.args
+        return out
+
+    def unset_defaults(self) -> list[str]:
+        """``stem.function(parameter)`` for each defaulted parameter that no
+        call outside the tests sets."""
+        signatures = self.signatures()
+        methods = [key for key in signatures if key.count(".") == 2]
+        unset = {}
+        for key, args in signatures.items():
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if defaulted:
+                unset[key] = {a.arg for a in defaulted}
+        for stem, tree in self.callers.items():
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                spread = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords
+                )
+                for key, offset in self._callees(stem, call.func, methods):
+                    if key not in unset:
+                        continue
+                    args = signatures[key]
+                    positional = args.posonlyargs + args.args
+                    named = positional[offset : offset + len(call.args)]
+                    if spread:
+                        unset[key].clear()
+                    unset[key] -= {a.arg for a in named} | {k.arg for k in call.keywords}
+        return sorted(f"{key}({name})" for key, names in unset.items() for name in names)
+
     def unused_imports(self) -> list[str]:
         out = []
         for stem, tree in self.trees.items():
@@ -181,6 +254,34 @@ def test_every_top_level_definition_is_reached(scan):
 def test_every_import_is_used(scan):
     unused = scan.unused_imports()
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests(scan):
+    unset = [entry for entry in scan.unset_defaults() if entry not in TEST_HOOKS]
+    assert not unset, "defaulted parameters that only the tests set:\n" + "\n".join(unset)
+
+
+def test_the_defaults_scan_counts_positions_keywords_self_and_aliases():
+    probe = _Scan()
+    source = (
+        "def _probe(a, b=1, *, c=2):\n    return a\n"
+        "class _Probe:\n"
+        "    def __init__(self, d=3):\n        self.d = d\n"
+        "    def step(self, e=4, f=5):\n        return e\n"
+    )
+    probe.defs["words"].update({stmt.name: stmt for stmt in ast.parse(source).body})
+    probe.callers = {}
+    new = {"words._probe(b)", "words._probe(c)", "words._Probe.__init__(d)"}
+    new |= {"words._Probe.step(e)", "words._Probe.step(f)"}
+    assert new <= set(probe.unset_defaults())
+    # a position after self, a keyword, and a call through an alias
+    calls = (
+        "from .words import _Probe, _probe, _probe as _p\n"
+        "_Probe(7).step(8)\n_probe(0, c=9)\n_p(0, 1)\n"
+    )
+    probe.callers["finite"] = ast.parse(calls)
+    probe.bindings["finite"] = _bindings(probe.callers["finite"], set(probe.trees))
+    assert new & set(probe.unset_defaults()) == {"words._Probe.step(f)"}
 
 
 def test_the_scan_resolves_aliases_and_reports_a_dead_definition():
