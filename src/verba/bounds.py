@@ -28,7 +28,10 @@ Facts file format (one fact per line, ``#`` comments)::
 
 i.e. ``=> value`` for exact, or ``= lo hi`` with ``inf`` allowed as the
 upper bound.  Template specs are ``gamma<n>``, ``beta<n>``,
-``commutator_product<g>``, ``grope<n>``, ``Gamma3``, or any word expression.
+``commutator_product<g>``, ``grope<n>``, ``Gamma3``, or any word expression,
+whose variables are bound in the spec's own text.  A ``Quantity`` holds its
+``Template``; its key names the template by structure (``| <template.key>``)
+and ``display`` by the label it was made with.
 """
 from __future__ import annotations
 
@@ -84,15 +87,15 @@ class Quantity:
     kind: QuantityKind
     context: Context
     word: Word
-    template_key: str | None = None
+    template: Template | None = None
     exponent: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind in (QuantityKind.L, QuantityKind.SL):
-            if self.template_key is None:
+            if self.template is None:
                 raise ValueError(f"{self.kind.value} quantities need a template")
         else:
-            if self.template_key is not None:
+            if self.template is not None:
                 raise ValueError(f"{self.kind.value} quantities take no template")
         if self.kind is QuantityKind.L:
             exponent = self.exponent if self.exponent is not None else 1
@@ -102,8 +105,8 @@ class Quantity:
         elif self.exponent is not None:
             raise ValueError(f"{self.kind.value} quantities take no exponent")
         parts = [self.kind.value, self.context.value, grammar.canonical_key(self.word)]
-        if self.template_key is not None:
-            parts.append(f"| {self.template_key}")
+        if self.template is not None:
+            parts.append(f"| {self.template.key}")
         if self.kind is QuantityKind.L:
             parts.append(f"@ {self.exponent}")
         # built once; not a field, so eq, hash and repr ignore it
@@ -166,12 +169,17 @@ def _parse_bound(token: str, allow_inf: bool) -> Bound:
 _TEMPLATE_SPEC_RE = re.compile(r"(gamma|beta|commutator_product|grope)([1-9][0-9]*)\Z")
 
 
-def parse_template_spec(text: str, names: grammar.NameTable) -> Template:
+def parse_template_spec(text: str) -> Template:
+    """The template a ``| spec`` text names.
+
+    A word's variables are bound in its own text, in a fresh name table:
+    renaming them changes no template, and no other text's names.
+    """
     text = text.strip()
     if text == GAMMA3_FAMILY.key:
         return GAMMA3_FAMILY
     if text.startswith("w:"):
-        return template_from_word(grammar.parse(text[2:], names))
+        return template_from_word(grammar.parse(text[2:]))
     match = _TEMPLATE_SPEC_RE.match(text)
     if match is not None:
         builder = {
@@ -185,7 +193,7 @@ def parse_template_spec(text: str, names: grammar.NameTable) -> Template:
         except ValueError:  # past Python's limit on int-string conversion
             raise ResourceBudgetError(f"template index of {len(match.group(2))} digits") from None
         return builder(index)
-    return template_from_word(grammar.parse(text, names))
+    return template_from_word(grammar.parse(text))
 
 
 class BoundEngine:
@@ -193,37 +201,13 @@ class BoundEngine:
 
     def __init__(self) -> None:
         self.names = grammar.canonical_table()
-        self.templates: dict[str, Template] = {GAMMA3_FAMILY.key: GAMMA3_FAMILY}
         self.facts: dict[str, Fact] = {}
         self.events: list[Event] = []
         # (parser, text) -> parsed word or template; names are only ever added
-        # to self.names, so a text that parsed once parses the same way again
+        # to self.names, so a word text that parsed once parses the same way again
         self._parsed: dict[tuple, Word | Template] = {}
 
     # -- declaration and parsing -------------------------------------------
-
-    def register_template(self, template: Template) -> str:
-        existing = self.templates.get(template.key)
-        if existing is None:
-            self.templates[template.key] = template
-        return template.key
-
-    def template_for(self, key: str) -> Template:
-        try:
-            return self.templates[key]
-        except KeyError:
-            raise UnknownNameError(f"template {key!r} is not registered") from None
-
-    def make_quantity(
-        self,
-        kind: QuantityKind,
-        context: Context,
-        word: Word,
-        template: Template | None = None,
-        exponent: int | None = None,
-    ) -> Quantity:
-        key = self.register_template(template) if template is not None else None
-        return Quantity(kind, context, word, key, exponent)
 
     def parse_quantity(self, text: str) -> Quantity:
         head, _, exp_part = text.partition("@")
@@ -239,7 +223,7 @@ class BoundEngine:
             context = Context(tokens[1])
         except ValueError:
             raise ParseError(f"unknown context {tokens[1]!r}") from None
-        word = self._parse_once(grammar.parse, tokens[2])
+        word = self._parse_once(grammar.parse, tokens[2], self.names)
         template = None
         if template_part.strip():
             template = self._parse_once(parse_template_spec, template_part)
@@ -249,23 +233,21 @@ class BoundEngine:
                 raise ParseError(f"bad exponent {exp_part.strip()!r}")
             exponent = int(exp_part.strip())
         try:
-            return self.make_quantity(kind, context, word, template, exponent)
+            return Quantity(kind, context, word, template, exponent)
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    def _parse_once(self, parse, text: str):
-        """``parse(text, self.names)``, once per text; a text that fails is not stored."""
+    def _parse_once(self, parse, text: str, *args):
+        """``parse(text, *args)``, once per text; a text that fails is not stored."""
         key = (parse, text)
         parsed = self._parsed.get(key)
         if parsed is None:
-            parsed = self._parsed[key] = parse(text, self.names)
+            parsed = self._parsed[key] = parse(text, *args)
         return parsed
 
     def declare(self, quantity: Quantity | str) -> Quantity:
         if isinstance(quantity, str):
             quantity = self.parse_quantity(quantity)
-        if quantity.template_key is not None and quantity.template_key not in self.templates:
-            raise UnknownNameError(f"template {quantity.template_key!r} is not registered")
         self.facts.setdefault(quantity.key(), Fact(quantity))
         return quantity
 
@@ -275,10 +257,8 @@ class BoundEngine:
             quantity.context.value,
             grammar.format_word(quantity.word, self.names),
         ]
-        if quantity.template_key is not None:
-            template = self.templates.get(quantity.template_key)
-            label = template.label if template is not None else quantity.template_key
-            parts.append(f"| {label}")
+        if quantity.template is not None:
+            parts.append(f"| {quantity.template.label}")
         if quantity.kind is QuantityKind.L:
             parts.append(f"@ {quantity.exponent}")
         return " ".join(parts)
@@ -288,11 +268,11 @@ class BoundEngine:
         kind: QuantityKind,
         context: Context,
         word: Word,
-        template_key: str | None = None,
+        template: Template | None = None,
         exponent: int | None = None,
     ) -> Fact | None:
         """The fact of the quantity with these fields, or ``None`` when it is not declared."""
-        return self.facts.get(Quantity(kind, context, word, template_key, exponent).key())
+        return self.facts.get(Quantity(kind, context, word, template, exponent).key())
 
     def interval(self, quantity: Quantity | str) -> tuple[Fraction, Bound]:
         if isinstance(quantity, str):
@@ -342,7 +322,7 @@ class BoundEngine:
                     f"factor {factor.kind_token()} is not a visible"
                     f" {template.label} instance"
                 )
-        quantity = self.make_quantity(QuantityKind.L, Context.FREE, base, template, exponent)
+        quantity = Quantity(QuantityKind.L, Context.FREE, base, template, exponent)
         return self.add_fact(
             quantity, hi=len(cert.factors), provenance="CERTIFICATE", label=label
         )
@@ -364,7 +344,7 @@ class BoundEngine:
             quantity = self.parse_quantity(quantity)
         if quantity.kind is QuantityKind.L:
             word = power(quantity.word, quantity.exponent or 1)
-            template = self.template_for(quantity.template_key)
+            template = quantity.template
         elif quantity.kind is QuantityKind.CL:
             word = quantity.word
             template = gamma_word(2)
@@ -415,16 +395,6 @@ class BoundEngine:
     def load_default_seeds(self) -> int:
         text = resources.files("verba").joinpath("data/seed.facts").read_text()
         return self.load_facts(text)
-
-    def dump_facts(self) -> str:
-        lines = []
-        for key in sorted(self.facts):
-            fact = self.facts[key]
-            if fact.hi is not None and fact.lo == fact.hi:
-                lines.append(f"{key} => {fact.lo}")
-            else:
-                lines.append(f"{key} = {fact.lo} {_fmt_bound(fact.hi)}")
-        return "\n".join(lines) + "\n"
 
     # -- tightening and the event log ---------------------------------------
 
@@ -606,7 +576,8 @@ class _RoundFacts:
         self._facts = facts
         self.since = since
         self._by_kind: dict[QuantityKind, list[Fact]] = {kind: [] for kind in QuantityKind}
-        # (context, word, template key) -> {exponent: fact}, in key order
+        # (context, word, template key) -> {exponent: fact}, in key order; a key
+        # string hashes once, where a Template would hash its body word
         self._ladders: dict[tuple, dict[int, Fact]] = {}
         # (context, word, exponent) -> facts over every template, in key order
         self._same_power: dict[tuple, list[Fact]] = {}
@@ -614,7 +585,7 @@ class _RoundFacts:
             q = fact.quantity
             self._by_kind[q.kind].append(fact)
             if q.kind is QuantityKind.L:
-                ladder = self._ladders.setdefault((q.context, q.word, q.template_key), {})
+                ladder = self._ladders.setdefault((q.context, q.word, q.template.key), {})
                 ladder[q.exponent] = fact
                 self._same_power.setdefault((q.context, q.word, q.exponent), []).append(fact)
 
@@ -625,7 +596,7 @@ class _RoundFacts:
         """The facts of quantities of ``kind``, in key order."""
         return self._by_kind[kind]
 
-    def ladder(self, context: Context, word: Word, template_key: str | None) -> dict[int, Fact]:
+    def ladder(self, context: Context, word: Word, template_key: str) -> dict[int, Fact]:
         """The L facts over ``template_key`` of the powers of ``word``, by exponent."""
         return self._ladders.get((context, word, template_key), {})
 
@@ -642,17 +613,16 @@ def _mul_hi(a: Bound, b: Bound) -> Bound:
     return a * b
 
 
-def _body_template(engine: BoundEngine, q: Quantity) -> Template | None:
-    """The template of ``q`` when it is registered and is a single word, else ``None``."""
-    template = engine.templates.get(q.template_key or "")
-    if template is None or template.body is None:
+def _body_template(q: Quantity) -> Template | None:
+    """The template of ``q`` when it is a single word, else ``None``."""
+    if q.template is None or q.template.body is None:
         return None
-    return template
+    return q.template
 
 
 def _template_scl(engine: BoundEngine, q: Quantity) -> Fact | None:
     """The ``SCL FREE`` fact of ``q``'s template body when it has an upper bound, else ``None``."""
-    template = _body_template(engine, q)
+    template = _body_template(q)
     if template is None:
         return None
     base = engine._fact(QuantityKind.SCL, Context.FREE, template.body)
@@ -703,14 +673,12 @@ def _rule_compose(engine: BoundEngine, facts: _RoundFacts):
         tq = target.quantity
         for mid in facts.same_power(tq.context, tq.word, tq.exponent):
             mq = mid.quantity
-            if mq.template_key == tq.template_key or mid.hi is None:
+            if mq.template.key == tq.template.key or mid.hi is None:
                 continue
-            mid_template = _body_template(engine, mq)
+            mid_template = _body_template(mq)
             if mid_template is None:
                 continue
-            bridge = engine._fact(
-                QuantityKind.L, Context.FREE, mid_template.body, tq.template_key, 1
-            )
+            bridge = engine._fact(QuantityKind.L, Context.FREE, mid_template.body, tq.template, 1)
             if bridge is None:
                 continue
             value = _mul_hi(mid.hi, bridge.hi)
@@ -765,9 +733,9 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _RoundFacts):
             )
 
 
-def _diagonal(engine: BoundEngine, q: Quantity) -> Template | None:
+def _diagonal(q: Quantity) -> Template | None:
     """The template when ``q`` is ``SL(w | w)`` or ``L(w | w)`` up to renaming, else ``None``."""
-    template = _body_template(engine, q)
+    template = _body_template(q)
     if template is None or canonical_renumber(q.word) != template.body:
         return None
     return template
@@ -778,7 +746,7 @@ def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
         q = fact.quantity
         if q.context is not Context.FREE:
             continue
-        template = _diagonal(engine, q)
+        template = _diagonal(q)
         if template is None or q.word == EMPTY:
             continue
         yield (q, "hi", Fraction(1), "R3", "a template over itself stabilizes at one", [])
@@ -806,7 +774,7 @@ def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
 def _rule_power_ratio(engine: BoundEngine, facts: _RoundFacts):
     for target in facts.of(QuantityKind.SL):
         tq = target.quantity
-        for n, lf in facts.ladder(tq.context, tq.word, tq.template_key).items():
+        for n, lf in facts.ladder(tq.context, tq.word, tq.template.key).items():
             if lf.hi is None:
                 continue
             yield (
@@ -822,12 +790,12 @@ def _rule_power_ratio(engine: BoundEngine, facts: _RoundFacts):
 def _rule_stable_promotion(engine: BoundEngine, facts: _RoundFacts):
     for target in facts.of(QuantityKind.SL):
         tq = target.quantity
-        template = _body_template(engine, tq)
-        diagonal = tq.context is Context.FREE and _diagonal(engine, tq) is not None
+        template = _body_template(tq)
+        diagonal = tq.context is Context.FREE and _diagonal(tq) is not None
         diag = None
         if not diagonal and template is not None:
-            diag = engine._fact(QuantityKind.SL, Context.FREE, template.body, tq.template_key)
-        for n, lf in facts.ladder(tq.context, tq.word, tq.template_key).items():
+            diag = engine._fact(QuantityKind.SL, Context.FREE, template.body, tq.template)
+        for n, lf in facts.ladder(tq.context, tq.word, tq.template.key).items():
             if lf.hi is None or lf.hi < 1:
                 continue
             if diagonal:
@@ -858,14 +826,14 @@ def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts:
         q = fact.quantity
         if q.kind is QuantityKind.SL and q.context is Context.FREE:
-            if _diagonal(engine, q) is not None:
+            if _diagonal(q) is not None:
                 diagonal_sl[grammar.canonical_key(canonical_renumber(q.word))] = fact
     for fact in facts:
         q = fact.quantity
         if q.context is not Context.FREE:
             continue
         if q.kind is QuantityKind.SL:
-            if _diagonal(engine, q) is None:
+            if _diagonal(q) is None:
                 continue
             split = fresh_commutator_split(canonical_renumber(q.word))
             if split is None:
@@ -884,7 +852,7 @@ def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
                 [inner.quantity],
             )
         elif q.kind is QuantityKind.L:
-            template = _diagonal(engine, q)
+            template = _diagonal(q)
             exponent = q.exponent or 1
             if template is None or exponent % 2 == 0:
                 continue
@@ -896,7 +864,7 @@ def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
                 continue
             inner_template = template_from_word(split[1])
             inner = engine._fact(
-                QuantityKind.L, Context.FREE, inner_template.body, inner_template.key, n + 1
+                QuantityKind.L, Context.FREE, inner_template.body, inner_template, n + 1
             )
             if inner is None or inner.hi is None:
                 continue
@@ -915,7 +883,7 @@ def _rule_chain_ceiling(engine: BoundEngine, facts: _RoundFacts):
         q = fact.quantity
         if q.context is not Context.FREE:
             continue
-        template = _diagonal(engine, q)
+        template = _diagonal(q)
         if template is None:
             continue
         n = gamma_index(template)
@@ -937,7 +905,7 @@ def _rule_perfect_comparison(engine: BoundEngine, facts: _RoundFacts):
         q = fact.quantity
         if q.context is not Context.PERFECT:
             continue
-        template = _body_template(engine, q)
+        template = _body_template(q)
         if template is None:
             continue
         n = gamma_index(template)
@@ -959,9 +927,9 @@ def _rule_gamma3_bridge(engine: BoundEngine, facts: _RoundFacts):
     gamma3_key = gamma_word(3).key
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.template_key != gamma3_key:
+        if q.template.key != gamma3_key:
             continue
-        partner = engine._fact(QuantityKind.SL, q.context, q.word, GAMMA3_FAMILY.key)
+        partner = engine._fact(QuantityKind.SL, q.context, q.word, GAMMA3_FAMILY)
         if partner is None:
             continue
         if q.context is Context.FREE:
@@ -978,7 +946,7 @@ def _rule_gamma3_bridge(engine: BoundEngine, facts: _RoundFacts):
 def _rule_unbalanced_vanish(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        template = _body_template(engine, q)
+        template = _body_template(q)
         if template is None or in_commutator_subgroup(template.body):
             continue
         yield (
@@ -994,7 +962,7 @@ def _rule_unbalanced_vanish(engine: BoundEngine, facts: _RoundFacts):
 def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        template = _body_template(engine, q)
+        template = _body_template(q)
         if template is None:
             continue
         pairs = commutator_product_decomposition(template.body)
@@ -1026,7 +994,7 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
         n = tq.exponent
-        ladder = facts.ladder(tq.context, tq.word, tq.template_key)
+        ladder = facts.ladder(tq.context, tq.word, tq.template.key)
         for a, part in ladder.items():
             if part.hi is None:
                 continue
@@ -1048,7 +1016,7 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
                 "factorizations of two powers concatenate",
                 [part.quantity, other.quantity],
             )
-        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template_key).get(n)
+        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template.key).get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
                 tq,
@@ -1062,12 +1030,12 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
 
 def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):
     beta2_key = beta_word(2).key
-    gamma3_key = gamma_word(3).key
+    gamma3 = gamma_word(3)
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
-        if q.context is not Context.PERFECT_SCL_ZERO or q.template_key != beta2_key:
+        if q.context is not Context.PERFECT_SCL_ZERO or q.template.key != beta2_key:
             continue
-        lf = engine._fact(QuantityKind.L, Context.PERFECT_SCL_ZERO, q.word, gamma3_key, 1)
+        lf = engine._fact(QuantityKind.L, Context.PERFECT_SCL_ZERO, q.word, gamma3, 1)
         if lf is None or lf.lo != 1 or lf.hi != 1:
             continue
         yield (
@@ -1081,10 +1049,10 @@ def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_cl_alias(engine: BoundEngine, facts: _RoundFacts):
-    gamma2_key = gamma_word(2).key
+    gamma2 = gamma_word(2)
     for fact in facts.of(QuantityKind.CL):
         q = fact.quantity
-        alias = engine._fact(QuantityKind.L, q.context, q.word, gamma2_key, 1)
+        alias = engine._fact(QuantityKind.L, q.context, q.word, gamma2, 1)
         if alias is None:
             continue
         yield from _linked(

@@ -4,8 +4,9 @@ A certificate records ``target = f_1 * f_2 * ... * f_k`` where each factor
 expands to ``conjugator * base^(+/-1) * conjugator^-1``.  Verification is free
 reduction of the expanded product.  A factor may additionally carry a witness
 substitution showing its base is an instance of a template (a commutator, a
-nested-commutator word, a commutator-of-commutators word, or an arbitrary
-registered template), which is what downstream length bookkeeping counts.
+nested-commutator word, a commutator-of-commutators word, or any word
+template), which is what downstream length bookkeeping counts.  A factor of
+a stock kind must carry that kind's own template.
 
 Text form (one item per line; words in the expression grammar)::
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass, field
 
 from . import grammar
@@ -75,12 +77,10 @@ class Factor:
                 f"witness does not produce the factor base: got {grammar.canonical_key(image)!r},"
                 f" expected {grammar.canonical_key(self.base)!r}"
             )
-        expected_vars = {
-            FactorKind.COMMUTATOR: 2,
-            FactorKind.BETA2_WORD: 4,
-        }.get(self.kind)
-        if expected_vars is not None and len(self.template.variables) != expected_vars:
-            raise CertificateError(f"{self.kind.value} factor has a malformed template")
+        if self.kind is not FactorKind.W_WORD:
+            n = len(self.template.variables)
+            if n < 1 or self.template != _stock_template(self.kind, n):
+                raise CertificateError(f"{self.kind.value} factor has a malformed template")
 
 
 @dataclass(frozen=True, eq=True)
@@ -140,6 +140,15 @@ class Certificate:
 # ---------------------------------------------------------------------------
 # factor constructors
 
+
+@functools.lru_cache(maxsize=32)  # bounded: n comes from certificate text
+def _stock_template(kind: FactorKind, n: int) -> Template:
+    """The template every ``kind`` factor over ``n`` variables must carry, built once."""
+    if kind is FactorKind.BETA2_WORD:
+        return beta_word(2)
+    return gamma_word(n if kind is FactorKind.GAMMA_N_WORD else 2)
+
+
 def raw_factor(base: Word, conj: Word = EMPTY) -> Factor:
     return Factor(FactorKind.RAW, base=base, conjugator=conj)
 
@@ -149,7 +158,7 @@ def commutator_factor(u: Word, v: Word, conj: Word = EMPTY) -> Factor:
         FactorKind.COMMUTATOR,
         base=commutator(u, v),
         conjugator=conj,
-        template=gamma_word(2),
+        template=_stock_template(FactorKind.COMMUTATOR, 2),
         witness={1: u, 2: v},
     )
 
@@ -158,7 +167,7 @@ def gamma3_factor(w1: Word, w2: Word, w3: Word) -> Factor:
     return Factor(
         FactorKind.GAMMA_N_WORD,
         base=commutator(w1, commutator(w2, w3)),
-        template=gamma_word(3),
+        template=_stock_template(FactorKind.GAMMA_N_WORD, 3),
         witness={1: w1, 2: w2, 3: w3},
     )
 
@@ -168,7 +177,7 @@ def beta2_factor(p1: Word, p2: Word, p3: Word, p4: Word, conj: Word = EMPTY) -> 
         FactorKind.BETA2_WORD,
         base=commutator(commutator(p1, p2), commutator(p3, p4)),
         conjugator=conj,
-        template=beta_word(2),
+        template=_stock_template(FactorKind.BETA2_WORD, 4),
         witness={1: p1, 2: p2, 3: p3, 4: p4},
     )
 
@@ -202,9 +211,9 @@ def _parse_kind(token: str) -> tuple[FactorKind, int | None, bool]:
         kind = FactorKind(parts[0])
     except ValueError:
         raise ParseError(f"unknown factor kind {parts[0]!r}") from None
-    n = None
+    n = {FactorKind.COMMUTATOR: 2, FactorKind.BETA2_WORD: 4}.get(kind)  # template variables
     if kind is FactorKind.GAMMA_N_WORD:
-        if len(parts) != 2 or not parts[1].isdigit():
+        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
             raise ParseError(f"malformed factor kind {token!r}")
         n = int(parts[1])
     elif len(parts) != 1:
@@ -239,13 +248,7 @@ def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Cert
             split = tokens.index("CONJ")
             base = grammar.parse(" ".join(tokens[:split]), names)
             conj = grammar.parse(" ".join(tokens[split + 1 :]), names)
-            template: Template | None = None
-            if kind is FactorKind.COMMUTATOR:
-                template = gamma_word(2)
-            elif kind is FactorKind.GAMMA_N_WORD:
-                template = gamma_word(n or 0)
-            elif kind is FactorKind.BETA2_WORD:
-                template = beta_word(2)
+            template = _stock_template(kind, n) if n is not None else None
             rows.append(
                 dict(kind=kind, base=base, conjugator=conj, inverted=inverted,
                      template=template, witness=None)

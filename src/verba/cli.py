@@ -111,9 +111,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 def _cmd_wlength(args: argparse.Namespace) -> int:
     from .bounds import parse_template_spec
 
-    names = grammar.NameTable()
     group = load_group(args.group)
-    template = parse_template_spec(args.template, names)
+    template = parse_template_spec(args.template)
     if args.no_cache:
         from .finite import wlength_table
 
@@ -124,7 +123,7 @@ def _cmd_wlength(args: argparse.Namespace) -> int:
         if not args.images:
             print("--element needs --images", file=sys.stderr)
             return 2
-        word = grammar.parse(args.element, names)
+        word = grammar.parse(args.element)
         ids = {str(a): a for a in range(group.order)}
         tokens = [token.strip() for token in args.images.split(",")]
         if not all(token in ids for token in tokens):

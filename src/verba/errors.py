@@ -16,7 +16,7 @@ class ParseError(VerbaError):
 
 
 class UnknownNameError(VerbaError):
-    """A name (group spec, template, rewrite rule, experiment) is not registered."""
+    """A name (group spec, quantity, rewrite rule, experiment) is not registered."""
 
 
 class CertificateError(VerbaError):

@@ -97,9 +97,7 @@ def _diagonal_scenario(
     """
     engine = BoundEngine()
     engine.load_default_seeds()
-    q = engine.declare(
-        engine.make_quantity(QuantityKind.SL, Context.FREE, template.body, template)
-    )
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, template.body, template))
     if cert is not None:
         engine.add_certificate_fact(template.body, template, exponent, cert, label=label)
     engine.propagate()
@@ -141,14 +139,12 @@ def scenario_perfect_comparison(
     engine = BoundEngine()
     g_word = gen(1)
     engine.add_fact(
-        engine.make_quantity(QuantityKind.SCL, Context.PERFECT, g_word),
+        Quantity(QuantityKind.SCL, Context.PERFECT, g_word),
         lo=s,
         hi=s,
         label="assumed stable commutator length",
     )
-    q = engine.declare(
-        engine.make_quantity(QuantityKind.SL, Context.PERFECT, g_word, gamma_word(n))
-    )
+    q = engine.declare(Quantity(QuantityKind.SL, Context.PERFECT, g_word, gamma_word(n)))
     engine.propagate()
     return engine, q
 
@@ -163,9 +159,7 @@ def scenario_grope_family(
     cert = Certificate(
         target=body, factors=(commutator_factor(gen(head), inner),), flags=()
     )
-    q_len = engine.declare(
-        engine.make_quantity(QuantityKind.L, Context.FREE, body, GAMMA3_FAMILY, 1)
-    )
+    q_len = engine.declare(Quantity(QuantityKind.L, Context.FREE, body, GAMMA3_FAMILY, 1))
     engine.add_certificate_fact(
         body,
         GAMMA3_FAMILY,
@@ -173,12 +167,8 @@ def scenario_grope_family(
         cert,
         label="single bracket whose second slot is a product of commutators",
     )
-    q_family = engine.declare(
-        engine.make_quantity(QuantityKind.SL, Context.FREE, body, GAMMA3_FAMILY)
-    )
-    q_chain = engine.declare(
-        engine.make_quantity(QuantityKind.SL, Context.FREE, body, gamma_word(3))
-    )
+    q_family = engine.declare(Quantity(QuantityKind.SL, Context.FREE, body, GAMMA3_FAMILY))
+    q_chain = engine.declare(Quantity(QuantityKind.SL, Context.FREE, body, gamma_word(3)))
     engine.propagate()
     return engine, q_len, q_family, q_chain
 

@@ -120,12 +120,14 @@ class PermutationGroup(FiniteGroup):
             perms = perms[(perms[:, i] > perms[:, j]).sum(axis=1) % 2 == 0]
         self.degree = degree
         self._perms = perms
+        # the first degree - 1 images fix a permutation, so the last gets radix 0
         radix = degree ** np.arange(degree, dtype=np.int64)
+        radix[-1] = 0
         self._radix = radix
         codes = self._perms @ radix
         # ids as narrow as the dense table's; above TABLE_CAP ``mul`` computes with them
         ids = _TABLE_IDS if len(perms) <= TABLE_CAP else np.int32
-        lookup = np.full(degree**degree, -1, dtype=ids)
+        lookup = np.full(degree ** (degree - 1), -1, dtype=ids)
         lookup[codes] = np.arange(len(perms))
         self._lookup = lookup
         identity = int(lookup[np.arange(degree, dtype=np.int64) @ radix])

@@ -100,9 +100,6 @@ class Word:
     def inverse(self) -> "Word":
         return _reduced(tuple((i, -s) for i, s in reversed(self.letters)))
 
-    def conjugated_by(self, t: "Word") -> "Word":
-        return conjugate(self, t)
-
     def generators(self) -> tuple[int, ...]:
         return tuple(sorted({i for i, _ in self.letters}))
 

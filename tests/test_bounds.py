@@ -1,8 +1,10 @@
 """Unit tests for the exact-rational interval engine and each propagation rule."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -34,8 +36,8 @@ X, Y, Z = gen(1), gen(2), gen(3)
 F = Fraction
 
 
-def mk(engine, kind, context, word, template=None, exponent=None):
-    return engine.make_quantity(kind, context, word, template, exponent)
+def intervals(engine):
+    return {key: (fact.lo, fact.hi) for key, fact in engine.facts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -97,28 +99,28 @@ def test_parse_quantity_errors():
 
 def test_quantity_validation_direct():
     with pytest.raises(ValueError):
-        Quantity(QuantityKind.SCL, Context.FREE, X, gamma_word(2).key)
+        Quantity(QuantityKind.SCL, Context.FREE, X, gamma_word(2))
     with pytest.raises(ValueError):
         Quantity(QuantityKind.L, Context.FREE, X)
     with pytest.raises(ValueError):
-        Quantity(QuantityKind.SL, Context.FREE, X, gamma_word(2).key, 2)
+        Quantity(QuantityKind.SL, Context.FREE, X, gamma_word(2), 2)
     with pytest.raises(ValueError):
-        Quantity(QuantityKind.L, Context.FREE, X, gamma_word(2).key, 0)
-    q = Quantity(QuantityKind.L, Context.FREE, X, gamma_word(2).key)
+        Quantity(QuantityKind.L, Context.FREE, X, gamma_word(2), 0)
+    q = Quantity(QuantityKind.L, Context.FREE, X, gamma_word(2))
     assert q.exponent == 1
 
 
 def test_quantity_key_is_built_once_and_stays_out_of_equality():
     w = commutator(X, power(Y, 2))
-    q = Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2).key, 3)
+    q = Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 3)
     fresh = " ".join(
         ["L", "FREE", grammar.canonical_key(w), f"| {gamma_word(2).key}", "@ 3"]
     )
     assert q.key() == fresh
     assert q.key() is q.key()
-    twin = Quantity(QuantityKind.L, Context.FREE, Word(w.letters), gamma_word(2).key, 3)
+    twin = Quantity(QuantityKind.L, Context.FREE, Word(w.letters), gamma_word(2), 3)
     assert twin == q and hash(twin) == hash(q)
-    assert twin != Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2).key, 4)
+    assert twin != Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 4)
     assert q.key() not in repr(q)
     scl = Quantity(QuantityKind.SCL, Context.PERFECT, w)
     assert scl.key() == f"SCL PERFECT {grammar.canonical_key(w)}"
@@ -136,12 +138,6 @@ def test_interval_requires_declaration():
         engine.interval("SCL FREE [x,y]")
     engine.declare("SCL FREE [x,y]")
     assert engine.interval("SCL FREE [x,y]") == (F(0), None)
-
-
-def test_declare_rejects_unregistered_template_key():
-    engine = BoundEngine()
-    with pytest.raises(UnknownNameError):
-        engine.declare(Quantity(QuantityKind.SL, Context.FREE, X, "no-such-template"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +180,13 @@ def test_facts_file_round_trip():
         "\n"
         "CL FREE [x,y] [z,t] = 1 2\n"
     )
-    dumped = engine.dump_facts()
+    keyed = "".join(
+        f"{key} = {lo} {'inf' if hi is None else hi}\n"
+        for key, (lo, hi) in intervals(engine).items()
+    )
     other = BoundEngine()
-    other.load_facts(dumped)
-    assert other.dump_facts() == dumped
-    for key in engine.facts:
-        assert engine.facts[key].lo == other.facts[key].lo
-        assert engine.facts[key].hi == other.facts[key].hi
+    other.load_facts(keyed)
+    assert intervals(other) == intervals(engine)
 
 
 def test_facts_parse_errors():
@@ -231,6 +227,25 @@ def test_loading_a_ladder_parses_its_word_and_spec_once(monkeypatch):
     )
     assert len(engine.facts) == 200
     assert calls[0] <= 2
+
+
+def test_an_engine_is_freed_with_its_last_reference():
+    # with the collector off, a reference cycle through the engine (say, a
+    # parse memo keyed by a bound method) would keep it alive
+    gc.disable()
+    try:
+        engine = BoundEngine()
+        engine.load_default_seeds()
+        engine.load_facts(
+            "".join(f"L FREE [a,b] | [a,b] @ {m} = 0 {m}\n" for m in range(1, 21))
+        )
+        engine.declare("SL FREE [a,b] | w:[p,q]")
+        engine.propagate()
+        freed = weakref.ref(engine)
+        del engine
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_a_bad_facts_line_fails_the_same_way_every_time():
@@ -310,7 +325,7 @@ def test_propagate_reaches_a_fixed_point():
     twin.declare("SCL FREE [a,b]^3")
     twin.add_fact("L FREE [a,b] | gamma2 @ 3", hi=2, provenance="CERTIFICATE")
     twin.propagate()
-    assert twin.dump_facts() == engine.dump_facts()
+    assert intervals(twin) == intervals(engine)
 
 
 def _ladder(word, his, seeds=False, extra=(), facts=()):
@@ -358,10 +373,10 @@ def _fresh_head_stable():
     engine = BoundEngine()
     outer = grope_word(2)
     inner = commutator_product_word(2)
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, outer.body, outer))
-    engine.declare(mk(engine, QuantityKind.SL, Context.FREE, inner.body, inner))
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, outer.body, outer))
+    engine.declare(Quantity(QuantityKind.SL, Context.FREE, inner.body, inner))
     engine.add_fact(
-        mk(engine, QuantityKind.SCL, Context.FREE, inner.body), F(3, 2), F(3, 2)
+        Quantity(QuantityKind.SCL, Context.FREE, inner.body), F(3, 2), F(3, 2)
     )
     engine.propagate()
     return engine, [q]
@@ -371,9 +386,9 @@ def _fresh_head_finite():
     """The cube of gamma3 over itself, from the square of gamma2 (R6)."""
     engine = BoundEngine()
     body = gamma_word(3).body
-    q = engine.declare(mk(engine, QuantityKind.L, Context.FREE, body, gamma_word(3), 3))
+    q = engine.declare(Quantity(QuantityKind.L, Context.FREE, body, gamma_word(3), 3))
     engine.add_fact(
-        mk(engine, QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(2), 2),
+        Quantity(QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(2), 2),
         hi=3,
     )
     engine.propagate()
@@ -385,10 +400,10 @@ def _one_step_beta():
     engine = BoundEngine()
     g = X * Y
     q = engine.declare(
-        mk(engine, QuantityKind.SL, Context.PERFECT_SCL_ZERO, g, beta_word(2))
+        Quantity(QuantityKind.SL, Context.PERFECT_SCL_ZERO, g, beta_word(2))
     )
     engine.add_fact(
-        mk(engine, QuantityKind.L, Context.PERFECT_SCL_ZERO, g, gamma_word(3), 1),
+        Quantity(QuantityKind.L, Context.PERFECT_SCL_ZERO, g, gamma_word(3), 1),
         F(1),
         F(1),
     )
@@ -409,9 +424,9 @@ def _cl_alias_from_length():
     """CL read off the gamma2 length of the same word (R-CL)."""
     engine = BoundEngine()
     w = commutator(X, Y) * commutator(X, Z)
-    cl_q = engine.declare(mk(engine, QuantityKind.CL, Context.FREE, w))
+    cl_q = engine.declare(Quantity(QuantityKind.CL, Context.FREE, w))
     l_q = engine.add_fact(
-        mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 1), F(1), F(2)
+        Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 1), F(1), F(2)
     )
     engine.propagate()
     return engine, [cl_q, l_q]
@@ -421,8 +436,8 @@ def _cl_alias_to_length():
     """The gamma2 length read off CL of the same word (R-CL)."""
     engine = BoundEngine()
     u = commutator(X, Y)
-    l_q = engine.declare(mk(engine, QuantityKind.L, Context.PERFECT, u, gamma_word(2), 1))
-    cl_q = engine.add_fact(mk(engine, QuantityKind.CL, Context.PERFECT, u), F(2), F(3))
+    l_q = engine.declare(Quantity(QuantityKind.L, Context.PERFECT, u, gamma_word(2), 1))
+    cl_q = engine.add_fact(Quantity(QuantityKind.CL, Context.PERFECT, u), F(2), F(3))
     engine.propagate()
     return engine, [l_q, cl_q]
 
@@ -582,7 +597,7 @@ def _all_pairs_exponent_splitting(engine, facts):
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
         n = tq.exponent
-        ladder = facts.ladder(tq.context, tq.word, tq.template_key)
+        ladder = facts.ladder(tq.context, tq.word, tq.template.key)
         for a, part in ladder.items():
             if part.hi is None:
                 continue
@@ -597,7 +612,7 @@ def _all_pairs_exponent_splitting(engine, facts):
                 "factorizations of two powers concatenate",
                 [part.quantity, other.quantity],
             )
-        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template_key).get(n)
+        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template.key).get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
                 tq,
@@ -697,12 +712,12 @@ def test_rule_trivial_and_integrality():
 def test_rule_compose():
     engine = BoundEngine()
     w = commutator(X, Y) * commutator(Z, gen(4))
-    target = engine.declare(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(3)))
+    target = engine.declare(Quantity(QuantityKind.L, Context.FREE, w, gamma_word(3)))
     engine.add_fact(
-        mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2)), hi=2
+        Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2)), hi=2
     )
     engine.add_fact(
-        mk(engine, QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(3)), hi=3
+        Quantity(QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(3)), hi=3
     )
     engine.propagate()
     assert engine.interval(target) == (F(1), F(6))
@@ -712,10 +727,10 @@ def test_rule_compose():
 def test_rule_compose_zero_times_infinity():
     engine = BoundEngine()
     w = commutator(X, Y)
-    target = engine.declare(mk(engine, QuantityKind.L, Context.PERFECT, w, gamma_word(3)))
-    engine.add_fact(mk(engine, QuantityKind.L, Context.PERFECT, w, gamma_word(2)), hi=0)
+    target = engine.declare(Quantity(QuantityKind.L, Context.PERFECT, w, gamma_word(3)))
+    engine.add_fact(Quantity(QuantityKind.L, Context.PERFECT, w, gamma_word(2)), hi=0)
     engine.declare(
-        mk(engine, QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(3))
+        Quantity(QuantityKind.L, Context.FREE, gamma_word(2).body, gamma_word(3))
     )
     engine.propagate()
     assert engine.interval(target) == (F(0), F(0))
@@ -724,10 +739,10 @@ def test_rule_compose_zero_times_infinity():
 def test_rule_scl_bridge_stable_form():
     engine = BoundEngine()
     w = commutator(X, Y) * commutator(X, Z)
-    scl_q = engine.declare(mk(engine, QuantityKind.SCL, Context.FREE, w))
-    engine.add_fact(mk(engine, QuantityKind.SL, Context.FREE, w, gamma_word(2)), hi=1)
+    scl_q = engine.declare(Quantity(QuantityKind.SCL, Context.FREE, w))
+    engine.add_fact(Quantity(QuantityKind.SL, Context.FREE, w, gamma_word(2)), hi=1)
     engine.add_fact(
-        mk(engine, QuantityKind.SCL, Context.FREE, gamma_word(2).body), hi=F(1, 2)
+        Quantity(QuantityKind.SCL, Context.FREE, gamma_word(2).body), hi=F(1, 2)
     )
     engine.propagate()
     assert engine.interval(scl_q) == (F(0), F(1))
@@ -737,10 +752,10 @@ def test_rule_scl_bridge_stable_form():
 def test_rule_scl_bridge_finite_form():
     engine = BoundEngine()
     w = commutator(X, Y)
-    scl_q = engine.declare(mk(engine, QuantityKind.SCL, Context.FREE, power(w, 3)))
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 3), hi=2)
+    scl_q = engine.declare(Quantity(QuantityKind.SCL, Context.FREE, power(w, 3)))
+    engine.add_fact(Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 3), hi=2)
     engine.add_fact(
-        mk(engine, QuantityKind.SCL, Context.FREE, gamma_word(2).body), hi=F(1, 2)
+        Quantity(QuantityKind.SCL, Context.FREE, gamma_word(2).body), hi=F(1, 2)
     )
     engine.propagate()
     assert engine.interval(scl_q) == (F(0), F(3, 2))
@@ -749,12 +764,12 @@ def test_rule_scl_bridge_finite_form():
 def test_rule_scl_bridge_clamps_at_zero():
     engine = BoundEngine()
     w = commutator(X, Y)
-    scl_q = engine.declare(mk(engine, QuantityKind.SCL, Context.PERFECT, power(w, 2)))
+    scl_q = engine.declare(Quantity(QuantityKind.SCL, Context.PERFECT, power(w, 2)))
     engine.add_fact(
-        mk(engine, QuantityKind.L, Context.PERFECT, w, gamma_word(2), 2), hi=F(1, 2)
+        Quantity(QuantityKind.L, Context.PERFECT, w, gamma_word(2), 2), hi=F(1, 2)
     )
     engine.add_fact(
-        mk(engine, QuantityKind.SCL, Context.FREE, gamma_word(2).body), hi=F(1, 2)
+        Quantity(QuantityKind.SCL, Context.FREE, gamma_word(2).body), hi=F(1, 2)
     )
     engine.propagate()
     assert engine.interval(scl_q) == (F(0), F(0))
@@ -763,8 +778,8 @@ def test_rule_scl_bridge_clamps_at_zero():
 def test_rule_diagonal_window():
     engine = BoundEngine()
     body = gamma_word(2).body
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, body, gamma_word(2)))
-    engine.add_fact(mk(engine, QuantityKind.SCL, Context.FREE, body), F(1, 2), F(1, 2))
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, body, gamma_word(2)))
+    engine.add_fact(Quantity(QuantityKind.SCL, Context.FREE, body), F(1, 2), F(1, 2))
     engine.propagate()
     # Window [scl/(scl+1/2), 1], here [1/2, 1], sharpened to hi 1/2 by the
     # nested-chain ceiling at index 2: the interval collapses.
@@ -774,7 +789,7 @@ def test_rule_diagonal_window():
 def test_rule_diagonal_window_renamed_word():
     engine = BoundEngine()
     word = commutator(gen(7), gen(3))  # same shape, different letters
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, word, gamma_word(2)))
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, word, gamma_word(2)))
     engine.propagate()
     lo, hi = engine.interval(q)
     assert lo == F(1, 2)
@@ -784,8 +799,8 @@ def test_rule_diagonal_window_renamed_word():
 def test_rule_power_ratio():
     engine = BoundEngine()
     w = commutator(X, Y)
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, w, gamma_word(3)))
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(3), 5), hi=3)
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, w, gamma_word(3)))
+    engine.add_fact(Quantity(QuantityKind.L, Context.FREE, w, gamma_word(3), 5), hi=3)
     engine.propagate()
     assert engine.interval(q) == (F(0), F(3, 5))
     assert "R4" in engine.explain(q)
@@ -794,8 +809,8 @@ def test_rule_power_ratio():
 def test_rule_stable_promotion_diagonal():
     engine = BoundEngine()
     body = gamma_word(2).body
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, body, gamma_word(2)))
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, body, gamma_word(2), 3), hi=2)
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, body, gamma_word(2)))
+    engine.add_fact(Quantity(QuantityKind.L, Context.FREE, body, gamma_word(2), 3), hi=2)
     engine.propagate()
     assert engine.interval(q) == (F(1, 2), F(1, 2))
     assert "R5" in engine.explain(q) or "R7" in engine.explain(q)
@@ -805,10 +820,10 @@ def test_rule_stable_promotion_off_diagonal():
     engine = BoundEngine()
     template = commutator_product_word(2)
     w = commutator(X, Y) * commutator(X, Z)
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, w, template))
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, w, template, 4), hi=3)
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, w, template))
+    engine.add_fact(Quantity(QuantityKind.L, Context.FREE, w, template, 4), hi=3)
     engine.add_fact(
-        mk(engine, QuantityKind.SL, Context.FREE, template.body, template),
+        Quantity(QuantityKind.SL, Context.FREE, template.body, template),
         hi=F(3, 4),
     )
     engine.propagate()
@@ -832,7 +847,7 @@ def test_rule_chain_ceiling():
     engine = BoundEngine()
     for n, want in ((2, F(1, 2)), (3, F(3, 4)), (4, F(7, 8)), (6, F(31, 32))):
         body = gamma_word(n).body
-        q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, body, gamma_word(n)))
+        q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, body, gamma_word(n)))
         engine.propagate()
         lo, hi = engine.interval(q)
         assert hi == want
@@ -842,9 +857,9 @@ def test_rule_chain_ceiling():
 def test_rule_perfect_comparison():
     engine = BoundEngine()
     g = X * Y
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.PERFECT, g, gamma_word(3)))
+    q = engine.declare(Quantity(QuantityKind.SL, Context.PERFECT, g, gamma_word(3)))
     engine.add_fact(
-        mk(engine, QuantityKind.SCL, Context.PERFECT, g), F(3, 2), F(3, 2)
+        Quantity(QuantityKind.SCL, Context.PERFECT, g), F(3, 2), F(3, 2)
     )
     engine.propagate()
     assert engine.interval(q) == (F(3, 2), F(3))
@@ -854,9 +869,9 @@ def test_rule_perfect_comparison():
 def test_rule_perfect_comparison_reverse():
     engine = BoundEngine()
     g = X * Y
-    scl_q = engine.declare(mk(engine, QuantityKind.SCL, Context.PERFECT, g))
+    scl_q = engine.declare(Quantity(QuantityKind.SCL, Context.PERFECT, g))
     engine.add_fact(
-        mk(engine, QuantityKind.SL, Context.PERFECT, g, gamma_word(4)), F(2), F(2)
+        Quantity(QuantityKind.SL, Context.PERFECT, g, gamma_word(4)), F(2), F(2)
     )
     engine.propagate()
     assert engine.interval(scl_q) == (F(1, 2), F(2))
@@ -865,8 +880,8 @@ def test_rule_perfect_comparison_reverse():
 def test_rule_perfect_comparison_not_in_free_context():
     engine = BoundEngine()
     g = X * Y
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, g, gamma_word(3)))
-    engine.add_fact(mk(engine, QuantityKind.SCL, Context.FREE, g), F(3, 2), F(3, 2))
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, g, gamma_word(3)))
+    engine.add_fact(Quantity(QuantityKind.SCL, Context.FREE, g), F(3, 2), F(3, 2))
     engine.propagate()
     assert engine.interval(q) == (F(0), None)
 
@@ -874,9 +889,9 @@ def test_rule_perfect_comparison_not_in_free_context():
 def test_rule_gamma3_bridge_free_needs_depth():
     engine = BoundEngine()
     deep = grope_word(2).body  # vanishes to depth 3
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, deep, gamma_word(3)))
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, deep, gamma_word(3)))
     engine.add_fact(
-        mk(engine, QuantityKind.SL, Context.FREE, deep, GAMMA3_FAMILY),
+        Quantity(QuantityKind.SL, Context.FREE, deep, GAMMA3_FAMILY),
         F(1, 4),
         F(1),
     )
@@ -888,9 +903,9 @@ def test_rule_gamma3_bridge_free_needs_depth():
 
     shallow = commutator(X, Y)  # depth 2: the free-context gate must refuse
     other = BoundEngine()
-    q2 = other.declare(mk(other, QuantityKind.SL, Context.FREE, shallow, gamma_word(3)))
+    q2 = other.declare(Quantity(QuantityKind.SL, Context.FREE, shallow, gamma_word(3)))
     other.add_fact(
-        mk(other, QuantityKind.SL, Context.FREE, shallow, GAMMA3_FAMILY), hi=1
+        Quantity(QuantityKind.SL, Context.FREE, shallow, GAMMA3_FAMILY), hi=1
     )
     other.propagate()
     assert other.interval(q2)[1] is None
@@ -899,9 +914,9 @@ def test_rule_gamma3_bridge_free_needs_depth():
 def test_rule_gamma3_bridge_declared_contexts():
     engine = BoundEngine()
     g = X * Y
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.PERFECT, g, gamma_word(3)))
+    q = engine.declare(Quantity(QuantityKind.SL, Context.PERFECT, g, gamma_word(3)))
     engine.add_fact(
-        mk(engine, QuantityKind.SL, Context.PERFECT, g, GAMMA3_FAMILY), hi=1
+        Quantity(QuantityKind.SL, Context.PERFECT, g, GAMMA3_FAMILY), hi=1
     )
     engine.propagate()
     assert engine.interval(q)[1] == F(2)
@@ -911,10 +926,10 @@ def test_rule_gamma3_bridge_reverse_transfer():
     engine = BoundEngine()
     g = X * Y
     partner = engine.declare(
-        mk(engine, QuantityKind.SL, Context.PERFECT, g, GAMMA3_FAMILY)
+        Quantity(QuantityKind.SL, Context.PERFECT, g, GAMMA3_FAMILY)
     )
     engine.add_fact(
-        mk(engine, QuantityKind.SL, Context.PERFECT, g, gamma_word(3)), F(1, 2), F(3, 2)
+        Quantity(QuantityKind.SL, Context.PERFECT, g, gamma_word(3)), F(1, 2), F(3, 2)
     )
     engine.propagate()
     assert engine.interval(partner) == (F(1, 4), F(3, 2))
@@ -925,8 +940,8 @@ def test_rule_gamma3_bridge_skips_over_budget_words():
     wide = Word()
     for i in range(1, 12):
         wide = wide * gen(i)
-    q = engine.declare(mk(engine, QuantityKind.SL, Context.FREE, wide, gamma_word(3)))
-    engine.add_fact(mk(engine, QuantityKind.SL, Context.FREE, wide, GAMMA3_FAMILY), hi=1)
+    q = engine.declare(Quantity(QuantityKind.SL, Context.FREE, wide, gamma_word(3)))
+    engine.add_fact(Quantity(QuantityKind.SL, Context.FREE, wide, GAMMA3_FAMILY), hi=1)
     engine.propagate()
     assert engine.interval(q)[1] is None
 
@@ -936,7 +951,7 @@ def test_rule_unbalanced_vanish():
     lopsided = template_from_word(power(X, 2) * Y)
     for context in (Context.FREE, Context.PERFECT):
         q = engine.declare(
-            mk(engine, QuantityKind.SL, context, commutator(X, Y), lopsided)
+            Quantity(QuantityKind.SL, context, commutator(X, Y), lopsided)
         )
         engine.propagate()
         assert engine.interval(q)[1] == F(0)
@@ -947,9 +962,9 @@ def test_rule_block_division():
     engine = BoundEngine()
     u = power(commutator(X, Y), 2)
     q = engine.declare(
-        mk(engine, QuantityKind.SL, Context.FREE, u, commutator_product_word(2))
+        Quantity(QuantityKind.SL, Context.FREE, u, commutator_product_word(2))
     )
-    engine.add_fact(mk(engine, QuantityKind.SCL, Context.FREE, u), hi=F(3, 2))
+    engine.add_fact(Quantity(QuantityKind.SCL, Context.FREE, u), hi=F(3, 2))
     engine.propagate()
     assert engine.interval(q) == (F(0), F(3, 4))
     assert "R12" in engine.explain(q)
@@ -958,9 +973,9 @@ def test_rule_block_division():
 def test_rule_exponent_splitting():
     engine = BoundEngine()
     w = commutator(X, Y)
-    q = engine.declare(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 5))
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 2), hi=1)
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 3), hi=2)
+    q = engine.declare(Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 5))
+    engine.add_fact(Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 2), hi=1)
+    engine.add_fact(Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 3), hi=2)
     engine.propagate()
     assert engine.interval(q) == (F(1), F(3))
     assert "R13" in engine.explain(q)
@@ -970,9 +985,9 @@ def test_rule_inverse_mirror():
     engine = BoundEngine()
     w = commutator(X, Y)
     q = engine.declare(
-        mk(engine, QuantityKind.L, Context.FREE, w.inverse(), gamma_word(2), 2)
+        Quantity(QuantityKind.L, Context.FREE, w.inverse(), gamma_word(2), 2)
     )
-    engine.add_fact(mk(engine, QuantityKind.L, Context.FREE, w, gamma_word(2), 2), hi=4)
+    engine.add_fact(Quantity(QuantityKind.L, Context.FREE, w, gamma_word(2), 2), hi=4)
     engine.propagate()
     assert engine.interval(q) == (F(1), F(4))
     assert "R13" in engine.explain(q)
@@ -986,9 +1001,9 @@ def test_rule_one_step_beta():
     # The same facts in a merely perfect context must not conclude anything.
     other = BoundEngine()
     g = X * Y
-    q2 = other.declare(mk(other, QuantityKind.SL, Context.PERFECT, g, beta_word(2)))
+    q2 = other.declare(Quantity(QuantityKind.SL, Context.PERFECT, g, beta_word(2)))
     other.add_fact(
-        mk(other, QuantityKind.L, Context.PERFECT, g, gamma_word(3), 1), F(1), F(1)
+        Quantity(QuantityKind.L, Context.PERFECT, g, gamma_word(3), 1), F(1), F(1)
     )
     other.propagate()
     assert other.interval(q2)[1] is None

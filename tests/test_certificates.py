@@ -157,3 +157,24 @@ def test_power_target_round_trip():
         flags=(),
     )
     cert.check()
+
+
+def test_stock_kinds_carry_their_own_templates():
+    from verba.certificates import Factor
+
+    with pytest.raises(ParseError, match="malformed factor kind"):
+        parse_certificate("TARGET 1\nFACTOR GAMMA_N_WORD:0 1 CONJ 1\n")
+    empty = template_from_word(EMPTY)
+    for kind in (FactorKind.COMMUTATOR, FactorKind.GAMMA_N_WORD, FactorKind.BETA2_WORD):
+        bad = Factor(kind, base=EMPTY, template=empty, witness={})
+        with pytest.raises(CertificateError, match="malformed template"):
+            bad.check()
+    # a gamma3 template under COMMUTATOR has the right base but the wrong kind
+    bad = Factor(
+        FactorKind.COMMUTATOR,
+        base=commutator(gen(1), commutator(gen(2), gen(3))),
+        template=gamma_word(3),
+        witness={1: gen(1), 2: gen(2), 3: gen(3)},
+    )
+    with pytest.raises(CertificateError, match="malformed template"):
+        bad.check()

@@ -449,6 +449,39 @@ def test_bound_facts_file_and_explain(capsys, tmp_path):
     assert any(line.startswith("FACT ") for line in out.splitlines())
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (  # the form bound prints, under seeds that name generator 1 'a'
+            ["bound", "--declare", "L FREE [x,y]^2 | x1 x2 x1^-1 x2^-1 @ 1"],
+            "L FREE x y x^-1 y^-1 x y x^-1 y^-1 | x1 x2 x1^-1 x2^-1 @ 1 = [1, inf]\n",
+        ),
+        (  # each quantity shows the label it was made with
+            [
+                "bound", "--no-default-seeds",
+                "--declare", "SL FREE [a,b] | [p,q]", "--declare", "SL FREE [a,b]^2 | gamma2",
+            ],
+            "SL FREE a b a^-1 b^-1 | x1 x2 x1^-1 x2^-1 = [1/2, 1/2]\n"
+            "SL FREE a b a^-1 b^-1 a b a^-1 b^-1 | gamma2 = [0, inf]\n",
+        ),
+        (  # x is the element's first generator, whatever the template calls its own
+            ["wlength", "--group", "A5", "--template", "[p,q]", "--element", "x", "--images", "3"],
+            "A5: element (0 2 1 4 3) distance 1\n",
+        ),
+        (
+            [
+                "wlength", "--group", "S3", "--template", "[y,x]",
+                "--element", "x y", "--images", "3,1",
+            ],
+            "S3: element (2 1 0) distance unreachable\n",
+        ),
+    ],
+    ids=["reparse-printed-key", "own-label", "element-names", "element-order"],
+)
+def test_a_template_binds_its_own_variable_names(capsys, argv, want):
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_bound_inconsistency_exit_code(capsys, tmp_path):
     facts = tmp_path / "broken.facts"
     facts.write_text("L FREE [x,y] | gamma2 @ 1 => 0\n")
@@ -548,6 +581,47 @@ def test_cover_known_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "cover", "--n", "2", "--certificate", str(cert_file))
     assert code == 1
     assert "shape certificate: FAIL" in out
+
+
+# A TEMPLATE line may not stand in for the template of a stock factor kind:
+# none of these bases is an instance of its kind's template.
+_FORGED_TEMPLATES = {
+    "COMMUTATOR": (
+        "TARGET x^2 y^2\nFACTOR COMMUTATOR x^2 y^2 CONJ 1\nTEMPLATE x1^2 x2^2\n"
+        "WITNESS 1 = x ; 2 = y\nCOUNTS COMMUTATOR=1\n"
+    ),
+    "GAMMA_N_WORD": (
+        "TARGET x^2 y^2\nFACTOR GAMMA_N_WORD:2 x^2 y^2 CONJ 1\nTEMPLATE x1^2 x2^2\n"
+        "WITNESS 1 = x ; 2 = y\nCOUNTS GAMMA_N_WORD:2=1\n"
+    ),
+    "BETA2_WORD": (
+        "TARGET a^2 b^2 c^2 d\nFACTOR BETA2_WORD a^2 b^2 c^2 d CONJ 1\n"
+        "TEMPLATE x1^2 x2^2 x3^2 x4\nWITNESS 1 = a ; 2 = b ; 3 = c ; 4 = d\n"
+        "COUNTS BETA2_WORD=1\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FORGED_TEMPLATES))
+def test_verify_fails_a_stock_factor_under_another_template(capsys, tmp_path, kind):
+    path = tmp_path / "forged.cert"
+    path.write_text(_FORGED_TEMPLATES[kind])
+    code, out, _ = run(capsys, "verify", str(path), "--records")
+    assert (code, out) == (1, f"FAIL: {kind} factor has a malformed template\n")
+
+
+def test_cover_fails_a_shape_certificate_under_another_template(capsys, tmp_path):
+    # 1 * 1 * [x,y]^5, each factor tagged COMMUTATOR under the template x1 x2
+    path = tmp_path / "forged.cert"
+    path.write_text(
+        "TARGET [x,y]^5\n"
+        "FACTOR COMMUTATOR 1 CONJ 1\nTEMPLATE x1 x2\nWITNESS 1 = y^-3 ; 2 = y^3\n"
+        "FACTOR COMMUTATOR 1 CONJ 1\nTEMPLATE x1 x2\nWITNESS 1 = y^-1 ; 2 = y\n"
+        "FACTOR COMMUTATOR [x,y]^5 CONJ 1\nTEMPLATE x1 x2\nWITNESS 1 = [x,y]^5 y^-1 ; 2 = y\n"
+    )
+    code, out, _ = run(capsys, "cover", "--n", "2", "--certificate", str(path))
+    assert code == 1
+    assert out.endswith("shape certificate: FAIL\n")
 
 
 def test_cover_known_certificate_unavailable(capsys):

@@ -336,6 +336,20 @@ def test_parsing_a_table_file_of_order_2048_keeps_one_16_bit_table():
     assert TableGroup("t", group._table)._table is group._table
 
 
+def test_loading_s8_keeps_a_lookup_over_the_first_seven_images():
+    # the code -> id lookup spans 8**7 codes; over all 8**8 it peaked at 67 MiB
+    tracemalloc.start()
+    try:
+        group = load_group("S8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert group._lookup.size == 8**7
+    ids = np.arange(group.order)
+    assert np.array_equal(group.mul(ids, group.inverses()), np.full(group.order, group.identity))
+
+
 _REJECTED_TABLES = [
     (np.zeros((2, 3), dtype=np.int64), "multiplication table must be square"),
     (np.array([[0, 1], [1, 2]]), "table entries must be ids in range"),

@@ -28,7 +28,7 @@ from verba.identities import (
     telescope_line,
     verify_identity,
 )
-from verba.words import EMPTY, commutator, gen, power, substitute
+from verba.words import EMPTY, commutator, conjugate, gen, power, substitute
 
 
 def test_elementary_identities_random():
@@ -170,7 +170,7 @@ def test_gamma3_triangle_pinned_small_case():
     assert len(cert.factors) == 1
     factor = cert.factors[0]
     assert factor.base == commutator(gen(1), gen(2))
-    assert factor.expanded() == commutator(gen(1), gen(2)).conjugated_by(gen(1))
+    assert factor.expanded() == conjugate(commutator(gen(1), gen(2)), gen(1))
 
 
 def test_hall_witt_split_counts():

@@ -1,5 +1,6 @@
 """Metamorphic checks across layers: answers must not depend on how a group's
-elements are named or on what the distance-table cache holds.
+elements are named, on how a template's variables are named, or on what the
+distance-table cache holds.
 
 Relabelling a group's elements gives an isomorphic group, so its distance
 histograms are the same.  Ore's conjecture (Liebeck, O'Brien, Shalev and
@@ -20,8 +21,9 @@ from verba import cache
 from verba.certificates import Certificate, parse_certificate
 from verba.cli import main
 from verba.finite import load_group, registry_small_groups
+from verba.grammar import NameTable, format_word
 from verba.identities import REWRITE_RULES
-from verba.templates import gamma_word
+from verba.templates import beta_word, commutator_product_word, gamma_word
 from verba.words import commutator, gen, substitute
 
 
@@ -133,3 +135,73 @@ def test_renaming_generators_keeps_certificates_checked(rule):
         assert renamed.counts() == cert.counts()
         for c in (cert, renamed):
             assert parse_certificate(c.serialize()) == c
+
+
+# -- template spellings ------------------------------------------------------
+#
+# A template's variables are bound in its own text (Neumann, *Varieties of
+# Groups*, 1967), so renaming them changes no verbal subgroup and no length.
+# Each stock template is spelt by its name, as ``w:`` and a word whose variable
+# names are drawn from a pool that collides with the seeds' names (``a`` to
+# ``h``), with canonical names (``x1``) and with the names of the words the
+# template is measured on, and as its canonical key.
+
+_TEMPLATES = {
+    "gamma2": gamma_word(2),
+    "gamma3": gamma_word(3),
+    "beta2": beta_word(2),
+    "commutator_product2": commutator_product_word(2),
+}
+_NAME_POOL = ("a", "b", "c", "x", "y", "x1", "x2", "x4", "p", "gamma2")
+
+
+def _spellings(name):
+    template = _TEMPLATES[name]
+    rng = random.Random(f"spell {name}")
+    spellings = [name, template.key]
+    for _ in range(3):
+        names = NameTable()
+        for var, chosen in zip(template.variables, rng.sample(_NAME_POOL, len(template.variables))):
+            names.bind(chosen, var)
+        spellings.append("w:" + format_word(template.body, names))
+    return template, spellings
+
+
+def _cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", sorted(_TEMPLATES))
+def test_bound_does_not_depend_on_how_a_template_is_spelt(capsys, monkeypatch, name):
+    monkeypatch.delenv("VERBA_SEEDS", raising=False)
+    template, spellings = _spellings(name)
+    seed_names = NameTable()  # a, b, c, ... as the default seeds name generators 1, 2, 3, ...
+    for var in template.variables:
+        seed_names.bind("abcdefgh"[var - 1], var)
+    word = format_word(template.body, seed_names)
+    outputs = set()
+    for spec in spellings:
+        declared = (f"SL FREE {word} | {spec}", f"L FREE {word} x | {spec} @ 3")
+        argv = [arg for text in declared for arg in ("--declare", text)]
+        code, out, err = _cli(capsys, "bound", *argv, "--records")
+        assert (code, err) == (0, ""), spec
+        shown = out.splitlines()[: len(declared)]
+        for line in shown:
+            assert f" | {template.label if spec == name else template.key} " in line
+            code, again, err = _cli(capsys, "bound", "--declare", line.rsplit(" = ", 1)[0])
+            assert (code, err, again) == (0, "", line + "\n"), spec
+        outputs.add(out.replace(f" | {name} ", f" | {template.key} "))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("name", sorted(_TEMPLATES))
+def test_wlength_does_not_depend_on_how_a_template_is_spelt(capsys, name):
+    _, spellings = _spellings(name)
+    for group, images in (("S3", "3,1,2"), ("A5", "7,30,2")):
+        outputs = set()
+        for spec in spellings:
+            argv = ["--group", group, "--template", spec, "--element", "a x1^-1 x"]
+            outputs.add(wlength(capsys, *argv, "--images", images))
+        assert len(outputs) == 1, (group, outputs)
