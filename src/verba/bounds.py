@@ -27,17 +27,18 @@ Facts file format (one fact per line, ``#`` comments)::
     SL PERFECT g | gamma3 = 1/2 inf
 
 i.e. ``=> value`` for exact, or ``= lo hi`` with ``inf`` allowed as the
-upper bound.  Template specs are ``gamma<n>``, ``beta<n>``,
-``commutator_product<g>``, ``grope<n>``, ``Gamma3``, or any word expression,
-whose variables are bound in the spec's own text.  A ``Quantity`` holds its
-``Template``; its key names the template by structure (``| <template.key>``)
-and ``display`` by the label it was made with.
+upper bound.  The ``| spec`` text is read by ``templates.parse_template_spec``
+(``gamma<n>``, ``beta<n>``, ``commutator_product<g>``, ``grope<n>``,
+``Gamma3``, or any word expression, whose variables are bound in the spec's
+own text), and the rules take their stock templates from ``templates``, which
+builds each one once.  A ``Quantity`` holds its ``Template``; its key names
+the template by structure (``| <template.key>``) and ``display`` by the label
+it was made with.
 """
 from __future__ import annotations
 
 import enum
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -56,11 +57,10 @@ from .templates import (
     Template,
     beta_word,
     commutator_product_decomposition,
-    commutator_product_word,
     fresh_commutator_split,
     gamma_index,
     gamma_word,
-    grope_word,
+    parse_template_spec,
     template_from_word,
 )
 from .words import EMPTY, Word, canonical_renumber, in_commutator_subgroup, power
@@ -166,36 +166,6 @@ def _parse_bound(token: str, allow_inf: bool) -> Bound:
     return value
 
 
-_TEMPLATE_SPEC_RE = re.compile(r"(gamma|beta|commutator_product|grope)([1-9][0-9]*)\Z")
-
-
-def parse_template_spec(text: str) -> Template:
-    """The template a ``| spec`` text names.
-
-    A word's variables are bound in its own text, in a fresh name table:
-    renaming them changes no template, and no other text's names.
-    """
-    text = text.strip()
-    if text == GAMMA3_FAMILY.key:
-        return GAMMA3_FAMILY
-    if text.startswith("w:"):
-        return template_from_word(grammar.parse(text[2:]))
-    match = _TEMPLATE_SPEC_RE.match(text)
-    if match is not None:
-        builder = {
-            "gamma": gamma_word,
-            "beta": beta_word,
-            "commutator_product": commutator_product_word,
-            "grope": grope_word,
-        }[match.group(1)]
-        try:
-            index = int(match.group(2))
-        except ValueError:  # past Python's limit on int-string conversion
-            raise ResourceBudgetError(f"template index of {len(match.group(2))} digits") from None
-        return builder(index)
-    return template_from_word(grammar.parse(text))
-
-
 class BoundEngine:
     """Holds declared quantities, their intervals, and the event log."""
 
@@ -228,10 +198,13 @@ class BoundEngine:
         if template_part.strip():
             template = self._parse_once(parse_template_spec, template_part)
         exponent = None
-        if exp_part.strip():
-            if not exp_part.strip().lstrip("-").isdigit():
-                raise ParseError(f"bad exponent {exp_part.strip()!r}")
-            exponent = int(exp_part.strip())
+        exp_text = exp_part.strip()
+        if exp_text:
+            negative = exp_text.startswith("-")
+            exponent = grammar.read_decimal(exp_text[1:] if negative else exp_text, "exponent")
+            if exponent is None:
+                raise ParseError(f"bad exponent {exp_text!r}")
+            exponent = -exponent if negative else exponent
         try:
             return Quantity(kind, context, word, template, exponent)
         except ValueError as exc:

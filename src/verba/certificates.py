@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 from dataclasses import dataclass, field
 
 from . import grammar
@@ -132,18 +131,24 @@ class Certificate:
                 lines.append("WITNESS " + " ; ".join(parts))
         for flag in self.flags:
             lines.append(f"FLAG {flag}")
-        counts = " ".join(f"{k}={v}" for k, v in self.counts().items())
-        lines.append(f"COUNTS {counts}" if counts else "COUNTS -")
+        lines.append(self.counts_line())
         return "\n".join(lines) + "\n"
+
+    def counts_line(self) -> str:
+        """The ``COUNTS`` line: each kind token and its factor count, or ``-``."""
+        counts = " ".join(f"{k}={v}" for k, v in self.counts().items())
+        return f"COUNTS {counts or '-'}"
 
 
 # ---------------------------------------------------------------------------
 # factor constructors
 
 
-@functools.lru_cache(maxsize=32)  # bounded: n comes from certificate text
-def _stock_template(kind: FactorKind, n: int) -> Template:
-    """The template every ``kind`` factor over ``n`` variables must carry, built once."""
+def _stock_template(kind: FactorKind, n: int) -> Template | None:
+    """The template a ``kind`` factor must carry (``n`` indexes ``GAMMA_N_WORD``),
+    or ``None`` for ``W_WORD`` and ``RAW``."""
+    if kind in (FactorKind.W_WORD, FactorKind.RAW):
+        return None
     if kind is FactorKind.BETA2_WORD:
         return beta_word(2)
     return gamma_word(n if kind is FactorKind.GAMMA_N_WORD else 2)
@@ -158,7 +163,7 @@ def commutator_factor(u: Word, v: Word, conj: Word = EMPTY) -> Factor:
         FactorKind.COMMUTATOR,
         base=commutator(u, v),
         conjugator=conj,
-        template=_stock_template(FactorKind.COMMUTATOR, 2),
+        template=gamma_word(2),
         witness={1: u, 2: v},
     )
 
@@ -167,7 +172,7 @@ def gamma3_factor(w1: Word, w2: Word, w3: Word) -> Factor:
     return Factor(
         FactorKind.GAMMA_N_WORD,
         base=commutator(w1, commutator(w2, w3)),
-        template=_stock_template(FactorKind.GAMMA_N_WORD, 3),
+        template=gamma_word(3),
         witness={1: w1, 2: w2, 3: w3},
     )
 
@@ -177,7 +182,7 @@ def beta2_factor(p1: Word, p2: Word, p3: Word, p4: Word, conj: Word = EMPTY) -> 
         FactorKind.BETA2_WORD,
         base=commutator(commutator(p1, p2), commutator(p3, p4)),
         conjugator=conj,
-        template=_stock_template(FactorKind.BETA2_WORD, 4),
+        template=beta_word(2),
         witness={1: p1, 2: p2, 3: p3, 4: p4},
     )
 
@@ -202,7 +207,8 @@ def with_conjugator_prefix(factor: Factor, prefix: Word) -> Factor:
     return dataclasses.replace(factor, conjugator=prefix * factor.conjugator)
 
 
-def _parse_kind(token: str) -> tuple[FactorKind, int | None, bool]:
+def _parse_kind(token: str) -> tuple[FactorKind, Template | None, bool]:
+    """The kind, stock template and inversion a ``FACTOR`` token names."""
     parts = token.split(":")
     inverted = parts[-1] == "INV"
     if inverted:
@@ -211,14 +217,14 @@ def _parse_kind(token: str) -> tuple[FactorKind, int | None, bool]:
         kind = FactorKind(parts[0])
     except ValueError:
         raise ParseError(f"unknown factor kind {parts[0]!r}") from None
-    n = {FactorKind.COMMUTATOR: 2, FactorKind.BETA2_WORD: 4}.get(kind)  # template variables
-    if kind is FactorKind.GAMMA_N_WORD:
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+    if kind is not FactorKind.GAMMA_N_WORD:
+        if len(parts) != 1:
             raise ParseError(f"malformed factor kind {token!r}")
-        n = int(parts[1])
-    elif len(parts) != 1:
+        return kind, _stock_template(kind, 0), inverted
+    n = grammar.read_decimal(parts[1], "factor kind index") if len(parts) == 2 else None
+    if not n:  # no index, not decimal digits, or 0
         raise ParseError(f"malformed factor kind {token!r}")
-    return kind, n, inverted
+    return kind, gamma_word(n), inverted
 
 
 def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Certificate:
@@ -241,14 +247,13 @@ def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Cert
             target = grammar.parse(rest, names)
         elif tag == "FACTOR":
             token, _, remainder = rest.partition(" ")
-            kind, n, inverted = _parse_kind(token)
+            kind, template, inverted = _parse_kind(token)
             tokens = remainder.split()
             if "CONJ" not in tokens:
                 raise ParseError("FACTOR line missing CONJ")
             split = tokens.index("CONJ")
             base = grammar.parse(" ".join(tokens[:split]), names)
             conj = grammar.parse(" ".join(tokens[split + 1 :]), names)
-            template = _stock_template(kind, n) if n is not None else None
             rows.append(
                 dict(kind=kind, base=base, conjugator=conj, inverted=inverted,
                      template=template, witness=None)
@@ -264,10 +269,11 @@ def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Cert
                 raise ParseError("WITNESS line before any FACTOR")
             witness: dict[int, Word] = {}
             for part in rest.split(";"):
-                var, eq, expr = part.partition("=")
-                if not eq or not var.strip().isdigit():
+                digits, eq, expr = part.partition("=")
+                var = grammar.read_decimal(digits.strip(), "WITNESS variable") if eq else None
+                if var is None:
                     raise ParseError(f"malformed WITNESS entry {part.strip()!r}")
-                witness[int(var.strip())] = grammar.parse(expr.strip(), names)
+                witness[var] = grammar.parse(expr.strip(), names)
             rows[-1]["witness"] = witness
         elif tag == "FLAG":
             flags.append(rest)
@@ -276,9 +282,10 @@ def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Cert
             if rest != "-":
                 for part in rest.split():
                     key, eq, value = part.partition("=")
-                    if not eq or not value.isdigit():
+                    count = grammar.read_decimal(value, "COUNTS value") if eq else None
+                    if count is None:
                         raise ParseError(f"malformed COUNTS entry {part!r}")
-                    declared_counts[key] = int(value)
+                    declared_counts[key] = count
         else:
             raise ParseError(f"unknown certificate line {tag!r}")
     if target is None:

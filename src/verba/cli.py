@@ -35,6 +35,7 @@ from .errors import (
 )
 from .finite import bi_invariance_check, eval_word, load_group
 from .identities import REWRITE_RULES
+from .templates import parse_template_spec
 
 
 def _read_text(path: str) -> str:
@@ -82,13 +83,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except CertificateError as exc:
         print(f"FAIL: {exc}")
         return 1
-    counts = ", ".join(f"{k}={v}" for k, v in sorted(cert.counts().items())) or "-"
     print(
         f"PASS: product of {len(cert.factors)} factors reduces to"
         f" {grammar.format_word(cert.target, names)}"
     )
     if args.records:
-        print(f"COUNTS {counts}")
+        print(cert.counts_line())
     return 0
 
 
@@ -103,14 +103,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     cert = rule.build([a for a in args.args if a not in ("--", "--records")], names)
     print(cert.serialize(names), end="")
     if args.records or "--records" in args.args:
-        counts = ", ".join(f"{k}={v}" for k, v in sorted(cert.counts().items())) or "-"
-        print(f"COUNTS {counts}")
+        print(cert.counts_line())
     return 0
 
 
 def _cmd_wlength(args: argparse.Namespace) -> int:
-    from .bounds import parse_template_spec
-
     group = load_group(args.group)
     template = parse_template_spec(args.template)
     if args.no_cache:
@@ -331,11 +328,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, UnknownNameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InconsistencyError as exc:
-        print(f"INCONSISTENT: {exc}", file=sys.stderr)
-        if exc.trace:
-            print(exc.trace, file=sys.stderr)
-        return 1
     except VerbaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,8 +20,10 @@ breadth-first ball growth and the bi-invariance check use one contract:
 :meth:`FiniteGroup.inverses`.  ``mul`` looks products up in a dense table of
 16-bit ids built on first use, except for permutation groups of order above
 ``TABLE_CAP`` (S7, S8, A8), where it composes the permutations directly.
-The scalar ``multiply`` / ``inverse`` use each backend's own arithmetic and
-serve only as an independent check of ``mul``.
+``inverses`` is built once from each backend's arrays: an argsort of the
+permutations, the adjugates of the matrices, or the identity's position in
+each table row.  The scalar ``multiply`` / ``inverse`` use each backend's own
+arithmetic and serve only as an independent check of ``mul`` and ``inverses``.
 
 Every template's values come from one enumeration loop over per-variable
 domains of ids (``template_values``); ``Gamma3`` is ``[x1, x2]`` with ``x2``
@@ -39,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import grammar
 from .errors import ParseError, ResourceBudgetError, UnknownNameError
 from .templates import GAMMA3_FAMILY, Template, gamma_word
 from .words import Word, commutator, gen
@@ -89,11 +92,13 @@ class FiniteGroup:
             self._table = self._build_table()
         return self._table[a_ids, b_ids]
 
+    def _build_inverses(self) -> np.ndarray:
+        raise NotImplementedError
+
     def inverses(self) -> np.ndarray:
+        """``inverses()[a]`` is the id of ``a``'s inverse, built on first use."""
         if self._inverses is None:
-            self._inverses = np.array(
-                [self.inverse(a) for a in range(self.order)], dtype=np.int32
-            )
+            self._inverses = self._build_inverses()
         return self._inverses
 
     def conjugacy_labels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -145,6 +150,10 @@ class PermutationGroup(FiniteGroup):
 
     def element_name(self, a: int) -> str:
         return "(" + " ".join(str(v) for v in self._perms[a]) + ")"
+
+    def _build_inverses(self) -> np.ndarray:
+        # sorting a permutation's images by value lists its inverse
+        return self._lookup[np.argsort(self._perms, axis=1) @ self._radix].astype(np.int32)
 
     def mul(self, a_ids, b_ids) -> np.ndarray:
         # Above the cap a dense table (order**2 ids) costs more memory and
@@ -213,6 +222,12 @@ class SL2Group(FiniteGroup):
     def element_name(self, a: int) -> str:
         m = self._mats[a]
         return f"[[{m[0]},{m[1]}],[{m[2]},{m[3]}]]"
+
+    def _build_inverses(self) -> np.ndarray:
+        # determinant one, so the inverse is the adjugate (d, -b, -c, a)
+        a, b, c, d = self._mats.T
+        adjugate = np.stack([d, -b % self.p, -c % self.p, a], axis=-1)
+        return self._lookup[adjugate @ self._radix].astype(np.int32)
 
     def _build_table(self) -> np.ndarray:
         table = np.empty((self.order, self.order), dtype=_TABLE_IDS)
@@ -294,9 +309,10 @@ def parse_table_text(spec: str, text: str) -> TableGroup:
                 continue
             if order is None:
                 head, _, value = line.partition(" ")
-                if head != "order" or not value.strip().isdigit():
+                if head == "order":
+                    order = grammar.read_decimal(value.strip(), "table order")
+                if order is None:
                     raise ParseError("table file must start with 'order N'")
-                order = int(value)
                 continue
             try:
                 row = np.fromstring(line, dtype=np.int64, sep=" ")
@@ -405,8 +421,6 @@ def template_values(group: FiniteGroup, template: Template) -> np.ndarray:
     """
     gamma3 = template.key == GAMMA3_FAMILY.key
     body = commutator(gen(1), gen(2)) if gamma3 else template.body
-    if body is None:
-        raise UnknownNameError(f"cannot enumerate template {template.label!r}")
     variables = body.generators()
     k = len(variables)
     if group.order**k > ENUMERATION_BUDGET:

@@ -87,10 +87,26 @@ class CanonicalNameTable(NameTable):
             return found
         match = _CANONICAL_RE.match(name)
         if match is not None:
-            index = int(match.group(1))
+            index = read_decimal(match.group(1), "generator index")
             self.bind(name, index)
             return index
         return super().index(name)
+
+
+def read_decimal(text: str, what: str) -> int | None:
+    """The number ``text`` spells in decimal digits (what ``str.isdecimal``
+    accepts), or ``None`` for any other text, which each caller reports as
+    its own ``ParseError``.
+
+    Every number in input text is read here; more digits than Python converts
+    to an int raise ``ResourceBudgetError`` naming ``what``.
+    """
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past Python's limit on int-string conversion
+        raise ResourceBudgetError(f"{what} of {len(text)} digits") from None
 
 
 def canonical_table() -> CanonicalNameTable:
@@ -150,12 +166,9 @@ class _Parser:
             if negative:
                 self.take("-")
             digits = self.take_any("an exponent")
-            if not digits.isdigit():
+            exponent = read_decimal(digits, "exponent")
+            if exponent is None:
                 raise ParseError(f"expected an exponent, found {digits!r}")
-            try:
-                exponent = int(digits)
-            except ValueError:  # past Python's limit on int-string conversion
-                raise ResourceBudgetError(f"exponent of {len(digits)} digits") from None
             result = power(base, -exponent if negative else exponent)
         else:
             result = conjugate(base, self.atom())

@@ -15,9 +15,17 @@ image of its body.  The stock families:
 Templates compare by structure: the key of a single-word template is the
 canonical string of its body, so differently named but identical templates
 coincide.
+
+This module is the one home of the stock templates.  ``parse_template_spec``
+reads their names (``gamma3``, ``beta2``, ``Gamma3``, ...) for the bound
+engine and the CLI, and ``gamma_word`` and ``beta_word``, the families that
+the bound rules and the certificate kinds name, build each index once and
+hand every later caller the same object.
 """
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass, field
 
 from . import grammar
@@ -28,6 +36,7 @@ from .words import (
     check_size,
     commutator,
     gen,
+    in_commutator_subgroup,
     product,
     substitute,
 )
@@ -63,6 +72,7 @@ def template_from_word(body: Word, label: str | None = None) -> Template:
     return Template(key=key, label=label or key, body=body, variables=body.generators())
 
 
+@functools.lru_cache(maxsize=32)  # bounded: n comes from spec and certificate text
 def gamma_word(n: int) -> Template:
     if n < 1:
         raise ValueError("gamma_word needs n >= 1")
@@ -74,6 +84,7 @@ def gamma_word(n: int) -> Template:
     return template_from_word(body, f"gamma{n}")
 
 
+@functools.lru_cache(maxsize=32)
 def beta_word(n: int) -> Template:
     if n < 1:
         raise ValueError("beta_word needs n >= 1")
@@ -108,12 +119,32 @@ def gamma_index(t: Template) -> int | None:
     """``n`` when ``t`` is structurally ``gamma_word(n)``, else ``None``."""
     if t.body is None:
         return None
-    n = 1
-    while 3 * 2 ** (n - 1) - 2 <= len(t.body):  # the length of gamma_word(n)
-        if gamma_word(n).body == t.body:
-            return n
-        n += 1
-    return None
+    half, rest = divmod(len(t.body) + 2, 3)  # gamma_word(n) has 3 * 2**(n-1) - 2 letters
+    n = half.bit_length()
+    return n if not rest and half == 1 << (n - 1) and gamma_word(n).body == t.body else None
+
+
+_FAMILIES = {
+    "gamma": gamma_word, "beta": beta_word,
+    "commutator_product": commutator_product_word, "grope": grope_word,
+}
+_SPEC_RE = re.compile(f"({'|'.join(_FAMILIES)})([1-9][0-9]*)\\Z")
+
+
+def parse_template_spec(text: str) -> Template:
+    """The template a spec names: ``gamma<n>``, ``beta<n>``, ``commutator_product<g>``,
+    ``grope<n>``, ``Gamma3``, or a word, optionally prefixed ``w:``.
+
+    A word's variables are bound in its own text, in a fresh name table:
+    renaming them changes no template, and no other text's names.
+    """
+    text = text.strip()
+    if text == GAMMA3_FAMILY.key:
+        return GAMMA3_FAMILY
+    match = _SPEC_RE.match(text)
+    if match is not None:
+        return _FAMILIES[match.group(1)](grammar.read_decimal(match.group(2), "template index"))
+    return template_from_word(grammar.parse(text.removeprefix("w:")))
 
 
 def commutator_product_decomposition(w: Word) -> list[tuple[int, int]] | None:
@@ -155,19 +186,36 @@ def fresh_commutator_split(w: Word) -> tuple[int, Word] | None:
     return None
 
 
-def iter_commutator_splits(w: Word):
-    """Yield pairs ``(u, v)`` of subword prefixes with ``[u, v] == w``."""
-    letters = w.letters
-    for i in range(1, len(letters)):
-        u = Word(letters[:i])
-        for j in range(i + 1, len(letters) + 1):
-            v = Word(letters[i:j])
-            if commutator(u, v) == w:
-                yield u, v
-
-
 def visible_commutator(w: Word) -> tuple[Word, Word] | None:
-    """First commutator split of ``w`` found, or ``None``."""
-    for u, v in iter_commutator_splits(w):
-        return (u, v)
+    """The first split ``w == [u, v]`` with ``u = w[:i]`` and ``v = w[i:j]``,
+    in ``(i, j)`` order, or ``None``.
+
+    ``w = u v r`` is reduced, so ``[u, v] == w`` exactly when ``v u`` reduces
+    to ``r^-1``.  Counting letters, ``v`` and ``u`` then cancel ``s = j - m``
+    letters where they meet, with ``m = |w| / 2``, so ``i <= m``; and what is
+    left, ``w[i:m] w[s:i]``, spells ``r^-1``, the first ``m - s`` letters of
+    ``w^-1``.  At ``i = m`` all of ``v`` cancels, ``v = w[:s]^-1``, and
+    ``[u, v] = [w[:s], w[s:m]]`` is found first, so ``i < m``.  A commutator
+    lies in ``[F, F]``, so no other word is searched.  The letters compared
+    count against ``words.SIZE_BUDGET`` (``ResourceBudgetError`` beyond it).
+    """
+    letters = w.letters
+    n = len(letters)
+    if not in_commutator_subgroup(w):
+        return None
+    m = n // 2  # a word in [F, F] has even length
+    inverse = tuple((index, -sign) for index, sign in reversed(letters))  # w^-1
+    what = "letter comparisons in a commutator search"
+    compared = 0
+    for i in range(1, m):
+        compared += m - i
+        check_size(compared, what)
+        if letters[i:m] != inverse[: m - i]:
+            continue
+        compared += (i + 1) * i
+        check_size(compared, what)
+        for s in range(i + 1):
+            # v's last s letters cancel u's first s, and w[s:i] ends r^-1
+            if letters[m : m + s] == inverse[n - s :] and letters[s:i] == inverse[m - i : m - s]:
+                return Word(letters[:i]), Word(letters[i : m + s])
     return None

@@ -45,9 +45,9 @@ def test_rewrite_then_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "rewrite", "culler_identity", "x", "y", "--records")
     assert code == 0
     assert "TARGET" in out
-    assert "COUNTS COMMUTATOR=2" in out
+    assert out.endswith("COUNTS COMMUTATOR=2\nCOUNTS COMMUTATOR=2\n")
     cert_file = tmp_path / "cert.txt"
-    cert_file.write_text(out[: out.rindex("COUNTS COMMUTATOR=2")])
+    cert_file.write_text(out)  # the repeated COUNTS line parses too
 
     code, out, _ = run(capsys, "verify", str(cert_file))
     assert code == 0
@@ -60,6 +60,33 @@ def test_rewrite_then_verify(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(tampered))
     assert code == 1
     assert out.startswith("FAIL")
+
+
+_RULE_EXAMPLES = {
+    "culler_identity": ["x", "y"],
+    "culler_chain_squares": ["x", "y"],
+    "culler_power_pair": ["2"],
+    "herd_powers": ["x", "y", "3"],
+    "rotate_product": ["2", "x", "y"],
+    "telescope_line": ["x;y", "-1,2", "1,1"],
+    "square_to_gamma3": ["x", "y", "2"],
+    "gamma3_triangle": ["x", "y", "3"],
+    "hall_witt_split": ["g", "[a,b]", "[c,d]"],
+    "oddball_step": ["x", "y", "z", "2"],
+    "oddball_iterate": ["x", "y", "z", "3"],
+}
+
+
+@pytest.mark.parametrize("rule", sorted(REWRITE_RULES))
+def test_every_rules_records_output_verifies_whole(capsys, monkeypatch, rule):
+    code, out, _ = run(capsys, "rewrite", rule, *_RULE_EXAMPLES[rule], "--records")
+    assert code == 0
+    counts = [line for line in out.splitlines() if line.startswith("COUNTS ")]
+    assert len(counts) == 2 and counts[0] == counts[1]  # --records repeats the serialized line
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, verified, err = run(capsys, "verify", "-", "--records")
+    assert (code, err) == (0, "")
+    assert verified.startswith("PASS") and verified.splitlines()[-1] == counts[0]
 
 
 def test_verify_reads_stdin(capsys, monkeypatch):
@@ -514,6 +541,112 @@ def test_bound_facts_errors_keep_their_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "bound", "--facts", str(facts))
     assert code == 2
     assert err == "error: facts line 2: bad rational 'oops'\n"
+
+
+_LONG = "9" * 5000  # past Python's 4300-digit limit on int-string conversion
+
+# place -> (argv, stdin) with the number spelled {n}; "table:{t}" names a file of stdin's text
+_NUMBER_PLACES = {
+    "factor kind index": (["verify", "-"], "TARGET 1\nFACTOR GAMMA_N_WORD:{n} 1 CONJ 1\n"),
+    "WITNESS variable": (["verify", "-"], "TARGET 1\nFACTOR COMMUTATOR 1 CONJ 1\nWITNESS {n} = 1\n"),
+    "COUNTS value": (["verify", "-"], "TARGET 1\nCOUNTS RAW={n}\n"),
+    "declared exponent": (["bound", "--declare", "L FREE x | gamma2 @ {n}"], ""),
+    "facts exponent": (["bound", "--facts", "-"], "L FREE x | gamma2 @ {n} = 0 1\n"),
+    "table order": (["wlength", "--group", "table:{t}", "--template", "gamma2"], "order {n}\n0\n"),
+    "word exponent": (["reduce", "x^{n}"], ""),
+    "template index": (["wlength", "--group", "S3", "--template", "gamma{n}"], ""),
+    "canonical name": (["bound", "--no-default-seeds", "--declare", "SCL FREE x{n}"], ""),
+}
+
+
+def _number_cases(*rows):
+    return [
+        pytest.param(*row, id=f"{row[0]}-{'5000-digits' if row[1] == _LONG else row[1]}")
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "place, number, code, message",
+    _number_cases(
+        ("factor kind index", "²", 2, "error: malformed factor kind 'GAMMA_N_WORD:²'"),
+        ("WITNESS variable", "²", 2, "error: malformed WITNESS entry '² = 1'"),
+        ("COUNTS value", "²", 2, "error: malformed COUNTS entry 'RAW=²'"),
+        ("declared exponent", "²", 2, "error: bad exponent '²'"),
+        ("facts exponent", "²", 2, "error: facts line 1: bad exponent '²'"),
+        ("table order", "²", 2, "error: table file must start with 'order N'"),
+        ("word exponent", "²", 2, "error: unexpected character '²'"),
+        ("template index", "²", 2, "error: unexpected character '²'"),
+        ("declared exponent", "--3", 2, "error: bad exponent '--3'"),
+        ("factor kind index", _LONG, 3, "resource budget exceeded: factor kind index of 5000 digits"),
+        ("WITNESS variable", _LONG, 3, "resource budget exceeded: WITNESS variable of 5000 digits"),
+        ("COUNTS value", _LONG, 3, "resource budget exceeded: COUNTS value of 5000 digits"),
+        ("declared exponent", _LONG, 3, "resource budget exceeded: exponent of 5000 digits"),
+        ("facts exponent", _LONG, 3, "resource budget exceeded: facts line 1: exponent of 5000 digits"),
+        ("table order", _LONG, 3, "resource budget exceeded: table order of 5000 digits"),
+        ("word exponent", _LONG, 3, "resource budget exceeded: exponent of 5000 digits"),
+        ("template index", _LONG, 3, "resource budget exceeded: template index of 5000 digits"),
+        ("canonical name", _LONG, 3, "resource budget exceeded: generator index of 5000 digits"),
+    ),
+)
+def test_every_number_in_input_text_is_read_by_one_reader(
+    capsys, monkeypatch, tmp_path, place, number, code, message
+):
+    argv, stdin = _NUMBER_PLACES[place]
+    table = tmp_path / "table.txt"
+    table.write_text(stdin.format(n=number))
+    argv = [arg.format(n=number, t=table) for arg in argv]
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin.format(n=number)))
+    assert run(capsys, *argv) == (code, "", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, stream, message",
+    [
+        (["verify", "-"], "TARGET 1\nTARGET 1\n", 2, "err", "error: duplicate TARGET line"),
+        (["verify", "-"], "TARGET 1\nFACTOR RAW 1\n", 2, "err", "error: FACTOR line missing CONJ"),
+        (["verify", "-"], "TARGET 1\nTEMPLATE x1\n", 2, "err", "error: TEMPLATE line before any FACTOR"),
+        (["verify", "-"], "TARGET 1\nWITNESS 1 = x\n", 2, "err", "error: WITNESS line before any FACTOR"),
+        (
+            ["verify", "-"],
+            "TARGET 1\nFACTOR COMMUTATOR 1 CONJ 1\nWITNESS 1 x\n",
+            2, "err", "error: malformed WITNESS entry '1 x'",
+        ),
+        (["verify", "-"], "TARGET 1\nCOUNTS RAW\n", 2, "err", "error: malformed COUNTS entry 'RAW'"),
+        (["verify", "-"], "TARGET 1\nNOTE x\n", 2, "err", "error: unknown certificate line 'NOTE'"),
+        (["verify", "-"], "COUNTS -\n", 2, "err", "error: certificate has no TARGET line"),
+        (["verify", "-"], "TARGET 1\nFACTOR PAIR 1 CONJ 1\n", 2, "err", "error: unknown factor kind 'PAIR'"),
+        (
+            ["verify", "-"],
+            "TARGET 1\nFACTOR COMMUTATOR:2 1 CONJ 1\n",
+            2, "err", "error: malformed factor kind 'COMMUTATOR:2'",
+        ),
+        (
+            ["verify", "-"],
+            "TARGET x\nFACTOR RAW x CONJ 1\nWITNESS 1 = x\n",
+            1, "out", "FAIL: RAW factors carry no template or witness",
+        ),
+        (
+            ["verify", "-"],
+            "TARGET [x,y]\nFACTOR COMMUTATOR [x,y] CONJ 1\n",
+            1, "out", "FAIL: COMMUTATOR factor needs a template and witness",
+        ),
+        (
+            ["verify", "-"],
+            "TARGET x^2\nFACTOR RAW x CONJ 1\nFACTOR RAW x CONJ 1\nCOUNTS RAW=1\n",
+            1, "err", "error: COUNTS line {'RAW': 1} disagrees with factors {'RAW': 2}",
+        ),
+        (
+            ["wlength", "--group", "SL2_4", "--template", "gamma2"],
+            "", 2, "err", "error: SL2 backend supports primes (2, 3, 5, 7, 11, 13), not 4",
+        ),
+    ],
+)
+def test_error_paths_end_with_their_exit_code(capsys, monkeypatch, argv, stdin, code, stream, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert {"out": out, "err": err}[stream] == message + "\n"
 
 
 def test_bound_parse_error(capsys, tmp_path):

@@ -516,6 +516,11 @@ def test_associativity_runs_on_at_most_log2_order_elements(monkeypatch):
     assert np.array_equal(relabelled.mul(perm[a], perm[b]), perm[s6.mul(a, b)])
 
 
+def test_table_group_above_its_order_cap_is_refused_before_validation():
+    with pytest.raises(ResourceBudgetError, match="groups up to order 2048"):
+        TableGroup("big", np.zeros((2049, 2049), dtype=np.int16))
+
+
 def test_table_group_comment_and_blank_lines():
     text = "# cyclic of order 3\norder 3\n\n0 1 2\n1 2 0 # row\n2 0 1\n"
     group = parse_table_text("C3", text)
@@ -543,8 +548,15 @@ def test_mul_matches_multiply_on_broadcast_shapes(spec):
     inv = group.inverses()
     assert np.all(group.mul(ids, inv) == group.identity)
     assert np.all(group.mul(inv, ids) == group.identity)
-    sample = rng.integers(group.order, size=50)
-    assert [int(inv[a]) for a in sample] == [group.inverse(int(a)) for a in sample]
+
+
+@pytest.mark.parametrize("spec", registry_small_groups() + ["S7", "A7", "SL2_13", "SL2_2"])
+def test_inverses_match_the_scalar_oracle_element_by_element(spec):
+    # inverses() comes from each backend's arrays; inverse() from its own arithmetic
+    group = load_group(spec)
+    inv = group.inverses()
+    assert inv.dtype == np.int32
+    assert inv.tolist() == [group.inverse(a) for a in range(group.order)]
 
 
 def test_s7_power_values_match_lexicographic_powers():

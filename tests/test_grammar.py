@@ -6,7 +6,8 @@ import random
 import pytest
 from helpers import random_word
 
-from verba.errors import ParseError
+from verba import grammar
+from verba.errors import ParseError, ResourceBudgetError
 from verba.grammar import (
     NameTable,
     canonical_key,
@@ -93,3 +94,14 @@ def test_canonical_key_is_stable():
 def test_exponent_grouping_in_output():
     assert format_word(gen(1) ** 3) == "x1^3"
     assert format_word(gen(1) ** -2 * gen(2)) == "x1^-2 x2"
+
+
+def test_numbers_are_read_as_str_isdecimal_reads_them():
+    assert grammar.read_decimal("٣٠", "n") == 30  # Arabic-Indic digits, as int() reads them
+    assert grammar.parse("x^٣") == grammar.parse("x^3")
+    for text in ("", "²", "-1", "+1", " 1", "1_0", "1.0"):
+        assert grammar.read_decimal(text, "n") is None
+    with pytest.raises(ParseError, match="expected an exponent, found 'y'"):
+        grammar.parse("x^-y")
+    with pytest.raises(ResourceBudgetError, match="n of 5000 digits"):
+        grammar.read_decimal("9" * 5000, "n")

@@ -1,8 +1,17 @@
 """Word templates: constructors and structure tests."""
 from __future__ import annotations
 
-from helpers import random_word
+import random
+import time
+from fractions import Fraction
 
+import pytest
+from helpers import random_nonempty_word, random_word
+
+from verba import experiments, grammar, words
+from verba.bounds import BoundEngine
+from verba.cli import main
+from verba.errors import ResourceBudgetError
 from verba.templates import (
     GAMMA3_FAMILY,
     beta_word,
@@ -12,9 +21,11 @@ from verba.templates import (
     gamma_index,
     gamma_word,
     grope_word,
+    parse_template_spec,
     template_from_word,
+    visible_commutator,
 )
-from verba.words import EMPTY, commutator, gen
+from verba.words import EMPTY, Word, commutator, gen, power
 
 
 def test_family_shapes():
@@ -38,6 +49,77 @@ def test_gamma_index_is_structural():
     assert gamma_index(beta_word(2)) is None
     renamed = template_from_word(commutator(gen(5), commutator(gen(2), gen(9))))
     assert gamma_index(renamed) == 3
+
+
+def test_gamma_index_builds_at_most_one_template_per_call():
+    # gamma_word(n) has 3 * 2**(n-1) - 2 letters; other lengths build nothing
+    others = [template_from_word(Word(((1, 1),) * k)) for k in range(1, 12)]
+    others += [beta_word(2), commutator_product_word(2), GAMMA3_FAMILY]
+    gamma_word.cache_clear()
+    for template in others:
+        before = gamma_word.cache_info().misses
+        gamma_index(template)
+        assert gamma_word.cache_info().misses - before <= 1
+    assert [gamma_index(t) for t in others[:10]] == [1] + [None] * 9
+    assert gamma_word.cache_info().misses <= 3  # n = 1, 2 and 3 by length
+    assert gamma_index(template_from_word(gen(1).inverse())) is None
+
+
+def test_stock_templates_are_built_once_per_index():
+    gamma_word.cache_clear()
+    beta_word.cache_clear()
+    experiments.scenario_power_pair_diagonal(2)
+    experiments.scenario_squared_commutator()
+    experiments.scenario_gamma_chain(3)
+    experiments.scenario_commutator_product(2)
+    experiments.scenario_perfect_comparison(Fraction(1, 2), 4)
+    experiments.scenario_grope_family(2)
+    engine = BoundEngine()
+    engine.load_default_seeds()
+    engine.load_facts(
+        "".join(f"L FREE [a,b] | gamma2 @ {m} = 0 {m}\n" for m in range(1, 51))
+        + "L PERFECT_SCL_ZERO g | gamma3 @ 1 = 1 1\n"
+    )
+    for text in (
+        "SL FREE [a,b] | gamma2",
+        "CL FREE [a,b]",
+        "SL PERFECT_SCL_ZERO g | beta2",
+        "SL FREE [a,[b,c]] | gamma3",
+        "SL FREE [a,[b,c]] | Gamma3",
+        "SL PERFECT g | gamma3",
+        "SCL PERFECT g",
+    ):
+        engine.declare(text)
+    assert engine.propagate() > 50
+    for build in (gamma_word, beta_word):
+        info = build.cache_info()
+        assert 0 < info.currsize < info.maxsize  # nothing evicted
+        assert info.misses == info.currsize, build  # each index built once
+        assert info.hits > info.misses
+    assert gamma_word(2) is gamma_word(2)
+
+
+@pytest.mark.parametrize(
+    "spec, want",
+    [
+        ("gamma3", gamma_word(3)),
+        (" beta2 ", beta_word(2)),
+        ("commutator_product2", commutator_product_word(2)),
+        ("grope1", grope_word(1)),
+        ("Gamma3", GAMMA3_FAMILY),
+        ("w:[p,q]", gamma_word(2)),
+        ("[y, x]", gamma_word(2)),
+        ("gamma0", template_from_word(gen(1))),  # no family index: a word named gamma0
+    ],
+)
+def test_parse_template_spec(spec, want):
+    assert parse_template_spec(spec) == want
+
+
+def test_parse_template_spec_returns_the_stock_object():
+    assert parse_template_spec("gamma2") is gamma_word(2)
+    with pytest.raises(ResourceBudgetError, match="template index of 5000 digits"):
+        parse_template_spec("gamma" + "9" * 5000)
 
 
 def test_template_from_word_canonicalizes():
@@ -70,3 +152,64 @@ def test_fresh_commutator_split():
     assert fresh_commutator_split(gen(1) * gen(2)) is None
     tangled = commutator(gen(1), gen(1) * gen(2))
     assert fresh_commutator_split(tangled) is None
+
+
+def _old_visible_commutator(w: Word):
+    """The exhaustive search the fast one replaced: every prefix split, built."""
+    letters = w.letters
+    for i in range(1, len(letters)):
+        u = Word(letters[:i])
+        for j in range(i + 1, len(letters) + 1):
+            v = Word(letters[i:j])
+            if commutator(u, v) == w:
+                return (u, v)
+    return None
+
+
+def test_visible_commutator_agrees_with_the_exhaustive_search():
+    rng = random.Random(1302)
+    found = 0
+    for _ in range(3000):
+        roll = rng.random()
+        if roll < 0.4:
+            w = commutator(random_word(rng, 3, 6), random_word(rng, 3, 6))
+        elif roll < 0.55:  # u and v that cancel where they meet
+            u = random_word(rng, 2, 3)
+            w = commutator(u, power(u, rng.randint(-2, 2)) * random_word(rng, 2, 3))
+        elif roll < 0.8:
+            w = power(commutator(random_word(rng, 2, 3), random_word(rng, 2, 3)), rng.randint(1, 3))
+        else:
+            w = random_word(rng, 2, 12)
+        want = _old_visible_commutator(w)
+        assert visible_commutator(w) == want, w
+        found += want is not None
+    assert found > 600
+
+
+def test_visible_commutator_splits_long_commutators():
+    rng = random.Random(1303)
+    for _ in range(5):
+        w = commutator(random_nonempty_word(rng, 4, 400), random_nonempty_word(rng, 4, 400))
+        split = visible_commutator(w)
+        assert split is not None and commutator(*split) == w
+    assert visible_commutator(grammar.parse("[a,b]^1000")) is None
+
+
+def test_visible_commutator_counts_its_comparisons(monkeypatch):
+    w = grammar.parse("[a,b]^30")
+    assert visible_commutator(w) is None
+    monkeypatch.setattr(words, "SIZE_BUDGET", 1000)
+    with pytest.raises(ResourceBudgetError, match="letter comparisons"):
+        visible_commutator(w)
+    # a word outside [F, F] is no commutator, and is not searched
+    assert visible_commutator(w * gen(1)) is None
+    assert visible_commutator(commutator(gen(1) * gen(2), gen(3))) == (gen(1) * gen(2), gen(3))
+
+
+def test_hall_witt_split_on_a_long_power_ends_quickly(capsys):
+    start = time.perf_counter()
+    code = main(["rewrite", "hall_witt_split", "g", "[a,b]^1000", "[c,d]"])
+    assert time.perf_counter() - start < 10
+    assert code in (0, 3)
+    if code == 3:
+        assert "letter comparisons" in capsys.readouterr().err
