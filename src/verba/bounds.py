@@ -34,6 +34,12 @@ own text), and the rules take their stock templates from ``templates``, which
 builds each one once.  A ``Quantity`` holds its ``Template``; its key names
 the template by structure (``| <template.key>``) and ``display`` by the label
 it was made with.
+
+Verbal subgroups are fully invariant (H. Neumann, *Varieties of Groups*,
+1967), so a ``FREE`` word is one up to renaming: its text binds its own names,
+and a ``Quantity`` holds, keys and displays it renumbered by first appearance
+(``[x,y]`` and ``[b,a]`` are ``x1 x2 x1^-1 x2^-1``).  A perfect context's
+word stays literal and is spelt in the engine's name table.
 """
 from __future__ import annotations
 
@@ -104,6 +110,7 @@ class Quantity:
             object.__setattr__(self, "exponent", exponent)
         elif self.exponent is not None:
             raise ValueError(f"{self.kind.value} quantities take no exponent")
+        object.__setattr__(self, "word", _keyed_word(self.context, self.word))
         parts = [self.kind.value, self.context.value, grammar.canonical_key(self.word)]
         if self.template is not None:
             parts.append(f"| {self.template.key}")
@@ -114,6 +121,16 @@ class Quantity:
 
     def key(self) -> str:
         return self._key
+
+
+def _keyed_word(context: Context, word: Word) -> Word:
+    """``word`` as a quantity in ``context`` holds it: up to renaming in ``FREE``."""
+    return canonical_renumber(word) if context is Context.FREE else word
+
+
+def _parse_free_word(text: str) -> Word:
+    """A ``FREE`` word text in its own names, where ``x<i>`` is generator ``i``."""
+    return grammar.parse(text, grammar.canonical_table())
 
 
 @dataclass(frozen=True)
@@ -193,18 +210,19 @@ class BoundEngine:
             context = Context(tokens[1])
         except ValueError:
             raise ParseError(f"unknown context {tokens[1]!r}") from None
-        word = self._parse_once(grammar.parse, tokens[2], self.names)
+        if context is Context.FREE:
+            word = self._parse_once(_parse_free_word, tokens[2])
+        else:
+            word = self._parse_once(grammar.parse, tokens[2], self.names)
         template = None
         if template_part.strip():
             template = self._parse_once(parse_template_spec, template_part)
         exponent = None
         exp_text = exp_part.strip()
         if exp_text:
-            negative = exp_text.startswith("-")
-            exponent = grammar.read_decimal(exp_text[1:] if negative else exp_text, "exponent")
+            exponent = grammar.read_integer(exp_text, "exponent")
             if exponent is None:
                 raise ParseError(f"bad exponent {exp_text!r}")
-            exponent = -exponent if negative else exponent
         try:
             return Quantity(kind, context, word, template, exponent)
         except ValueError as exc:
@@ -225,10 +243,11 @@ class BoundEngine:
         return quantity
 
     def display(self, quantity: Quantity) -> str:
+        names = None if quantity.context is Context.FREE else self.names
         parts = [
             quantity.kind.value,
             quantity.context.value,
-            grammar.format_word(quantity.word, self.names),
+            grammar.format_word(quantity.word, names),
         ]
         if quantity.template is not None:
             parts.append(f"| {quantity.template.label}")
@@ -306,7 +325,9 @@ class BoundEngine:
         """Lower-bound an ``L`` or ``CL`` quantity through a finite quotient.
 
         Lengths never increase under homomorphisms, so the length of the
-        image is a floor.  Returns the image length, or ``None`` when the
+        image is a floor.  ``images`` maps the generators of ``quantity.word``,
+        which ``FREE`` numbers by first appearance, to group elements.
+        Returns the image length, or ``None`` when the
         image is not a product of template values at all (in which case no
         finite fact is added -- the quantity is infinite and any finite upper
         bound would be inconsistent, which ``add_fact`` would surface).
@@ -707,9 +728,10 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _diagonal(q: Quantity) -> Template | None:
-    """The template when ``q`` is ``SL(w | w)`` or ``L(w | w)`` up to renaming, else ``None``."""
+    """The template when ``q`` is ``SL(w | w)`` or ``L(w | w)``, else ``None``; both
+    words are numbered by first appearance in ``FREE``, where the rules ask."""
     template = _body_template(q)
-    if template is None or canonical_renumber(q.word) != template.body:
+    if template is None or q.word != template.body:
         return None
     return template
 
@@ -795,60 +817,27 @@ def _rule_stable_promotion(engine: BoundEngine, facts: _RoundFacts):
 
 
 def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
-    diagonal_sl: dict[str, Fact] = {}
     for fact in facts:
         q = fact.quantity
-        if q.kind is QuantityKind.SL and q.context is Context.FREE:
-            if _diagonal(q) is not None:
-                diagonal_sl[grammar.canonical_key(canonical_renumber(q.word))] = fact
-    for fact in facts:
-        q = fact.quantity
-        if q.context is not Context.FREE:
+        if q.context is not Context.FREE or _diagonal(q) is None:
             continue
+        if q.kind is QuantityKind.L and (q.exponent < 3 or q.exponent % 2 == 0):
+            continue
+        split = fresh_commutator_split(q.word)
+        if split is None:
+            continue
+        inner_template = template_from_word(split[1])
         if q.kind is QuantityKind.SL:
-            if _diagonal(q) is None:
-                continue
-            split = fresh_commutator_split(canonical_renumber(q.word))
-            if split is None:
-                continue
-            inner = diagonal_sl.get(
-                grammar.canonical_key(canonical_renumber(split[1]))
-            )
-            if inner is None or inner.hi is None:
-                continue
-            yield (
-                q,
-                "hi",
-                (1 + inner.hi) / 2,
-                "R6",
-                "a fresh head generator lets consecutive blocks pair up",
-                [inner.quantity],
-            )
-        elif q.kind is QuantityKind.L:
-            template = _diagonal(q)
-            exponent = q.exponent or 1
-            if template is None or exponent % 2 == 0:
-                continue
-            n = (exponent - 1) // 2
-            if n < 1:
-                continue
-            split = fresh_commutator_split(canonical_renumber(q.word))
-            if split is None:
-                continue
-            inner_template = template_from_word(split[1])
-            inner = engine._fact(
-                QuantityKind.L, Context.FREE, inner_template.body, inner_template, n + 1
-            )
-            if inner is None or inner.hi is None:
-                continue
-            yield (
-                q,
-                "hi",
-                n + inner.hi,
-                "R6",
-                "odd powers of a fresh-head bracket fold pairwise",
-                [inner.quantity],
-            )
+            inner = engine._fact(QuantityKind.SL, Context.FREE, split[1], inner_template)
+            note = "a fresh head generator lets consecutive blocks pair up"
+        else:
+            n = (q.exponent - 1) // 2
+            inner = engine._fact(QuantityKind.L, Context.FREE, split[1], inner_template, n + 1)
+            note = "odd powers of a fresh-head bracket fold pairwise"
+        if inner is None or inner.hi is None:
+            continue
+        value = (1 + inner.hi) / 2 if q.kind is QuantityKind.SL else n + inner.hi
+        yield (q, "hi", value, "R6", note, [inner.quantity])
 
 
 def _rule_chain_ceiling(engine: BoundEngine, facts: _RoundFacts):
@@ -989,7 +978,8 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
                 "factorizations of two powers concatenate",
                 [part.quantity, other.quantity],
             )
-        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template.key).get(n)
+        inverse = _keyed_word(tq.context, tq.word.inverse())
+        mirror = facts.ladder(tq.context, inverse, tq.template.key).get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
                 tq,

@@ -183,10 +183,11 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ParseError(f"--n must be at least 1, not {args.n}")
-    inv = cover.cover_invariants(args.n)
-    images = cover.boundary_cover(args.n)
+    n = grammar.read_integer(args.n, "--n")
+    if n is None or n < 1:
+        raise ParseError(f"--n must be at least 1, not {args.n!r}")
+    inv = cover.cover_invariants(n)
+    images = cover.boundary_cover(n)
     print(f"degree {inv.degree}")
     print(f"x images {' '.join(map(str, images[1]))}")
     print(f"y images {' '.join(map(str, images[2]))}")
@@ -197,12 +198,12 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     print(f"boundary components {inv.boundary_components}")
     print(f"genus {inv.genus}")
     checks = {
-        "x is an involution": inv.x_cycle_lengths == (2,) * args.n + (1,),
+        "x is an involution": inv.x_cycle_lengths == (2,) * n + (1,),
         "y fixes everything beyond one full cycle": inv.y_cycle_lengths
-        == (args.n + 1,) + (1,) * args.n,
+        == (n + 1,) + (1,) * n,
         "commutator is a single full cycle": inv.commutator_cycle_lengths
         == (inv.degree,),
-        "genus is n+1": inv.genus == args.n + 1,
+        "genus is n+1": inv.genus == n + 1,
     }
     for label, ok in checks.items():
         print(f"{'PASS' if ok else 'FAIL'} {label}")
@@ -210,13 +211,13 @@ def _cmd_cover(args: argparse.Namespace) -> int:
         return 1
     if args.certificate:
         cert = parse_certificate(_read_text(args.certificate))
-        ok = cover.verify_shape_certificate(args.n, cert)
+        ok = cover.verify_shape_certificate(n, cert)
         print(f"shape certificate: {'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
     if args.known_certificate:
-        cert = cover.known_shape_certificate(args.n)
+        cert = cover.known_shape_certificate(n)
         if cert is None:
-            print(f"no closed-form shape certificate for n={args.n}")
+            print(f"no closed-form shape certificate for n={n}")
             return 1
         print(cert.serialize(), end="")
     return 0
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("cover", help="odd-degree cover invariants")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--certificate", help="shape certificate file to verify")
     p.add_argument(
         "--known-certificate",

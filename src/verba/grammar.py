@@ -109,6 +109,12 @@ def read_decimal(text: str, what: str) -> int | None:
         raise ResourceBudgetError(f"{what} of {len(text)} digits") from None
 
 
+def read_integer(text: str, what: str) -> int | None:
+    """``read_decimal`` with an optional leading ``-``; the caller judges the sign."""
+    value = read_decimal(text.removeprefix("-"), what)
+    return -value if value is not None and text.startswith("-") else value
+
+
 def canonical_table() -> CanonicalNameTable:
     """A fresh table that resolves canonical ``x<i>`` names to index ``i``."""
     return CanonicalNameTable()

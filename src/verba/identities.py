@@ -389,17 +389,14 @@ def _words(text: str, names: grammar.NameTable) -> list[Word]:
 
 
 def _ints(text: str, names: grammar.NameTable) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ParseError(f"bad integer list {text!r}") from exc
+    return [_int(part.strip(), names) for part in text.split(",") if part.strip()]
 
 
 def _int(text: str, names: grammar.NameTable) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ParseError(f"bad integer {text!r}") from exc
+    value = grammar.read_integer(text, "integer")
+    if value is None:
+        raise ParseError(f"bad integer {text!r}")
+    return value
 
 
 Converter = Callable[[str, grammar.NameTable], object]

@@ -215,12 +215,17 @@ def canonical_renumber(w: Word) -> Word:
     """Relabel generators as 1, 2, ... in order of first occurrence.
 
     The result is the representative of ``w`` under renaming, used to compare
-    words with template bodies structurally.
+    words with template bodies structurally; ``w`` itself when it is already
+    numbered so.
     """
-    mapping: dict[int, int] = {}
-    letters: list[Letter] = []
-    for index, sign in w.letters:
-        if index not in mapping:
-            mapping[index] = len(mapping) + 1
-        letters.append((mapping[index], sign))
-    return Word(tuple(letters))
+    top = 0  # the generators seen so far are 1..top while the numbering holds
+    for index, _ in w.letters:
+        if index > top:
+            if index != top + 1:
+                break
+            top = index
+    else:
+        return w
+    mapping = {index: n for n, index in enumerate(dict.fromkeys(i for i, _ in w.letters), 1)}
+    # a bijection of generators keeps the word reduced
+    return _reduced(tuple((mapping[index], sign) for index, sign in w.letters))

@@ -282,8 +282,8 @@ def test_acceptance_6_floors_never_cross_ceilings():
             quantity = engine.add_certificate_fact(target, template, 1, cert)
             ceiling = engine.interval(quantity)[1]
             assert ceiling == len(factors)
-            images = {
-                i: rng.randrange(group.order) for i in target.generators()
+            images = {  # FREE quantities number generators by first appearance
+                i: rng.randrange(group.order) for i in quantity.word.generators()
             }
             floor = engine.add_quotient_floor(quantity, group, images)
             engine.propagate()

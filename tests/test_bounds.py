@@ -30,7 +30,7 @@ from verba.templates import (
     grope_word,
     template_from_word,
 )
-from verba.words import Word, commutator, gen, power
+from verba.words import Word, canonical_renumber, commutator, gen, power
 
 X, Y, Z = gen(1), gen(2), gen(3)
 F = Fraction
@@ -344,20 +344,21 @@ def _ladder(word, his, seeds=False, extra=(), facts=()):
 
 
 def _mirror_ladder():
-    """A gamma2 ladder of [a,b] and some powers of its inverse [b,a], each short
-    where the other is not, so R13 carries bounds across both ways."""
+    """A gamma2 ladder of [a,b^2] and some powers of its inverse [b^2,a], each
+    short where the other is not, so R13 carries bounds across both ways.  (The
+    inverse [b,a] of [a,b] is a renaming of it, so the same quantity.)"""
     engine = BoundEngine()
     engine.load_facts(
-        "".join(f"L FREE [a,b] | gamma2 @ {m} = 0 {3 if m == 4 else m}\n" for m in range(1, 25))
+        "".join(f"L FREE [a,b^2] | gamma2 @ {m} = 0 {3 if m == 4 else m}\n" for m in range(1, 25))
         + "".join(
-            f"L FREE [b,a] | gamma2 @ {m} = 0 {hi}\n"
+            f"L FREE [b^2,a] | gamma2 @ {m} = 0 {hi}\n"
             for m, hi in ((2, 2), (3, 2), (4, 4), (5, 3), (12, 12), (13, 7))
         )
     )
     shown = [
-        engine.declare("SL FREE [a,b] | gamma2"),
-        engine.parse_quantity("L FREE [a,b] | gamma2 @ 24"),
-        engine.parse_quantity("L FREE [b,a] | gamma2 @ 13"),
+        engine.declare("SL FREE [a,b^2] | gamma2"),
+        engine.parse_quantity("L FREE [a,b^2] | gamma2 @ 24"),
+        engine.parse_quantity("L FREE [b^2,a] | gamma2 @ 13"),
     ]
     engine.propagate()
     return engine, shown
@@ -460,19 +461,19 @@ _PINNED_LOGS = {
             seeds=True,
             extra=("SCL FREE [a,b]^3",),
         ),
-        "7d46bea68e6b00c457656c24516e726c01c7bdd327f6cc7dd06716b6fe75eedd",
+        "e0c7e39120a467ed9efd6e209f6ce3711e654f35b062c07013c119817a8d3190",
     ),
     "ladder_plain": (
         lambda: _ladder("a^2 b a^-1 b", [3 if m == 4 else m for m in range(1, 41)]),
-        "1a28d90ebb4dc5147b6a578c564a38821fb135dfd08b9773e92cbe0b0a3914a4",
+        "29690cf7c2907b457fc39208514cdde915f427a9ef7aadbf3e262c1ad55f6392",
     ),
     "ladder_plain_long": (
         lambda: _ladder("a b^2 a^-1 b", [2 if m == 3 else m for m in range(1, 121)]),
-        "c205fd6eec9f8eb7a4d0065b32ede934452f1f2d0e8db4b654b9ad3004db3ca9",
+        "a933e50bc2d2c817a20d469a581293d4beeb3672761e1ee7515b5406aed28521",
     ),
     "ladder_mirror": (
         _mirror_ladder,
-        "ad9d6393a9e4cdb52d009bfee3d98f807ecd617b839108d6d6fed95f93920376",
+        "1570360c135fdc689d2a8b4ffe2c2d7b94d282f5255edfa3068a7fb0e1f0997e",
     ),
     # [x,y^2] is one commutator, so the gamma2 ladder follows the diagonal one (R1)
     "ladder_scl": (
@@ -483,23 +484,23 @@ _PINNED_LOGS = {
             facts=[f"L FREE [x,y^2] | gamma2 @ {m} = 0 inf" for m in range(2, 31)]
             + ["L FREE [x,y^2] | gamma2 @ 1 => 1"],
         ),
-        "e780fe596b0249bf5b9b0c2aca1a6f3e5297105cea1c16b12cd257ea8f7e3ac4",
+        "85aca12b8a4117b4b790855f1144aca09336b6247c3882f23c27ad88893aa555",
     ),
     "power_pair_diagonal": (
         lambda: _scenario(lambda: experiments.scenario_power_pair_diagonal(2)),
-        "c65fa8ef0bf69aa650aea019c62f4d5218442a082d53b22cbb8286987fbb5f39",
+        "63a6b65fe11e3dee0623a4568b3ee39a8738fb2a5b5f3fc147b2b549db63fc5a",
     ),
     "squared_commutator": (
         lambda: _scenario(experiments.scenario_squared_commutator),
-        "dd714d73cba3e25bf39358690c402d653e2c35f86c3b57129f5e9fc548b68f21",
+        "7bd7d9588a90b86411c69e4b6854ef1ddedae5584228f54e9ffab362678c3b5e",
     ),
     "gamma_chain": (
         lambda: _scenario(lambda: experiments.scenario_gamma_chain(3)),
-        "c5f3ffc625230211aff3868e634d731c3d7e523743ee59f5ee47d6c7047ec2b0",
+        "48dbbe4b10d7d3cadba33aa6b57031ca3b988b5712b76095ed624836b98fc0e4",
     ),
     "commutator_product": (
         lambda: _scenario(lambda: experiments.scenario_commutator_product(2)),
-        "2e05a1c495536f42de5ed8410cb403a776acd68eb85673598a78144723108086",
+        "de3c9a9b384d8825a290fb71b71117e408586629b25cd6fb4359163158c68936",
     ),
     "perfect_comparison": (
         lambda: _scenario(lambda: experiments.scenario_perfect_comparison(F(3, 2), 3)),
@@ -612,7 +613,10 @@ def _all_pairs_exponent_splitting(engine, facts):
                 "factorizations of two powers concatenate",
                 [part.quantity, other.quantity],
             )
-        mirror = facts.ladder(tq.context, tq.word.inverse(), tq.template.key).get(n)
+        inverse = tq.word.inverse()
+        if tq.context is Context.FREE:  # a FREE quantity holds its word up to renaming
+            inverse = canonical_renumber(inverse)
+        mirror = facts.ladder(tq.context, inverse, tq.template.key).get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
                 tq,
@@ -983,7 +987,7 @@ def test_rule_exponent_splitting():
 
 def test_rule_inverse_mirror():
     engine = BoundEngine()
-    w = commutator(X, Y)
+    w = commutator(X, Y**2)  # [y,x], the inverse of [x,y], is a renaming of it
     q = engine.declare(
         Quantity(QuantityKind.L, Context.FREE, w.inverse(), gamma_word(2), 2)
     )
@@ -1084,6 +1088,19 @@ def test_add_quotient_floor():
     assert got == 1
     assert engine.interval(q) == (F(1), None)
     assert "QUOTIENT" in engine.explain(q)
+
+
+def test_add_quotient_floor_maps_the_generators_of_the_quantitys_word():
+    """A FREE quantity numbers its generators by first appearance, and its
+    images are for that numbering, whatever the word it was made from."""
+    group = load_group("S3")
+    engine = BoundEngine()
+    q = engine.declare(Quantity(QuantityKind.CL, Context.FREE, commutator(gen(5), gen(3))))
+    assert q.word == commutator(X, Y)
+    for a in range(group.order):
+        for b in range(group.order):
+            want = 0 if group.multiply(a, b) == group.multiply(b, a) else 1
+            assert engine.add_quotient_floor(q, group, {1: a, 2: b}) == want
 
 
 def test_add_quotient_floor_unreachable_image():

@@ -479,17 +479,17 @@ def test_bound_facts_file_and_explain(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, want",
     [
-        (  # the form bound prints, under seeds that name generator 1 'a'
+        (  # the form bound prints, under seeds that spell generator 1 'a'
             ["bound", "--declare", "L FREE [x,y]^2 | x1 x2 x1^-1 x2^-1 @ 1"],
-            "L FREE x y x^-1 y^-1 x y x^-1 y^-1 | x1 x2 x1^-1 x2^-1 @ 1 = [1, inf]\n",
+            "L FREE x1 x2 x1^-1 x2^-1 x1 x2 x1^-1 x2^-1 | x1 x2 x1^-1 x2^-1 @ 1 = [1, inf]\n",
         ),
         (  # each quantity shows the label it was made with
             [
                 "bound", "--no-default-seeds",
                 "--declare", "SL FREE [a,b] | [p,q]", "--declare", "SL FREE [a,b]^2 | gamma2",
             ],
-            "SL FREE a b a^-1 b^-1 | x1 x2 x1^-1 x2^-1 = [1/2, 1/2]\n"
-            "SL FREE a b a^-1 b^-1 a b a^-1 b^-1 | gamma2 = [0, inf]\n",
+            "SL FREE x1 x2 x1^-1 x2^-1 | x1 x2 x1^-1 x2^-1 = [1/2, 1/2]\n"
+            "SL FREE x1 x2 x1^-1 x2^-1 x1 x2 x1^-1 x2^-1 | gamma2 = [0, inf]\n",
         ),
         (  # x is the element's first generator, whatever the template calls its own
             ["wlength", "--group", "A5", "--template", "[p,q]", "--element", "x", "--images", "3"],
@@ -531,9 +531,9 @@ def test_bound_facts_errors_keep_their_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "bound", "--facts", str(facts))
     assert code == 1
     assert out == (
-        "INCONSISTENT: facts line 2: contradiction on SCL FREE a b a^-1 b^-1:"
+        "INCONSISTENT: facts line 2: contradiction on SCL FREE x1 x2 x1^-1 x2^-1:"
         " lower bound 1 exceeds upper bound 1/2\n"
-        "SCL FREE a b a^-1 b^-1 = [1, 1/2]\n"
+        "SCL FREE x1 x2 x1^-1 x2^-1 = [1, 1/2]\n"
         "  lo 1 by SEED\n"
         "  hi 1/2 by SEED  # basic commutator\n"
     )
@@ -556,6 +556,9 @@ _NUMBER_PLACES = {
     "word exponent": (["reduce", "x^{n}"], ""),
     "template index": (["wlength", "--group", "S3", "--template", "gamma{n}"], ""),
     "canonical name": (["bound", "--no-default-seeds", "--declare", "SCL FREE x{n}"], ""),
+    "rewrite integer": (["rewrite", "culler_power_pair", "{n}"], ""),
+    "rewrite integer list": (["rewrite", "telescope_line", "x;y", "{n},1", "1,1"], ""),
+    "cover degree": (["cover", "--n", "{n}"], ""),
 }
 
 
@@ -578,6 +581,11 @@ def _number_cases(*rows):
         ("word exponent", "²", 2, "error: unexpected character '²'"),
         ("template index", "²", 2, "error: unexpected character '²'"),
         ("declared exponent", "--3", 2, "error: bad exponent '--3'"),
+        ("rewrite integer", "²", 2, "error: bad integer '²'"),
+        ("rewrite integer", "1_0", 2, "error: bad integer '1_0'"),
+        ("rewrite integer list", "²", 2, "error: bad integer '²'"),
+        ("cover degree", "²", 2, "error: --n must be at least 1, not '²'"),
+        ("cover degree", "1_0", 2, "error: --n must be at least 1, not '1_0'"),
         ("factor kind index", _LONG, 3, "resource budget exceeded: factor kind index of 5000 digits"),
         ("WITNESS variable", _LONG, 3, "resource budget exceeded: WITNESS variable of 5000 digits"),
         ("COUNTS value", _LONG, 3, "resource budget exceeded: COUNTS value of 5000 digits"),
@@ -587,6 +595,9 @@ def _number_cases(*rows):
         ("word exponent", _LONG, 3, "resource budget exceeded: exponent of 5000 digits"),
         ("template index", _LONG, 3, "resource budget exceeded: template index of 5000 digits"),
         ("canonical name", _LONG, 3, "resource budget exceeded: generator index of 5000 digits"),
+        ("rewrite integer", _LONG, 3, "resource budget exceeded: integer of 5000 digits"),
+        ("rewrite integer list", _LONG, 3, "resource budget exceeded: integer of 5000 digits"),
+        ("cover degree", _LONG, 3, "resource budget exceeded: --n of 5000 digits"),
     ),
 )
 def test_every_number_in_input_text_is_read_by_one_reader(

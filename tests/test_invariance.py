@@ -6,7 +6,9 @@ Relabelling a group's elements gives an isomorphic group, so its distance
 histograms are the same.  Ore's conjecture (Liebeck, O'Brien, Shalev and
 Tiep, 2010) makes every element of A5, A6 and A7 a commutator.  Renaming the
 generators of a certificate by a signed permutation is an automorphism of the
-free group, so the renamed certificate still checks, with the same counts.
+free group, so the renamed certificate still checks, with the same counts,
+and the bound engine gives a ``FREE`` quantity the same interval, derivation
+and records however its generators are numbered.
 """
 from __future__ import annotations
 
@@ -18,13 +20,20 @@ import pytest
 
 from helpers import random_word, relabel, table_text
 from verba import cache
+from verba.bounds import BoundEngine, Context, Quantity, QuantityKind
 from verba.certificates import Certificate, parse_certificate
 from verba.cli import main
 from verba.finite import load_group, registry_small_groups
 from verba.grammar import NameTable, format_word
 from verba.identities import REWRITE_RULES
-from verba.templates import beta_word, commutator_product_word, gamma_word
-from verba.words import commutator, gen, substitute
+from verba.templates import (
+    beta_word,
+    commutator_product_word,
+    gamma_word,
+    grope_word,
+    template_from_word,
+)
+from verba.words import commutator, gen, power, substitute
 
 
 @pytest.fixture(autouse=True)
@@ -205,3 +214,114 @@ def test_wlength_does_not_depend_on_how_a_template_is_spelt(capsys, name):
             argv = ["--group", group, "--template", spec, "--element", "a x1^-1 x"]
             outputs.add(wlength(capsys, *argv, "--images", images))
         assert len(outputs) == 1, (group, outputs)
+
+
+# -- word spellings ----------------------------------------------------------
+#
+# Renaming the generators of a free group is an automorphism, and verbal
+# subgroups are fully invariant, so no ``FREE`` length changes: a ``FREE``
+# quantity is keyed and printed up to renaming.  A ``PERFECT`` word names an
+# element of some unknown group, where two names are two elements.
+
+_L, _SL, _SCL, _CL = QuantityKind.L, QuantityKind.SL, QuantityKind.SCL, QuantityKind.CL
+_X, _Y, _Z, _W, _V = (gen(i) for i in range(1, 6))
+_XY2 = commutator(_X, _Y**2)
+_SQUARE = power(commutator(_X, _Y), 2)
+_BLOCKS = commutator(_Y, _Z) * commutator(_W, _V)
+_TWO_X = commutator(_X, _Y) * commutator(_X, _Z)
+
+# (kind, word, template, exponent, lo, hi): a ladder and its mirror (R4, R5,
+# R13), the README window (R3, R5), a grope's inner blocks (R6, R12) and a
+# gamma2 length for CL (R-CL); over generators 1..5, beside the default seeds
+_FREE_FACTS = (
+    *((_L, _XY2, gamma_word(2), m, 0, hi) for m, hi in enumerate((1, 2, 3, 3, 5, 6), 1)),
+    (_L, _XY2.inverse(), gamma_word(2), 3, 0, 2),
+    (_L, _SQUARE, template_from_word(_SQUARE), 6, 0, 5),
+    (_SCL, _BLOCKS, None, None, 0, 2),
+    (_L, _TWO_X, gamma_word(2), 1, 1, 2),
+)
+_FREE_DECLARED = (
+    (_SL, _XY2, gamma_word(2), None),
+    (_SL, _SQUARE, template_from_word(_SQUARE), None),
+    (_SL, gamma_word(3).body, gamma_word(3), None),  # R7
+    (_SL, grope_word(2).body, grope_word(2), None),
+    (_SL, _BLOCKS, template_from_word(_BLOCKS), None),
+    (_CL, _TWO_X, None, None),
+    (_SL, commutator(_X, _Y) * commutator(_Z, _W), commutator_product_word(2), None),
+)
+
+
+def _free_answers(images):
+    """Records, and each declared quantity's interval and explain text, with
+    every fact's and declaration's word renamed by ``images``."""
+    engine = BoundEngine()
+    engine.load_default_seeds()
+
+    def quantity(kind, word, template, exponent):
+        return Quantity(kind, Context.FREE, substitute(word, images), template, exponent)
+
+    for kind, word, template, exponent, lo, hi in _FREE_FACTS:
+        engine.add_fact(quantity(kind, word, template, exponent), lo, hi)
+    shown = [engine.declare(quantity(*row)) for row in _FREE_DECLARED]
+    engine.propagate()
+    return engine.record_lines(), [(engine.interval(q), engine.explain(q)) for q in shown]
+
+
+def test_renaming_generators_changes_no_free_answer():
+    records, shown = want = _free_answers({})
+    rules = {line.split(" RULE ")[1].split()[0] for line in records}
+    assert {"R3", "R5", "R6", "R7", "R12", "R13", "R-CL"} <= rules
+    assert all(text.startswith(("SL FREE x1 ", "CL FREE x1 ")) for _, text in shown)
+    rng = random.Random("rename free")
+    for _ in range(6):
+        # into generators 1..8, where the default seeds live
+        images = {i: gen(p) for i, p in enumerate(rng.sample(range(1, 9), 5), 1)}
+        assert _free_answers(images) == want, images
+
+
+def test_every_records_key_declares_back_to_itself(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv("VERBA_SEEDS", raising=False)
+    facts = tmp_path / "extra.facts"
+    facts.write_text("SCL PERFECT g = 1/2 inf\nL FREE [p,q]^3 | [p,q] @ 3 = 0 2\n")
+    declared = (
+        "SL FREE [y,x] | gamma2",
+        "SL FREE [p,q]^3 | [p,q]",
+        "SL PERFECT g | gamma3",
+        "CL FREE [x,y][x,z]",
+        "SL FREE [u,[v,w]] | gamma3",
+    )
+    argv = [arg for text in declared for arg in ("--declare", text)]
+    code, out, err = _cli(capsys, "bound", "--facts", str(facts), *argv, "--records")
+    assert (code, err) == (0, "")
+    keys = set()
+    for line in out.splitlines()[len(declared):]:
+        head, _, refs = line.partition(" FROM ")
+        keys.add(head.removeprefix("FACT ").rsplit(" ", 4)[0])
+        refs = refs.split(" # ")[0]
+        keys.update(ref.rsplit("=", 1)[0] for ref in refs.split(";") if ref != "-")
+    assert len(keys) >= 10 and any(" PERFECT " in key for key in keys)
+    for key in sorted(keys):
+        code, again, err = _cli(capsys, "bound", "--declare", key)
+        assert (code, err) == (0, ""), key
+        assert again.rsplit(" = ", 1)[0] == key
+
+
+def test_a_free_word_is_one_quantity_under_every_spelling(capsys, monkeypatch):
+    monkeypatch.delenv("VERBA_SEEDS", raising=False)
+    want = "SCL FREE x1 x2 x1^-1 x2^-1 = [1/2, 1/2]\n"
+    for word in ("[a,b]", "[x,y]", "[b,a]", "[x1,x2]", "[x2,x1]", "x1 x2 x1^-1 x2^-1"):
+        assert _cli(capsys, "bound", "--declare", f"SCL FREE {word}") == (0, want, ""), word
+    line = "SL FREE x1 x2 x1^-1 x2^-1 | gamma2"
+    assert _cli(capsys, "bound", "--declare", line) == (0, f"{line} = [1/2, 1/2]\n", "")
+
+
+def test_perfect_words_stay_literal():
+    engine = BoundEngine()
+    engine.load_default_seeds()
+    g = engine.add_fact("SCL PERFECT g", 1, 1)
+    h = engine.declare("SCL PERFECT h")
+    engine.propagate()
+    assert g.key() != h.key()
+    assert engine.interval(g) == (1, 1)
+    assert engine.interval(h) == (0, None)
+    assert [engine.display(q) for q in (g, h)] == ["SCL PERFECT g", "SCL PERFECT h"]
