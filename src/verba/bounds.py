@@ -129,8 +129,8 @@ def _keyed_word(context: Context, word: Word) -> Word:
 
 
 def _parse_free_word(text: str) -> Word:
-    """A ``FREE`` word text in its own names, where ``x<i>`` is generator ``i``."""
-    return grammar.parse(text, grammar.canonical_table())
+    """A ``FREE`` word text in its own names; ``canonical_renumber`` numbers them."""
+    return grammar.parse(text, grammar.NameTable())
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,28 @@ does not chain: write ``(x^2)^y``.  ``[a,b]`` is the commutator
 Names are bound to generator indices through a ``NameTable``; parsing with a
 fresh table binds names to 1, 2, ... in order of first appearance.  Printing
 renders maximal runs of one generator as a single power, e.g. ``x^2 y^-1``.
+
+A *flat* text, whitespace-separated terms ``NAME`` or ``NAME^[-]digits`` as
+``format_word`` prints every word but ``1``, is read in one pass over its
+terms instead of by the recursive descent.  That lane gives the same words,
+binds the same names in the same order and raises the same errors as the full
+parser; any other text, and so every syntax error, goes to the full parser.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ParseError, ResourceBudgetError
-from .words import EMPTY, Word, commutator, conjugate, gen, power, product
+from .words import EMPTY, Word, _reduced, check_size, commutator, conjugate, gen, power, product
 
 # A token, or the first stray non-space character, after optional whitespace.
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z][A-Za-z0-9_]*|\d+|[-^()\[\],])|(\S))")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _CANONICAL_RE = re.compile(r"x([1-9][0-9]*)\Z")
+# A term of a flat text, as ``format_word`` prints a run of one generator.
+_FLAT_TERM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\^-?\d+)?")
 
 #: Keywords of the line-based file formats; never usable as generator names.
 RESERVED_NAMES = frozenset(
@@ -155,6 +164,15 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def expression(self) -> Word:
+        """The whole input, read as one word."""
+        if self.peek() is None:
+            raise ParseError("empty expression (use '1' for the identity)")
+        result = self.word()
+        if self.peek() is not None:
+            raise ParseError(f"trailing input starting at {self.peek()!r}")
+        return result
+
     def word(self) -> Word:
         terms = [self.term()]
         while self.peek() not in (None, ")", "]", ","):
@@ -205,15 +223,46 @@ class _Parser:
         raise ParseError(f"expected an atom, found {tok!r}")
 
 
+def _parse_flat(text: str, names: NameTable) -> Word | None:
+    """``parse`` of a flat text, or ``None`` when ``text`` is not flat.
+
+    Each term is one run of its generator.  Distinct terms are bound and
+    checked in order of first appearance, as the full parser meets them;
+    adjacent runs of one generator merge, so the runs left are reduced.
+    """
+    terms = text.split()  # at the whitespace ``\s`` matches in ``_TOKEN_RE``
+    seen: dict[str, tuple[int, int] | None] = dict.fromkeys(terms)
+    if not terms or not all(map(_FLAT_TERM_RE.fullmatch, seen)):
+        return None
+    for term in seen:
+        name, _, digits = term.partition("^")
+        index, exponent = names.index(name), 1
+        if digits:
+            exponent = read_integer(digits, "exponent")
+            check_size(abs(exponent), "letters")  # as ``power`` checks a term
+        seen[term] = (index, exponent)
+    runs: list[tuple[int, int]] = []  # nonzero exponents, neighbours differ
+    for term in terms:
+        run = seen[term]
+        if runs and runs[-1][0] == run[0]:
+            exponent = runs[-1][1] + run[1]
+            if exponent:
+                runs[-1] = (run[0], exponent)
+            else:
+                runs.pop()
+        elif run[1]:
+            runs.append(run)
+    pieces = [((index, 1 if e > 0 else -1),) * abs(e) for index, e in runs]
+    return _reduced(pieces[0] if len(pieces) == 1 else tuple(chain.from_iterable(pieces)))
+
+
 def parse(text: str, names: NameTable | None = None) -> Word:
     """Parse ``text`` into a reduced ``Word``, binding new names in ``names``."""
-    parser = _Parser(_tokenize(text), names if names is not None else NameTable())
-    if parser.peek() is None:
-        raise ParseError("empty expression (use '1' for the identity)")
-    result = parser.word()
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input starting at {parser.peek()!r}")
-    return result
+    names = names if names is not None else NameTable()
+    flat = _parse_flat(text, names)
+    if flat is not None:
+        return flat
+    return _Parser(_tokenize(text), names).expression()
 
 
 def format_word(w: Word, names: NameTable | None = None) -> str:

@@ -555,7 +555,7 @@ _NUMBER_PLACES = {
     "table order": (["wlength", "--group", "table:{t}", "--template", "gamma2"], "order {n}\n0\n"),
     "word exponent": (["reduce", "x^{n}"], ""),
     "template index": (["wlength", "--group", "S3", "--template", "gamma{n}"], ""),
-    "canonical name": (["bound", "--no-default-seeds", "--declare", "SCL FREE x{n}"], ""),
+    "canonical name": (["bound", "--no-default-seeds", "--declare", "SCL PERFECT x{n}"], ""),
     "rewrite integer": (["rewrite", "culler_power_pair", "{n}"], ""),
     "rewrite integer list": (["rewrite", "telescope_line", "x;y", "{n},1", "1,1"], ""),
     "cover degree": (["cover", "--n", "{n}"], ""),

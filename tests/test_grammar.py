@@ -5,9 +5,11 @@ import random
 
 import pytest
 from helpers import random_word
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from verba import grammar
-from verba.errors import ParseError, ResourceBudgetError
+from verba.errors import ParseError, ResourceBudgetError, VerbaError
 from verba.grammar import (
     NameTable,
     canonical_key,
@@ -105,3 +107,76 @@ def test_numbers_are_read_as_str_isdecimal_reads_them():
         grammar.parse("x^-y")
     with pytest.raises(ResourceBudgetError, match="n of 5000 digits"):
         grammar.read_decimal("9" * 5000, "n")
+
+
+def _outcome(parse_with, text, names):
+    """The word ``parse_with`` reads, or its error, and the table it leaves."""
+    try:
+        result = parse_with(text, names)
+    except VerbaError as exc:
+        result = (type(exc), str(exc))
+    return result, list(names.by_name.items()), list(names.by_index.items())
+
+
+def _full_parse(text, names):
+    return grammar._Parser(grammar._tokenize(text), names).expression()
+
+
+_LONG = "9" * 5000  # past Python's 4300-digit limit on int-string conversion
+# Names and exponents that raise, or that bind as plain names in a canonical
+# table, are listed once against ten times for the others.
+_flat_names = st.sampled_from(
+    ["a", "b", "y_2", "Xy", "x1", "x2", "x10"] * 10 + ["x0", "x01", "x" + _LONG, "TARGET", "CONJ"]
+)
+_flat_exponents = st.sampled_from(
+    ["", "", "^1", "^-1", "^2", "^-3", "^0", "^-0", "^007", "^-12"] * 10
+    + ["^٣", "^99999999999", "^-" + _LONG]
+)
+_spaces = st.sampled_from([" ", " ", "  ", "\t", "\n ", "\u3000", "\x1c"])
+
+
+def _inverse_term(term):
+    name, exp, gap = term
+    if not exp:
+        return name, "^-1", gap
+    return name, "^" + exp[2:] if exp.startswith("^-") else "^-" + exp[1:], gap
+
+
+def _flat_text(lead, terms, centre):
+    """The terms joined; unless ``centre`` is None, then the inverses of all
+    but the last ``centre`` of them in reverse order, so that runs merge,
+    cancel and expose runs that merge again."""
+    if centre is not None:
+        terms = terms + [_inverse_term(term) for term in reversed(terms[: len(terms) - centre])]
+    return lead + "".join(name + exp + gap for name, exp, gap in terms)
+
+
+_flat_texts = st.builds(
+    _flat_text,
+    st.sampled_from(["", " ", "\n"]),
+    st.lists(st.tuples(_flat_names, _flat_exponents, _spaces), min_size=1, max_size=12),
+    st.sampled_from([None, 0, 1]),
+)
+
+
+@seed(20102)
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=_flat_texts)
+def test_the_flat_lane_reads_as_the_full_parser(text):
+    for table in (NameTable, canonical_table):
+        want = _outcome(_full_parse, text, table())
+        assert _outcome(grammar._parse_flat, text, table()) == want
+        assert _outcome(parse, text, table()) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["x ^ 2", "x^y", "x 1 y", "x^²", "x^-", "^2 x", "", " "]
+    + [pytest.param("x y^2 " * 20000 + "]", id="long-flat-then-bracket")],
+)
+def test_near_flat_texts_take_the_full_parser(text):
+    for table in (NameTable, canonical_table):
+        names = table()
+        assert grammar._parse_flat(text, names) is None
+        assert (names.by_name, names.by_index) == ({}, {})
+        assert _outcome(parse, text, table()) == _outcome(_full_parse, text, table())

@@ -309,7 +309,7 @@ def test_every_records_key_declares_back_to_itself(capsys, monkeypatch, tmp_path
 def test_a_free_word_is_one_quantity_under_every_spelling(capsys, monkeypatch):
     monkeypatch.delenv("VERBA_SEEDS", raising=False)
     want = "SCL FREE x1 x2 x1^-1 x2^-1 = [1/2, 1/2]\n"
-    for word in ("[a,b]", "[x,y]", "[b,a]", "[x1,x2]", "[x2,x1]", "x1 x2 x1^-1 x2^-1"):
+    for word in ("[a,b]", "[x,y]", "[b,a]", "[x1,x2]", "[x2,x1]", "[y,x1]", "x1 x2 x1^-1 x2^-1"):
         assert _cli(capsys, "bound", "--declare", f"SCL FREE {word}") == (0, want, ""), word
     line = "SL FREE x1 x2 x1^-1 x2^-1 | gamma2"
     assert _cli(capsys, "bound", "--declare", line) == (0, f"{line} = [1/2, 1/2]\n", "")
