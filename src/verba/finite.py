@@ -14,21 +14,21 @@ Backends:
 Multiplication is "first left, then right" for permutation-like backends,
 matching how words act in :mod:`verba.cover`.
 
-Word evaluation, value-set enumeration, conjugacy classes, subgroup closure,
-breadth-first ball growth and the bi-invariance check use one contract:
-:meth:`FiniteGroup.mul` over broadcast numpy id arrays, plus
-:meth:`FiniteGroup.inverses`.  ``mul`` looks products up in a dense table of
-16-bit ids built on first use, except for permutation groups of order above
-``TABLE_CAP`` (S7, S8, A8), where it composes the permutations directly.
-``inverses`` is built once from each backend's arrays: an argsort of the
-permutations, the adjugates of the matrices, or the identity's position in
-each table row.  The scalar ``multiply`` / ``inverse`` use each backend's own
-arithmetic and serve only as an independent check of ``mul`` and ``inverses``.
+Word evaluation, value-set enumeration, conjugacy classes, subgroup closure
+and breadth-first ball growth use one contract: :meth:`FiniteGroup.mul` over
+broadcast numpy id arrays, plus :meth:`FiniteGroup.inverses`.  Each
+arithmetic backend has one vectorized ``_product``, its own arithmetic on
+broadcast ids.  ``mul`` alone chooses: a dense table of 16-bit ids up to
+``TABLE_CAP``, ``_product`` above it (S7, S8, A8).  The base class builds
+each such table from the ``_product`` rows of a greedy generating set, one
+right coset at a time.  ``inverses`` comes from each backend's arrays: an argsort of
+the permutations, the matrices' adjugates, or the identity's position in each
+table row.  The scalar ``multiply`` / ``inverse`` only check ``mul`` and ``inverses``.
 
 Every template's values come from one enumeration loop over per-variable
 domains of ids (``template_values``); ``Gamma3`` is ``[x1, x2]`` with ``x2``
-over the derived subgroup.  Bi-invariance of a distance table is decided
-exactly, by conjugation with each element of a generating set.
+over the derived subgroup.  A distance table is bi-invariant exactly when it
+is constant on each conjugacy class.
 """
 from __future__ import annotations
 
@@ -83,14 +83,46 @@ class FiniteGroup:
     def element_name(self, a: int) -> str:
         return str(a)
 
-    def _build_table(self) -> np.ndarray:
+    def _product(self, a_ids, b_ids) -> np.ndarray:
+        """Products ``a * b`` of broadcast id arrays, by the backend's own arithmetic."""
         raise NotImplementedError
 
     def mul(self, a_ids, b_ids) -> np.ndarray:
-        """Products ``a * b`` of broadcast id arrays, by table lookup."""
+        """Products ``a * b`` of broadcast id arrays: a dense-table lookup up to
+        ``TABLE_CAP``, where the table is built on first use, ``_product`` above."""
+        if self.order > TABLE_CAP:
+            return self._product(a_ids, b_ids)
         if self._table is None:
             self._table = self._build_table()
         return self._table[a_ids, b_ids]
+
+    def _build_table(self) -> np.ndarray:
+        """The dense table, by Dimino's coset enumeration: ``_product`` gives the
+        row of each generator ``y`` (the least id outside the span ``H`` so far),
+        and as ``(hy)b = h(yb)`` each new coset ``H*y`` is ``H``'s rows gathered
+        through ``y``'s row, in blocks of at most ``_CHUNK`` entries."""
+        order = self.order
+        ids = np.arange(order)
+        table = np.empty((order, order), dtype=_TABLE_IDS)
+        table[self.identity] = ids
+        spanned, generators = ids == self.identity, []
+        while not spanned.all():
+            y = int(np.argmin(spanned))
+            table[y] = self._product(y, ids)
+            generators.append(y)
+            subgroup, reps = np.flatnonzero(spanned), [y]
+            for r in reps:  # the coset representatives, appended to while read
+                if spanned[r]:
+                    continue
+                for rows in _row_blocks(subgroup, order):
+                    table[table[rows[:, 0], r]] = np.take(table[rows[:, 0]], table[r], axis=1)
+                spanned[table[subgroup, r]] = True
+                for s in generators:
+                    rs = int(table[r, s])
+                    if not spanned[rs]:
+                        table[rs] = table[r, table[s]]  # (rs)b = r(sb)
+                        reps.append(rs)
+        return table
 
     def _build_inverses(self) -> np.ndarray:
         raise NotImplementedError
@@ -130,7 +162,7 @@ class PermutationGroup(FiniteGroup):
         radix[-1] = 0
         self._radix = radix
         codes = self._perms @ radix
-        # ids as narrow as the dense table's; above TABLE_CAP ``mul`` computes with them
+        # ids as narrow as the dense table's; above TABLE_CAP ``mul`` returns them
         ids = _TABLE_IDS if len(perms) <= TABLE_CAP else np.int32
         lookup = np.full(degree ** (degree - 1), -1, dtype=ids)
         lookup[codes] = np.arange(len(perms))
@@ -155,22 +187,11 @@ class PermutationGroup(FiniteGroup):
         # sorting a permutation's images by value lists its inverse
         return self._lookup[np.argsort(self._perms, axis=1) @ self._radix].astype(np.int32)
 
-    def mul(self, a_ids, b_ids) -> np.ndarray:
-        # Above the cap a dense table (order**2 ids) costs more memory and
-        # build time than composing the permutations of each product.
-        if self.order <= TABLE_CAP:
-            return super().mul(a_ids, b_ids)
+    def _product(self, a_ids, b_ids) -> np.ndarray:
         # first a, then b: composed[..., j] = perms[b][perms[a][j]]
         offsets = self.degree * np.asarray(b_ids)[..., None]
         composed = self._perms.ravel()[offsets + self._perms[a_ids]]
         return self._lookup[composed @ self._radix]
-
-    def _build_table(self) -> np.ndarray:
-        table = np.empty((self.order, self.order), dtype=_TABLE_IDS)
-        for a in range(self.order):
-            composed = self._perms[:, self._perms[a]]  # rows: all b after a
-            table[a] = self._lookup[composed @ self._radix]
-        return table
 
 
 class SL2Group(FiniteGroup):
@@ -195,23 +216,15 @@ class SL2Group(FiniteGroup):
         identity = int(lookup[np.array([1, 0, 0, 1], dtype=np.int64) @ radix])
         super().__init__(f"SL2_{p}", len(mats), identity)
 
-    def _mul_rows(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        a1, b1, c1, d1 = left.T
-        a2, b2, c2, d2 = right.T
-        p = self.p
-        return np.stack(
-            [
-                (a1 * a2 + b1 * c2) % p,
-                (a1 * b2 + b1 * d2) % p,
-                (c1 * a2 + d1 * c2) % p,
-                (c1 * b2 + d1 * d2) % p,
-            ],
-            axis=-1,
-        )
+    def _product(self, a_ids, b_ids) -> np.ndarray:
+        squares = self._mats.reshape(-1, 2, 2)
+        prod = (squares[a_ids] @ squares[b_ids]) % self.p  # broadcast 2x2 matrix products
+        return self._lookup[prod.reshape(prod.shape[:-2] + (4,)) @ self._radix]
 
     def multiply(self, a: int, b: int) -> int:
-        prod = self._mul_rows(self._mats[a][None, :], self._mats[b][None, :])[0]
-        return int(self._lookup[prod @ self._radix])
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = self._mats[a], self._mats[b]
+        prod = [a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2]
+        return int(self._lookup[(np.array(prod) % self.p) @ self._radix])
 
     def inverse(self, a: int) -> int:
         m = self._mats[a]
@@ -228,13 +241,6 @@ class SL2Group(FiniteGroup):
         a, b, c, d = self._mats.T
         adjugate = np.stack([d, -b % self.p, -c % self.p, a], axis=-1)
         return self._lookup[adjugate @ self._radix].astype(np.int32)
-
-    def _build_table(self) -> np.ndarray:
-        table = np.empty((self.order, self.order), dtype=_TABLE_IDS)
-        for a in range(self.order):
-            prod = self._mul_rows(self._mats[a][None, :], self._mats)
-            table[a] = self._lookup[prod @ self._radix]
-        return table
 
 
 class TableGroup(FiniteGroup):
@@ -521,20 +527,10 @@ def bi_invariance_check(group: FiniteGroup, table: DistanceTable) -> bool:
 
     It is left-invariant in every group, as ``(fg)^-1 fh = g^-1 h``.  It is
     right-invariant exactly when ``d(f^-1 x f) = d(x)`` for every ``x`` and
-    ``f``, and so when that holds for each ``f`` of a generating set, picked
-    as table validation picks its own: the least id outside the span so far.
+    ``f``: when ``d`` is constant on each conjugacy class.
     """
-    d = table.distances
-    ids = np.arange(group.order)
-    inv = group.inverses()
-    spanned, chosen = ids == group.identity, []
-    while not spanned.all():
-        f = int(np.argmin(spanned))
-        if not np.array_equal(d[group.mul(group.mul(inv[f], ids), f)], d):
-            return False
-        chosen.append(f)
-        spanned = _bfs_distances(group, np.array(chosen)) >= 0
-    return True
+    labels, reps = group.conjugacy_labels()
+    return np.array_equal(table.distances[reps[labels]], table.distances)
 
 
 def quotient_length(

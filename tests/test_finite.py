@@ -531,10 +531,11 @@ def test_table_group_comment_and_blank_lines():
 # ---------------------------------------------------------------------------
 # the array multiplication contract
 
-@pytest.mark.parametrize("spec", ["S7", "A7", "SL2_5", "D7"])
+@pytest.mark.parametrize("spec", ["S7", "S6", "A7", "SL2_5", "SL2_13", "D7"])
 def test_mul_matches_multiply_on_broadcast_shapes(spec):
-    # S7 is above TABLE_CAP and composes permutations; the others look up a
-    # table built by their backend.  ``multiply`` is the scalar oracle.
+    # S7 is above TABLE_CAP, where mul calls _product; the others look up a
+    # table built from generator rows.  ``multiply`` is the scalar oracle, and
+    # each arithmetic backend's _product must give the same on every shape.
     group = load_group(spec)
     rng = np.random.default_rng(17)
     oracle = np.vectorize(group.multiply)
@@ -544,10 +545,30 @@ def test_mul_matches_multiply_on_broadcast_shapes(spec):
         got = group.mul(a, b)
         assert np.shape(got) == np.broadcast_shapes(a_shape, b_shape)
         assert np.array_equal(got, oracle(a, b))
+        if not isinstance(group, TableGroup):
+            assert np.array_equal(group._product(a, b), got)
     ids = np.arange(group.order)
     inv = group.inverses()
     assert np.all(group.mul(ids, inv) == group.identity)
     assert np.all(group.mul(inv, ids) == group.identity)
+
+
+TABLED_BACKENDS = (
+    [f"S{n}" for n in range(2, 7)]
+    + [f"A{n}" for n in range(3, 8)]
+    + [f"SL2_{p}" for p in (2, 3, 5, 7, 11, 13)]
+)
+
+
+@pytest.mark.parametrize("spec", TABLED_BACKENDS)
+def test_tables_from_generator_rows_match_a_product_row_per_element(spec):
+    # The reference computes every row with _product, one element at a time;
+    # the table computes only its generators' rows and gathers the rest.
+    group = load_group(spec)
+    assert group.order <= TABLE_CAP
+    ids = np.arange(group.order)
+    want = np.array([group._product(a, ids) for a in ids])
+    assert np.array_equal(group.mul(ids[:, None], ids), want)
 
 
 @pytest.mark.parametrize("spec", registry_small_groups() + ["S7", "A7", "SL2_13", "SL2_2"])
@@ -851,9 +872,9 @@ def test_bi_invariance_detects_tampering():
 
 @pytest.mark.parametrize("spec", [*registry_small_groups(), "S7"])
 def test_bi_invariance_fails_once_one_noncentral_distance_changes(spec):
-    # Some generator moves a non-central x to a conjugate y with d(y) = d(x),
-    # so changing d(x) alone breaks conjugation invariance.  S7 is above
-    # TABLE_CAP, where mul composes permutations.
+    # A non-central x has a conjugate y != x with d(y) = d(x), so changing
+    # d(x) alone makes d differ on x's class.  S7 is above TABLE_CAP, where
+    # mul calls _product.
     group = load_group(spec)
     table = wlength_table(group, gamma_word(2))
     assert bi_invariance_check(group, table)
@@ -867,6 +888,36 @@ def test_bi_invariance_fails_once_one_noncentral_distance_changes(spec):
         tampered = table.distances.copy()
         tampered[victim] = new
         assert not bi_invariance_check(group, finite.DistanceTable(spec, table.template_key, tampered))
+
+
+@pytest.mark.parametrize("spec", registry_small_groups())
+def test_bi_invariance_check_matches_brute_force_on_arbitrary_arrays(spec):
+    # Arrays constant on each class pass although no search made them; one
+    # changed entry fails on a non-singleton class and passes on a central
+    # element.  Brute force conjugates every x by every f with multiply.
+    group, products, inverses = scalar_table(spec)
+    ids = np.arange(group.order)
+    conj = np.array([[products[products[inverses[f]][x]][f] for x in ids] for f in ids])
+    least = conj.min(axis=0)  # the least id in each element's class
+    central = np.flatnonzero((conj == ids).all(axis=0))
+    noncentral = np.flatnonzero((conj != ids).any(axis=0))
+    rng = np.random.default_rng(sum(map(ord, spec)))
+
+    def check(d):
+        got = bi_invariance_check(group, finite.DistanceTable(spec, "gamma2", d))
+        assert got == bool((d[conj] == d).all())
+        return got
+
+    for _ in range(10):
+        d = rng.integers(-1, 4, size=group.order).astype(np.int32)[least]
+        assert check(d)
+        changed = d.copy()
+        changed[rng.choice(noncentral)] += rng.integers(1, 4)
+        assert not check(changed)
+        changed = d.copy()
+        changed[rng.choice(central)] += rng.integers(1, 4)
+        assert check(changed)
+        check(rng.integers(-1, 4, size=group.order).astype(np.int32))
 
 
 # ---------------------------------------------------------------------------

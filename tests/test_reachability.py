@@ -27,6 +27,9 @@ through the same imports and ``as`` aliases; a call ``obj.name(...)`` on
 anything but a package module may be any method called ``name``, and a call
 with ``*args`` or ``**kwargs`` sets every parameter, so again the scan can
 miss a parameter no caller sets but does not report one that a caller sets.
+
+A last check keeps multiplication in one place: no subclass of
+``finite.FiniteGroup`` defines ``mul`` or ``_build_table``.
 """
 from __future__ import annotations
 
@@ -241,6 +244,28 @@ class _Scan:
         return out
 
 
+def _backend_methods(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Method names of every class in ``trees`` derived from ``FiniteGroup``,
+    directly or through another class of the package."""
+    classes = [node for tree in trees.values() for node in tree.body]
+    classes = [node for node in classes if isinstance(node, ast.ClassDef)]
+    derived = {"FiniteGroup"}
+    while True:
+        grown = derived | {
+            node.name
+            for node in classes
+            if any(getattr(b, "id", getattr(b, "attr", None)) in derived for b in node.bases)
+        }
+        if grown == derived:
+            break
+        derived = grown
+    return {
+        node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        for node in classes
+        if node.name in derived - {"FiniteGroup"}
+    }
+
+
 @pytest.fixture(scope="module")
 def scan() -> _Scan:
     return _Scan()
@@ -294,3 +319,14 @@ def test_the_scan_resolves_aliases_and_reports_a_dead_definition():
     probe.trees["words"].body.append(ast.parse("import itertools as _unused").body[0])
     assert "words.py:1 _probe" in probe.unreached()
     assert "words.py:1 _unused" in probe.unused_imports()
+
+
+def test_finite_backends_keep_one_product_and_leave_mul_and_tables_to_the_base(scan):
+    # FiniteGroup.mul alone chooses between a table and _product, and
+    # FiniteGroup._build_table alone builds tables, from generator rows.
+    methods = _backend_methods(scan.trees)
+    assert {"PermutationGroup", "SL2Group", "TableGroup"} <= set(methods)
+    base_only = {"mul", "_build_table"}
+    forks = sorted(f"{cls}.{name}" for cls, names in methods.items() for name in names & base_only)
+    assert not forks, "FiniteGroup subclasses override the base: " + ", ".join(forks)
+    assert "_product" in methods["PermutationGroup"] & methods["SL2Group"]
