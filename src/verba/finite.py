@@ -25,15 +25,19 @@ right coset at a time.  ``inverses`` comes from each backend's arrays: an argsor
 the permutations, the matrices' adjugates, or the identity's position in each
 table row.  The scalar ``multiply`` / ``inverse`` only check ``mul`` and ``inverses``.
 
-Every template's values come from one enumeration loop over per-variable
-domains of ids (``template_values``); ``Gamma3`` is ``[x1, x2]`` with ``x2``
-over the derived subgroup.  A distance table is bi-invariant exactly when it
-is constant on each conjugacy class.
+Every template's values come from its bracket shape (``template_values``):
+a commutator or product of parts over disjoint variables pairs the class
+representatives among one part's values with all of the other's and closes
+the result under conjugation; a leaf word enumerates its assignments, the
+first of two or more variables over class representatives; ``Gamma3`` is
+``[x1, d]`` with ``d`` over the subgroup the commutators generate.
+``ENUMERATION_BUDGET`` counts the products and assignments formed, and the
+breadth-first products too.  A distance table is bi-invariant exactly when
+it is constant on each conjugacy class.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -43,7 +47,7 @@ import numpy as np
 
 from . import grammar
 from .errors import ParseError, ResourceBudgetError, UnknownNameError
-from .templates import GAMMA3_FAMILY, Template, gamma_word
+from .templates import Shape, Template
 from .words import Word, commutator, gen
 
 TABLE_CAP = 4096
@@ -411,46 +415,106 @@ def _row_blocks(ids: np.ndarray, width: int):
 
 
 def template_values(group: FiniteGroup, template: Template) -> np.ndarray:
-    """Sorted ids of all values of ``template`` in ``group``.
+    """Sorted ids of all values of ``template`` in ``group``, from its bracket
+    shape (``Template.shape``).
 
-    Each variable runs over a domain of ids, and one loop evaluates the body
-    on every assignment, in blocks of ``_CHUNK``.  A word template's variables
-    run over the whole group; ``GAMMA3_FAMILY`` is ``[x1, x2]`` with ``x2``
-    over the derived subgroup.  A word map commutes with simultaneous
-    conjugation and the derived subgroup is normal, so with ``k >= 2``
-    variables ``x1`` runs over one representative per conjugacy class instead
-    and the values found are closed under conjugation: ``classes * order**(k-1)``
-    assignments for a word, ``classes * |derived|`` for ``Gamma3``.
-    ``ENUMERATION_BUDGET`` counts ``order**k`` for every template before any
-    is formed (``ResourceBudgetError`` beyond it); for ``Gamma3`` that is what
-    the derived subgroup's commutators cost.
+    A word map commutes with simultaneous conjugation, so every value set is
+    closed under it (Segal, *Words: notes on verbal width in groups*, 2009).
+    A product or commutator of parts over disjoint variables takes the
+    products ``a * b`` or ``[a, b]`` with ``a`` over the class representatives
+    among the left part's values and ``b`` over all of the right part's, in
+    blocks of at most ``_CHUNK``, and widens them to their conjugates.  A
+    product of more parts folds from the left, and skips a factor whose
+    values once left the fold unchanged.  A single letter takes every
+    value; any other leaf evaluates its body on every assignment of its
+    variables, the first over class representatives when there are two or
+    more.  A closure is the subgroup its part's values generate.  Equal
+    shapes have equal values and are evaluated once.  ``ENUMERATION_BUDGET``
+    counts the products and assignments each node forms, before forming them
+    (``ResourceBudgetError`` once the total passes it).
     """
-    gamma3 = template.key == GAMMA3_FAMILY.key
-    body = commutator(gen(1), gen(2)) if gamma3 else template.body
+    spent = 0
+
+    def spend(count: int) -> None:
+        nonlocal spent
+        spent += count
+        if spent > ENUMERATION_BUDGET:
+            raise ResourceBudgetError(
+                f"enumerating {template.label} over {group.spec} needs at least {spent}"
+                f" products and assignments (budget {ENUMERATION_BUDGET})"
+            )
+
+    return np.flatnonzero(_shape_values(group, template.shape, spend, {})).astype(np.int32)
+
+
+def _shape_values(group: FiniteGroup, shape: Shape, spend, known: dict) -> np.ndarray:
+    """The mask of ``shape``'s values; ``known`` maps each shape evaluated so
+    far to its mask.  (A module-level function: a recursive closure would be
+    a reference cycle that keeps the group and its table alive until the
+    cyclic garbage collector runs.)"""
+    mask = known.get(shape)
+    if mask is None:
+        if shape.op == "word":
+            mask = _word_values(group, shape.parts[0], spend)
+        else:
+            parts = [_shape_values(group, part, spend, known) for part in shape.parts]
+            mask = _node_values(group, shape.op, parts, spend)
+        known[shape] = mask
+    return mask
+
+
+_PAIR_BODIES = {"product": gen(1) * gen(2), "commutator": commutator(gen(1), gen(2))}
+
+
+def _node_values(group: FiniteGroup, op: str, masks: list, spend) -> np.ndarray:
+    """The mask of a closure, commutator or product of parts with value masks
+    ``masks``; ``spend(count)`` before forming ``count`` products."""
+    if op == "closure":
+        values = np.zeros(group.order, dtype=bool)
+        values[closure(group, np.flatnonzero(masks[0]))] = True
+        return values
+    reps = group.conjugacy_labels()[1]
+    # Conjugation-closed sets commute (nm = (n m n^-1) n), so once
+    # values * right == values it stays so however the fold grows.
+    values, settled = masks[0], set()
+    for right in masks[1:]:
+        if id(right) in settled:
+            continue
+        firsts, seconds = reps[values[reps]], np.flatnonzero(right)
+        spend(len(firsts) * len(seconds))
+        seen = np.zeros(group.order, dtype=bool)
+        for rows in _row_blocks(firsts, len(seconds)):
+            seen[_evaluate(group, _PAIR_BODIES[op], {1: rows, 2: seconds})] = True
+        seen = _conjugates(group, seen)
+        if np.array_equal(seen, values):
+            settled.add(id(right))
+        values = seen
+    return values
+
+
+def _word_values(group: FiniteGroup, body: Word, spend) -> np.ndarray:
+    """The mask of ``body``'s values, by one loop over every assignment in
+    blocks of ``_CHUNK``; with two or more variables the first runs over
+    class representatives and the values found are widened to their
+    conjugates."""
+    if len(body) == 1:
+        return np.ones(group.order, dtype=bool)
     variables = body.generators()
     k = len(variables)
-    if group.order**k > ENUMERATION_BUDGET:
-        raise ResourceBudgetError(
-            f"enumerating {template.label} over {group.spec} needs {group.order}^{k} assignments"
-            f" (budget {ENUMERATION_BUDGET})"
-        )
     domains = dict.fromkeys(variables, np.arange(group.order, dtype=np.int32))
-    if gamma3:
-        domains[2] = derived_subgroup(group)
     if k >= 2:
-        domains[1] = group.conjugacy_labels()[1]
-    count = math.prod(len(ids) for ids in domains.values())
+        domains[variables[0]] = group.conjugacy_labels()[1]
+    count = len(domains[variables[0]]) * group.order ** (k - 1) if k else 1
+    spend(count)
     seen = np.zeros(group.order, dtype=bool)
     for start in range(0, count, _CHUNK):
         rest = np.arange(start, min(start + _CHUNK, count), dtype=np.int32)  # count <= budget < 2**31
         columns = {}
-        for var, ids in domains.items():  # mixed radix, x1 the fastest digit
+        for var, ids in domains.items():  # mixed radix, the first variable the fastest digit
             columns[var] = ids[rest % len(ids)]
             rest //= len(ids)
         seen[_evaluate(group, body, columns)] = True
-    if k >= 2:
-        seen = _conjugates(group, seen)
-    return np.flatnonzero(seen).astype(np.int32)
+    return _conjugates(group, seen) if k >= 2 else seen
 
 
 def _conjugates(group: FiniteGroup, seen: np.ndarray) -> np.ndarray:
@@ -461,15 +525,23 @@ def _conjugates(group: FiniteGroup, seen: np.ndarray) -> np.ndarray:
 
 def _bfs_distances(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
     """Breadth-first levels from the identity, one step being right
-    multiplication by a seed or its inverse; ``-1`` where never reached."""
+    multiplication by a seed or its inverse; ``-1`` where never reached.
+    ``ENUMERATION_BUDGET`` counts the products, frontier times steps per
+    level, before each level is formed."""
     steps = np.unique(np.concatenate([seed_ids, group.inverses()[seed_ids]]))
     distances = np.full(group.order, -1, dtype=np.int32)
     distances[group.identity] = 0
     frontier = np.array([group.identity], dtype=np.int32)
     unplaced = group.order - 1
-    level = 0
+    level = formed = 0
     while frontier.size and unplaced:
         level += 1
+        formed += frontier.size * steps.size
+        if formed > ENUMERATION_BUDGET:
+            raise ResourceBudgetError(
+                f"breadth-first search over {group.spec} needs at least {formed}"
+                f" products (budget {ENUMERATION_BUDGET})"
+            )
         hit = np.zeros(group.order, dtype=bool)
         for rows in _row_blocks(frontier, len(steps)):
             hit[group.mul(rows, steps)] = True
@@ -482,10 +554,6 @@ def _bfs_distances(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
 def closure(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
     """Ids of the subgroup generated by ``seed_ids`` (products of seeds)."""
     return np.nonzero(_bfs_distances(group, seed_ids) >= 0)[0].astype(np.int32)
-
-
-def derived_subgroup(group: FiniteGroup) -> np.ndarray:
-    return closure(group, template_values(group, gamma_word(2)))
 
 
 # ---------------------------------------------------------------------------

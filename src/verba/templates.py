@@ -16,6 +16,12 @@ Templates compare by structure: the key of a single-word template is the
 canonical string of its body, so differently named but identical templates
 coincide.
 
+Each template also has a bracket ``shape``, recognised from its body on first
+use: a product of factors over pairwise disjoint variables, a commutator of
+two parts over disjoint variables, or a leaf word.  ``GAMMA3_FAMILY`` is the
+commutator of a variable with the subgroup that ``gamma_word(2)``'s values
+generate.  :func:`verba.finite.template_values` evaluates the shape.
+
 This module is the one home of the stock templates.  ``parse_template_spec``
 reads their names (``gamma3``, ``beta2``, ``Gamma3``, ...) for the bound
 engine and the CLI, and ``gamma_word`` and ``beta_word``, the families that
@@ -45,6 +51,22 @@ Substitution = dict[int, Word]
 
 
 @dataclass(frozen=True)
+class Shape:
+    """A node of a template's bracket shape.
+
+    ``op`` is ``"word"`` for a leaf, whose ``parts`` is its body word alone,
+    its variables renumbered from 1 (values do not depend on their names, so
+    equal subtrees compare equal); ``"product"`` (``A B ...``) or
+    ``"commutator"`` (``[A, B]``) over parts whose variables are pairwise
+    disjoint; or ``"closure"``, the subgroup that its one part's values
+    generate.
+    """
+
+    op: str
+    parts: tuple
+
+
+@dataclass(frozen=True)
 class Template:
     key: str
     label: str = field(compare=False)  # a display name; templates compare by structure
@@ -55,6 +77,74 @@ class Template:
         if self.body is None:
             raise ValueError(f"template {self.label} has no body word to instantiate")
         return substitute(self.body, images)
+
+    @functools.cached_property
+    def shape(self) -> Shape:
+        """The bracket shape, recognised once per template object."""
+        if self.body is None:  # GAMMA3_FAMILY: [x1, d], d in the subgroup gamma2 generates
+            closure = Shape("closure", (gamma_word(2).shape,))
+            return Shape("commutator", (_LETTER_SHAPES[1], closure))
+        return _bracket_shape(self.body)
+
+
+_LETTER_SHAPES = {sign: Shape("word", (Word(((1, sign),)),)) for sign in (1, -1)}
+
+
+def _bracket_shape(body: Word) -> Shape:
+    """Split ``body`` into products and commutators over disjoint variables.
+
+    A product is cut wherever no variable before the cut occurs after it; a
+    word without such a cut that reads ``A B A^-1 B^-1``, with nonempty ``A``
+    and ``B`` over disjoint variables, is ``[A, B]``; anything else is a leaf.
+    Each node scans its letters a bounded number of times, and the letters
+    scanned over all nodes count against ``words.SIZE_BUDGET``.
+    """
+    letters = body.letters
+    scanned = 0
+
+    def split(lo: int, hi: int) -> Shape:
+        nonlocal scanned
+        if hi - lo == 1:
+            return _LETTER_SHAPES[letters[lo][1]]
+        scanned += hi - lo
+        check_size(scanned, "letters scanned for a bracket shape")
+        cuts = _product_cuts(letters, lo, hi)
+        if len(cuts) > 2:
+            return Shape("product", tuple(split(a, b) for a, b in zip(cuts, cuts[1:])))
+        middle = _commutator_middle(letters, lo, hi)
+        if middle is not None:
+            return Shape("commutator", (split(lo, middle), split(middle, (lo + hi) // 2)))
+        return Shape("word", (canonical_renumber(Word(letters[lo:hi])),))
+
+    return split(0, len(letters))
+
+
+def _product_cuts(letters: tuple, lo: int, hi: int) -> list[int]:
+    """``lo``, every cut of ``letters[lo:hi]`` no variable crosses, and ``hi``."""
+    last = {index: p for p, (index, _) in enumerate(letters[lo:hi], lo)}
+    cuts, reach = [lo], lo
+    for p in range(lo, hi):
+        reach = max(reach, last[letters[p][0]])
+        if reach == p:
+            cuts.append(p + 1)
+    return cuts
+
+
+def _commutator_middle(letters: tuple, lo: int, hi: int) -> int | None:
+    """Where ``B`` starts when ``letters[lo:hi]`` is ``A B A^-1 B^-1`` over
+    disjoint variables, else ``None``.  The last letter's variable is ``B``'s
+    first, and ``A`` has none of ``B``'s variables, so ``B`` starts at its
+    first occurrence."""
+    if hi - lo < 4 or (hi - lo) % 2:
+        return None
+    half = lo + (hi - lo) // 2
+    first_of_b = letters[hi - 1][0]
+    middle = next((p for p in range(lo, half) if letters[p][0] == first_of_b), lo)
+    a, b = letters[lo:middle], letters[middle:half]
+    if not a or {i for i, _ in a} & {i for i, _ in b}:
+        return None
+    # A^-1 B^-1 is (B A)^-1
+    return middle if letters[half:hi] == tuple((i, -s) for i, s in reversed(b + a)) else None
 
 
 #: Commutators ``[u, v]`` with ``v`` in the commutator subgroup.

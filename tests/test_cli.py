@@ -212,7 +212,7 @@ def test_rewrite_rejects_bad_arguments(capsys, argv, message):
         ["wlength", "--group", "S3", "--template", "gamma99"],
         ["wlength", "--group", "S3", "--template", "beta12"],
         ["wlength", "--group", "S3", "--template", "gamma" + "9" * 5000],
-        ["wlength", "--group", "S3", "--template", "grope3000"],
+        ["wlength", "--group", "S3", "--template", "grope2000000"],
         ["bound", "--declare", "L FREE [x,y] | commutator_product99999999"],
         ["bound", "--declare", "L FREE [x,y] | grope2000000"],
     ],
@@ -354,23 +354,61 @@ def test_wlength_bi_invariance(capsys):
 
 
 def test_wlength_budget_exit_code(capsys):
-    code, _, err = run(capsys, "wlength", "--group", "A5", "--template", "gamma5")
+    # x is shared across the brackets, so the body is one leaf of 6
+    # variables: 5 classes times 60^5 assignments, refused before any is formed
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "wlength", "--group", "A5", "--template", "[x,y][x,z][x,u][x,v][x,w]", "--no-cache"
+    )
+    assert time.perf_counter() - start < 1
     assert code == 3
-    assert "budget" in err
+    assert err.endswith(" needs at least 3888000000 products and assignments (budget 100000000)\n")
 
 
 def test_wlength_gamma3_family_budget_exit_code(capsys, monkeypatch):
-    # A5 is perfect, so Gamma3 enumerates 5 classes times all 60 elements and
-    # the budget counts 60^2, as it does for the commutators behind them.
+    # A5 is perfect and every element is a commutator: Gamma3 forms 5 classes
+    # times 60 commutators, then 5 classes times the 60 elements they generate.
     argv = ["wlength", "--group", "A5", "--template", "Gamma3", "--no-cache"]
-    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60 * 60 - 1)
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 2 * 5 * 60 - 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err.startswith("resource budget exceeded: enumerating ")
-    assert err.endswith(" over A5 needs 60^2 assignments (budget 3599)\n")
-    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60 * 60)
+    assert err == (
+        "resource budget exceeded: enumerating Gamma3 over A5 needs at least 600"
+        " products and assignments (budget 599)\n"
+    )
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 2 * 5 * 60)
     code, out, _ = run(capsys, *argv)
     assert (code, out) == (0, "0 1\n1 59\n")
+
+
+@pytest.mark.parametrize(
+    "group, template, histogram",
+    [
+        # 9 classes times 2520 commutators twice, where a budget on all
+        # 2520^4 assignments refused it
+        ("A7", "beta2", "0 1\n1 2519\n"),
+        ("A7", "gamma3", "0 1\n1 2519\n"),
+        ("A8", "gamma2", "0 1\n1 20159\n"),
+        # a product of 3000 commutators inside one bracket: [S3, A3] = A3
+        ("S3", "grope3000", "0 1\n1 2\nunreachable 3\n"),
+    ],
+)
+def test_wlength_by_bracket_shape(capsys, group, template, histogram):
+    code, out, err = run(capsys, "wlength", "--group", group, "--template", template, "--no-cache")
+    assert (code, out, err) == (0, histogram, "")
+
+
+def test_wlength_breadth_first_budget_exit_code(capsys):
+    # the value set is A8, 22 classes times 40320 commutators; the search's
+    # second level would form 20159 * 20160 products, so it stops first
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wlength", "--group", "S8", "--template", "gamma2", "--no-cache")
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource budget exceeded: breadth-first search over S8 needs at least"
+        f" {20160 + 20159 * 20160} products (budget 100000000)\n"
+    )
 
 
 def test_wlength_unknown_group(capsys):

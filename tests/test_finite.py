@@ -40,6 +40,7 @@ from verba.templates import (
     beta_word,
     commutator_product_word,
     gamma_word,
+    parse_template_spec,
     template_from_word,
 )
 from verba.words import EMPTY, Word, commutator, gen, power
@@ -775,25 +776,114 @@ def test_representative_values_match_brute_force(spec, letters):
     assert set(got.tolist()) == tabled_oracle_values(spec, template)
 
 
+def brute_force_values(spec, template):
+    """Every one of the ``order**k`` assignments, evaluated by lookups in the
+    products and inverses that ``scalar_table`` took from ``multiply`` and
+    ``inverse``."""
+    group, products, inverses = scalar_table(spec)
+    table, inverse = np.array(products), np.array(inverses)
+    k = len(template.variables)
+    assignments = np.indices((group.order,) * k).reshape(k, -1)
+    acc = np.full(assignments.shape[1], group.identity)
+    for index, sign in template.body.letters:
+        value = assignments[template.variables.index(index)]
+        acc = table[acc, value if sign == 1 else inverse[value]]
+    return set(acc.tolist())
+
+
+# leaves of the random trees: variables, powers, and words that are no trees
+_LEAVES = ("{0}", "{0}^-1", "{0}^2", "[{0},{1}]^2", "[{0},{1}^3]")
+
+
+@st.composite
+def bracket_trees(draw):
+    """A random bracket and product tree of depth at most 3 over at most 4
+    distinct variables, as text."""
+    names = iter("abcd")
+
+    def tree(depth, room):
+        if depth < 3 and room >= 2 and draw(st.booleans()):
+            left, used = tree(depth + 1, draw(st.integers(1, room - 1)))
+            right, more = tree(depth + 1, room - used)
+            return draw(st.sampled_from(["[{},{}]", "({}) ({})"])).format(left, right), used + more
+        leaf = draw(st.sampled_from([t for t in _LEAVES if room >= 2 or "{1}" not in t]))
+        arity = 2 if "{1}" in leaf else 1
+        return leaf.format(*(next(names) for _ in range(arity))), arity
+
+    return tree(0, 4)[0]
+
+
+@seed(20170)
+@settings(max_examples=150, deadline=None, database=None)
+@given(spec=st.sampled_from(["S3", "S4", "A4", "D6", "SL2_3"]), text=bracket_trees())
+def test_bracket_tree_values_match_brute_force(spec, text):
+    template = template_from_word(grammar.parse(text))
+    got = template_values(load_group(spec), template)
+    assert set(got.tolist()) == brute_force_values(spec, template), template.shape
+
+
 def test_budget_counts_every_assignment(monkeypatch):
-    # Only 5 * 60 gamma2 assignments are enumerated over A5, but the budget
-    # is checked against all 60**2 of them.
-    group = load_group("A5")
-    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60**2)
-    assert len(template_values(group, gamma_word(2))) == 60
-    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60**2 - 1)
+    # A shaped template counts the products each node forms: gamma3 over S4
+    # forms [y,z] for 5 class representatives y and all 24 z, whose values
+    # are the 12 elements of A4, then [x,c] for 5 representatives x and
+    # those 12 c.  A leaf counts the assignments it enumerates: [x,[x,y]]
+    # takes x over the 5 representatives and y over all 24 elements.
+    group = load_group("S4")
+    leaf = template_from_word(grammar.parse("[x,[x,y]]"))
+    assert leaf.shape.op == "word"
+    for template, count in ((gamma_word(3), 5 * 24 + 5 * 12), (leaf, 5 * 24)):
+        monkeypatch.setattr(finite, "ENUMERATION_BUDGET", count)
+        assert set(template_values(group, template).tolist()) == brute_force_values("S4", template)
+        monkeypatch.setattr(finite, "ENUMERATION_BUDGET", count - 1)
+        with pytest.raises(ResourceBudgetError, match=f"needs at least {count} products"):
+            template_values(group, template)
+
+
+@pytest.mark.parametrize(
+    "spec, structure", [("beta2", "beta2"), ("commutator_product3000", "commutator_product2")]
+)
+def test_equal_subtrees_and_settled_factors_are_formed_once(monkeypatch, spec, structure):
+    # Over S4 the commutators are the 12 elements of A4: 5 classes * 24 for
+    # [x,y], evaluated once for every equal subtree, then the 3 classes of S4
+    # inside A4 * 12 for [c,d] or c*d.  A product of commutators stops
+    # growing at its second factor, and the other 2998 are skipped.
+    group = load_group("S4")
+    template = parse_template_spec(spec)
+    want = structure_values("S4")[structure]
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 5 * 24 + 3 * 12)
+    assert set(template_values(group, template).tolist()) == want
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 5 * 24 + 3 * 12 - 1)
     with pytest.raises(ResourceBudgetError):
-        template_values(group, gamma_word(2))
+        template_values(group, template)
 
 
 def test_template_values_budget(monkeypatch):
     group = load_group("A5")
     monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 100)
     with pytest.raises(ResourceBudgetError):
-        template_values(group, gamma_word(2))
+        template_values(group, gamma_word(2))  # 5 classes times 60
     monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 10**8)
-    with pytest.raises(ResourceBudgetError):
-        template_values(group, gamma_word(5))
+    # x is shared across the brackets, so the body is one leaf of 6 variables
+    shared = template_from_word(grammar.parse("[x,y][x,z][x,u][x,v][x,w]"))
+    with pytest.raises(ResourceBudgetError, match=f"needs at least {5 * 60**5} "):
+        template_values(group, shared)
+    # gamma5 is a chain of 4 brackets of 5 * 60 products each
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 4 * 5 * 60)
+    assert len(template_values(group, gamma_word(5))) == 60
+
+
+def test_breadth_first_budget_counts_frontier_times_steps(monkeypatch):
+    # A4's commutators are the 4 elements of its Klein subgroup: level 1
+    # forms 1 * 4 products and level 2 forms 3 * 4, which place nothing new.
+    group = load_group("A4")
+    values = template_values(group, gamma_word(2))
+    assert len(values) == 4
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 16)
+    distances = finite._bfs_distances(group, values)
+    assert sorted(distances.tolist()) == [-1] * 8 + [0] + [1] * 3
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 15)
+    with pytest.raises(ResourceBudgetError, match="needs at least 16 products"):
+        finite._bfs_distances(group, values)
 
 
 # ---------------------------------------------------------------------------
@@ -973,7 +1063,7 @@ def test_quotient_length_builds_one_table_per_group_template_and_budget(monkeypa
     assert len(built) == 3
     # an over-budget table is not memoized, so each call tries again
     fresh = load_group("A4")
-    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 100)
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 40)  # gamma2 forms 4 classes * 12
     with pytest.raises(ResourceBudgetError):
         quotient_length(word, gamma_word(2), fresh, images[0])
     with pytest.raises(ResourceBudgetError):

@@ -14,6 +14,7 @@ from verba.cli import main
 from verba.errors import ResourceBudgetError
 from verba.templates import (
     GAMMA3_FAMILY,
+    Shape,
     beta_word,
     commutator_product_decomposition,
     commutator_product_word,
@@ -25,7 +26,7 @@ from verba.templates import (
     template_from_word,
     visible_commutator,
 )
-from verba.words import EMPTY, Word, commutator, gen, power
+from verba.words import EMPTY, Word, canonical_renumber, commutator, gen, power, product
 
 
 def test_family_shapes():
@@ -114,6 +115,94 @@ def test_stock_templates_are_built_once_per_index():
 )
 def test_parse_template_spec(spec, want):
     assert parse_template_spec(spec) == want
+
+
+def spelled(shape):
+    """The word a shape spells with each leaf's variables renamed apart, up
+    to renaming: the body back exactly when every split it made was over
+    disjoint variables."""
+    offset = 0
+
+    def spell(node):
+        nonlocal offset
+        if node.op == "word":
+            offset += 100
+            return Word(tuple((offset + index, sign) for index, sign in node.parts[0].letters))
+        parts = [spell(part) for part in node.parts]
+        return commutator(*parts) if node.op == "commutator" else product(parts)
+
+    return canonical_renumber(spell(shape))
+
+
+def _expected_shape(family, n):
+    x = Shape("word", (gen(1),))
+    gamma2 = Shape("commutator", (x, x))
+    if family == "gamma":
+        shape = x
+        for _ in range(n - 1):
+            shape = Shape("commutator", (x, shape))
+        return shape
+    if family == "beta":
+        shape = gamma2
+        for _ in range(n - 1):
+            shape = Shape("commutator", (shape, shape))
+        return shape
+    blocks = gamma2 if n == 1 else Shape("product", (gamma2,) * n)
+    return blocks if family == "commutator_product" else Shape("commutator", (x, blocks))
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("gamma", n) for n in range(2, 6)] + [("beta", 1), ("beta", 2)]
+    + [("commutator_product", g) for g in range(1, 4)] + [("grope", 1), ("grope", 2)],
+)
+def test_stock_families_recognise_to_bracket_shapes(family, n):
+    template = parse_template_spec(f"{family}{n}")
+    assert template.shape == _expected_shape(family, n)
+    assert spelled(template.shape) == template.body
+    assert template.shape is template.shape  # recognised once
+
+
+@pytest.mark.parametrize(
+    "text",
+    # the last bracket reads A B A^-1 B^-1, but A = x^2 and B = z x^2 z^-1 share x
+    ["[x,[x,y]]", "[x,y][x,z]", "[x,y]^2", "x^2", "x y x^-1", "[x y, y z]", "[x^2, z x^2 z^-1]", "1"],
+)
+def test_words_sharing_a_variable_across_a_bracket_are_leaves(text):
+    template = parse_template_spec(text)
+    assert template.shape == Shape("word", (template.body,))
+
+
+def test_shapes_split_products_and_brackets_of_any_word():
+    shape = parse_template_spec("[x^2, y z^3] [u,v]^2 w^-1").shape
+    assert shape.op == "product" and len(shape.parts) == 3
+    bracket, leaf, letter = shape.parts
+    assert bracket.op == "commutator"
+    assert [part.op for part in bracket.parts] == ["word", "product"]
+    assert spelled(shape) == parse_template_spec("[x^2, y z^3] [u,v]^2 w^-1").body
+    # leaves are renumbered from 1: equal subtrees compare equal
+    assert leaf.parts[0] == parse_template_spec("[x,y]^2").body
+    assert letter == Shape("word", (gen(1).inverse(),))
+
+
+def test_one_body_has_one_key_and_one_shape():
+    same = [parse_template_spec(text) for text in ("gamma3", "[x,[y,z]]", "w:[y,[z,x]]")]
+    assert len({t.key for t in same}) == 1
+    assert len({t.shape for t in same}) == 1
+    assert GAMMA3_FAMILY.shape == Shape(
+        "commutator", (Shape("word", (gen(1),)), Shape("closure", (gamma_word(2).shape,)))
+    )
+
+
+def test_shape_recognition_counts_scanned_letters(monkeypatch):
+    # [x,[y,z]] scans its 10 letters and the 4 of [y,z]; single letters
+    # are leaves at once
+    body = gamma_word(3).body
+    monkeypatch.setattr(words, "SIZE_BUDGET", 14)
+    assert template_from_word(body).shape == gamma_word(3).shape
+    monkeypatch.setattr(words, "SIZE_BUDGET", 13)
+    with pytest.raises(ResourceBudgetError, match="14 letters scanned for a bracket shape"):
+        template_from_word(body).shape
 
 
 def test_parse_template_spec_returns_the_stock_object():
