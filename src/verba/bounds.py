@@ -62,8 +62,8 @@ from .templates import (
     GAMMA3_FAMILY,
     Template,
     beta_word,
-    commutator_product_decomposition,
-    fresh_commutator_split,
+    commutator_blocks,
+    fresh_head_inner,
     gamma_index,
     gamma_word,
     parse_template_spec,
@@ -823,16 +823,16 @@ def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
             continue
         if q.kind is QuantityKind.L and (q.exponent < 3 or q.exponent % 2 == 0):
             continue
-        split = fresh_commutator_split(q.word)
-        if split is None:
+        v = fresh_head_inner(q.template)
+        if v is None:
             continue
-        inner_template = template_from_word(split[1])
+        inner_template = template_from_word(v)
         if q.kind is QuantityKind.SL:
-            inner = engine._fact(QuantityKind.SL, Context.FREE, split[1], inner_template)
+            inner = engine._fact(QuantityKind.SL, Context.FREE, v, inner_template)
             note = "a fresh head generator lets consecutive blocks pair up"
         else:
             n = (q.exponent - 1) // 2
-            inner = engine._fact(QuantityKind.L, Context.FREE, split[1], inner_template, n + 1)
+            inner = engine._fact(QuantityKind.L, Context.FREE, v, inner_template, n + 1)
             note = "odd powers of a fresh-head bracket fold pairwise"
         if inner is None or inner.hi is None:
             continue
@@ -927,8 +927,8 @@ def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
         template = _body_template(q)
         if template is None:
             continue
-        pairs = commutator_product_decomposition(template.body)
-        if not pairs:
+        blocks = commutator_blocks(template)
+        if blocks is None:
             continue
         scl = engine._fact(QuantityKind.SCL, q.context, q.word)
         if scl is None or scl.hi is None:
@@ -936,7 +936,7 @@ def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
         yield (
             q,
             "hi",
-            scl.hi / len(pairs),
+            scl.hi / blocks,
             "R12",
             "disjoint commutator blocks divide the stable commutator length",
             [scl.quantity],

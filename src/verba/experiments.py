@@ -36,7 +36,7 @@ from .templates import (
     Template,
     beta_word,
     commutator_product_word,
-    fresh_commutator_split,
+    fresh_head_inner,
     gamma_word,
     grope_word,
     template_from_word,
@@ -154,10 +154,10 @@ def scenario_grope_family(
 ) -> tuple[BoundEngine, Quantity, Quantity, Quantity]:
     """One-step family membership of the n-block grope word and its ceilings."""
     engine = BoundEngine()
-    body = grope_word(n).body
-    head, inner = fresh_commutator_split(body)
+    grope = grope_word(n)
+    body, inner = grope.body, fresh_head_inner(grope)
     cert = Certificate(
-        target=body, factors=(commutator_factor(gen(head), inner),), flags=()
+        target=body, factors=(commutator_factor(gen(1), inner),), flags=()
     )
     q_len = engine.declare(Quantity(QuantityKind.L, Context.FREE, body, GAMMA3_FAMILY, 1))
     engine.add_certificate_fact(

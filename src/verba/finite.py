@@ -430,8 +430,9 @@ def template_values(group: FiniteGroup, template: Template) -> np.ndarray:
     variables, the first over class representatives when there are two or
     more.  A closure is the subgroup its part's values generate.  Equal
     shapes have equal values and are evaluated once.  ``ENUMERATION_BUDGET``
-    counts the products and assignments each node forms, before forming them
-    (``ResourceBudgetError`` once the total passes it).
+    counts the products each node forms, a leaf's being its assignments times
+    one less than its length, before forming them (``ResourceBudgetError``
+    once the total passes it).
     """
     spent = 0
 
@@ -505,7 +506,7 @@ def _word_values(group: FiniteGroup, body: Word, spend) -> np.ndarray:
     if k >= 2:
         domains[variables[0]] = group.conjugacy_labels()[1]
     count = len(domains[variables[0]]) * group.order ** (k - 1) if k else 1
-    spend(count)
+    spend(count * max(len(body) - 1, 0))  # the products _evaluate forms
     seen = np.zeros(group.order, dtype=bool)
     for start in range(0, count, _CHUNK):
         rest = np.arange(start, min(start + _CHUNK, count), dtype=np.int32)  # count <= budget < 2**31

@@ -16,11 +16,14 @@ Templates compare by structure: the key of a single-word template is the
 canonical string of its body, so differently named but identical templates
 coincide.
 
-Each template also has a bracket ``shape``, recognised from its body on first
-use: a product of factors over pairwise disjoint variables, a commutator of
-two parts over disjoint variables, or a leaf word.  ``GAMMA3_FAMILY`` is the
-commutator of a variable with the subgroup that ``gamma_word(2)``'s values
-generate.  :func:`verba.finite.template_values` evaluates the shape.
+Each template also has a bracket ``shape``: a product of factors over
+pairwise disjoint variables, a commutator of two parts over disjoint
+variables, or a leaf word.  The stock families declare theirs from their index
+and spell their bodies from it; only a template made from a word, such as
+``[x,[y,z]]``, has its shape recognised from its body, once, on first use.
+``GAMMA3_FAMILY`` is the commutator of a variable with the subgroup that
+``gamma_word(2)``'s values generate.  :func:`verba.finite.template_values`
+evaluates the shape, and the bound rules read structure from it.
 
 This module is the one home of the stock templates.  ``parse_template_spec``
 reads their names (``gamma3``, ``beta2``, ``Gamma3``, ...) for the bound
@@ -31,6 +34,7 @@ hand every later caller the same object.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -80,14 +84,19 @@ class Template:
 
     @functools.cached_property
     def shape(self) -> Shape:
-        """The bracket shape, recognised once per template object."""
-        if self.body is None:  # GAMMA3_FAMILY: [x1, d], d in the subgroup gamma2 generates
-            closure = Shape("closure", (gamma_word(2).shape,))
-            return Shape("commutator", (_LETTER_SHAPES[1], closure))
+        """The bracket shape, recognised once per template object unless declared."""
         return _bracket_shape(self.body)
 
 
 _LETTER_SHAPES = {sign: Shape("word", (Word(((1, sign),)),)) for sign in (1, -1)}
+_X = _LETTER_SHAPES[1]
+_COMMUTATOR = Shape("commutator", (_X, _X))
+
+
+def _declared(template: Template, shape: Shape) -> Template:
+    """``template`` with its bracket shape set to ``shape``, never recognised."""
+    object.__setattr__(template, "shape", shape)  # fills the cached property
+    return template
 
 
 def _bracket_shape(body: Word) -> Shape:
@@ -148,7 +157,10 @@ def _commutator_middle(letters: tuple, lo: int, hi: int) -> int | None:
 
 
 #: Commutators ``[u, v]`` with ``v`` in the commutator subgroup.
-GAMMA3_FAMILY = Template(key="Gamma3", label="Gamma3", body=None, variables=())
+GAMMA3_FAMILY = _declared(
+    Template(key="Gamma3", label="Gamma3", body=None, variables=()),
+    Shape("commutator", (_X, Shape("closure", (_COMMUTATOR,)))),
+)
 
 
 def template_from_word(body: Word, label: str | None = None) -> Template:
@@ -162,16 +174,31 @@ def template_from_word(body: Word, label: str | None = None) -> Template:
     return Template(key=key, label=label or key, body=body, variables=body.generators())
 
 
+def _stock(shape: Shape, label: str) -> Template:
+    """The template of a stock ``shape``, whose leaves are all ``_X``: its body
+    gives each leaf the next fresh generator, left to right, so it is numbered
+    by first appearance already."""
+    fresh = itertools.count(1)
+
+    def spell(node: Shape) -> Word:
+        if node.op == "word":
+            return gen(next(fresh))
+        parts = [spell(part) for part in node.parts]
+        return commutator(*parts) if node.op == "commutator" else product(parts)
+
+    return _declared(template_from_word(spell(shape), label), shape)
+
+
 @functools.lru_cache(maxsize=32)  # bounded: n comes from spec and certificate text
 def gamma_word(n: int) -> Template:
     if n < 1:
         raise ValueError("gamma_word needs n >= 1")
     check_power_size(2, n - 1, f"letters or more in gamma{n}")
     check_size(3 * 2 ** (n - 1) - 2, f"letters in gamma{n}")
-    body = gen(n)
-    for i in range(n - 1, 0, -1):
-        body = commutator(gen(i), body)
-    return template_from_word(body, f"gamma{n}")
+    shape = _X
+    for _ in range(n - 1):
+        shape = Shape("commutator", (_X, shape))
+    return _stock(shape, f"gamma{n}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -179,39 +206,49 @@ def beta_word(n: int) -> Template:
     if n < 1:
         raise ValueError("beta_word needs n >= 1")
     check_power_size(4, n, f"letters in beta{n}")
+    shape = _COMMUTATOR
+    for _ in range(n - 1):
+        shape = Shape("commutator", (shape, shape))
+    return _stock(shape, f"beta{n}")
 
-    def build(level: int, first: int) -> Word:
-        if level == 1:
-            return commutator(gen(first), gen(first + 1))
-        half = 2 ** (level - 1)
-        return commutator(build(level - 1, first), build(level - 1, first + half))
 
-    return template_from_word(build(n, 1), f"beta{n}")
+def _blocks(g: int) -> Shape:  # [x1,x2][x3,x4]... with g blocks
+    return _COMMUTATOR if g == 1 else Shape("product", (_COMMUTATOR,) * g)
 
 
 def commutator_product_word(g: int) -> Template:
     if g < 1:
         raise ValueError("commutator_product_word needs g >= 1")
     check_size(4 * g, f"letters in commutator_product{g}")
-    body = product(commutator(gen(2 * i + 1), gen(2 * i + 2)) for i in range(g))
-    return template_from_word(body, f"commutator_product{g}")
+    return _stock(_blocks(g), f"commutator_product{g}")
 
 
 def grope_word(n: int) -> Template:
     if n < 1:
         raise ValueError("grope_word needs n >= 1")
     check_size(8 * n + 2, f"letters in grope{n}")
-    inner = product(commutator(gen(2 * i + 2), gen(2 * i + 3)) for i in range(n))
-    return template_from_word(commutator(gen(1), inner), f"grope{n}")
+    return _stock(Shape("commutator", (_X, _blocks(n))), f"grope{n}")
 
 
 def gamma_index(t: Template) -> int | None:
     """``n`` when ``t`` is structurally ``gamma_word(n)``, else ``None``."""
-    if t.body is None:
+    shape, n = t.shape, 1
+    while shape.op == "commutator" and shape.parts[0] == _X:
+        shape, n = shape.parts[1], n + 1
+    return n if shape == _X else None
+
+
+def commutator_blocks(t: Template) -> int | None:
+    """``g`` when ``t`` is structurally ``commutator_product_word(g)``, else ``None``."""
+    blocks = t.shape.parts if t.shape.op == "product" else (t.shape,)
+    return len(blocks) if all(block == _COMMUTATOR for block in blocks) else None
+
+
+def fresh_head_inner(t: Template) -> Word | None:
+    """``v`` when ``t`` is ``[x, v]`` with ``x`` a variable not in ``v``, else ``None``."""
+    if t.body is None or t.shape.op != "commutator" or t.shape.parts[0] != _X:
         return None
-    half, rest = divmod(len(t.body) + 2, 3)  # gamma_word(n) has 3 * 2**(n-1) - 2 letters
-    n = half.bit_length()
-    return n if not rest and half == 1 << (n - 1) and gamma_word(n).body == t.body else None
+    return Word(t.body.letters[1 : len(t.body) // 2])  # the body is x v x^-1 v^-1
 
 
 _FAMILIES = {
@@ -235,45 +272,6 @@ def parse_template_spec(text: str) -> Template:
     if match is not None:
         return _FAMILIES[match.group(1)](grammar.read_decimal(match.group(2), "template index"))
     return template_from_word(grammar.parse(text.removeprefix("w:")))
-
-
-def commutator_product_decomposition(w: Word) -> list[tuple[int, int]] | None:
-    """Split ``w`` as ``[a1,b1][a2,b2]...`` over pairwise distinct generators.
-
-    Returns the list of generator pairs, or ``None`` when ``w`` is not
-    literally such a product.
-    """
-    letters = w.letters
-    if len(letters) % 4 != 0 or not letters:
-        return None
-    pairs: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for block in range(0, len(letters), 4):
-        (a, sa), (b, sb), (a2, sa2), (b2, sb2) = letters[block : block + 4]
-        if (sa, sb, sa2, sb2) != (1, 1, -1, -1) or (a2, b2) != (a, b):
-            return None
-        if a in seen or b in seen or a == b:
-            return None
-        seen.update((a, b))
-        pairs.append((a, b))
-    return pairs
-
-
-def fresh_commutator_split(w: Word) -> tuple[int, Word] | None:
-    """Match ``w == [x, v]`` with ``x`` a generator not occurring in ``v``."""
-    letters = w.letters
-    if len(letters) < 4 or len(letters) % 2 != 0:
-        return None
-    index, sign = letters[0]
-    if sign != 1:
-        return None
-    half = (len(letters) - 2) // 2
-    inner = Word(letters[1 : 1 + half])
-    if index in inner.generators():
-        return None
-    if commutator(gen(index), inner) == w:
-        return (index, inner)
-    return None
 
 
 def visible_commutator(w: Word) -> tuple[Word, Word] | None:

@@ -354,15 +354,28 @@ def test_wlength_bi_invariance(capsys):
 
 
 def test_wlength_budget_exit_code(capsys):
-    # x is shared across the brackets, so the body is one leaf of 6
-    # variables: 5 classes times 60^5 assignments, refused before any is formed
+    # x is shared across the brackets, so the body is one leaf of 6 variables
+    # and 20 letters: 19 products for each of 5 classes times 60^5
+    # assignments, refused before any is formed
     start = time.perf_counter()
     code, _, err = run(
         capsys, "wlength", "--group", "A5", "--template", "[x,y][x,z][x,u][x,v][x,w]", "--no-cache"
     )
     assert time.perf_counter() - start < 1
     assert code == 3
-    assert err.endswith(" needs at least 3888000000 products and assignments (budget 100000000)\n")
+    assert err.endswith(" needs at least 73872000000 products and assignments (budget 100000000)\n")
+
+
+@pytest.mark.parametrize("group, classes, order", [("A7", 9, 2520), ("SL2_13", 17, 2184)])
+def test_wlength_leaf_budget_counts_its_products(capsys, group, classes, order):
+    # [x,y][x,z] is one leaf of 8 letters: 7 products for each of
+    # classes * order^2 assignments, which alone are within the budget
+    assert classes * order**2 <= finite.ENUMERATION_BUDGET
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wlength", "--group", group, "--template", "[x,y][x,z]", "--no-cache")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert f" needs at least {classes * order**2 * 7} products" in err
 
 
 def test_wlength_gamma3_family_budget_exit_code(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import relabel, table_text
-from verba import finite, grammar
+from verba import finite, grammar, words
 from verba.errors import ParseError, ResourceBudgetError, UnknownNameError
 from verba.finite import (
     TABLE_CAP,
@@ -826,12 +826,13 @@ def test_budget_counts_every_assignment(monkeypatch):
     # A shaped template counts the products each node forms: gamma3 over S4
     # forms [y,z] for 5 class representatives y and all 24 z, whose values
     # are the 12 elements of A4, then [x,c] for 5 representatives x and
-    # those 12 c.  A leaf counts the assignments it enumerates: [x,[x,y]]
-    # takes x over the 5 representatives and y over all 24 elements.
+    # those 12 c.  A leaf counts the products it forms: [x,[x,y]] takes x
+    # over the 5 representatives and y over all 24 elements, and multiplies
+    # its 10 letters with 9 products for each.
     group = load_group("S4")
     leaf = template_from_word(grammar.parse("[x,[x,y]]"))
-    assert leaf.shape.op == "word"
-    for template, count in ((gamma_word(3), 5 * 24 + 5 * 12), (leaf, 5 * 24)):
+    assert leaf.shape.op == "word" and len(leaf.body) == 10
+    for template, count in ((gamma_word(3), 5 * 24 + 5 * 12), (leaf, 5 * 24 * 9)):
         monkeypatch.setattr(finite, "ENUMERATION_BUDGET", count)
         assert set(template_values(group, template).tolist()) == brute_force_values("S4", template)
         monkeypatch.setattr(finite, "ENUMERATION_BUDGET", count - 1)
@@ -857,6 +858,26 @@ def test_equal_subtrees_and_settled_factors_are_formed_once(monkeypatch, spec, s
         template_values(group, template)
 
 
+def test_stock_shapes_are_declared_not_recognised(monkeypatch):
+    # gamma6 has 94 letters; recognising its shape from the body would scan
+    # 176 letters against the size budget
+    gamma_word.cache_clear()
+    monkeypatch.setattr(words, "SIZE_BUDGET", 94)
+    template = gamma_word(6)
+    assert template.shape.op == "commutator"
+    assert set(template_values(load_group("S3"), template).tolist()) == brute_force_values(
+        "S3", template
+    )
+    # over S4 the 24^6 assignments are too many: gamma(n+1) = [u, c] over
+    # every u and every value c of gamma(n), pair by pair
+    group, products, inverses = scalar_table("S4")
+    ids = range(group.order)
+    want = set(ids)
+    for _ in range(5):
+        want = {products[products[products[u][c]][inverses[u]]][inverses[c]] for u in ids for c in want}
+    assert set(template_values(group, template).tolist()) == want
+
+
 def test_template_values_budget(monkeypatch):
     group = load_group("A5")
     monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 100)
@@ -864,8 +885,9 @@ def test_template_values_budget(monkeypatch):
         template_values(group, gamma_word(2))  # 5 classes times 60
     monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 10**8)
     # x is shared across the brackets, so the body is one leaf of 6 variables
+    # and 20 letters: 19 products for each of its 5 * 60^5 assignments
     shared = template_from_word(grammar.parse("[x,y][x,z][x,u][x,v][x,w]"))
-    with pytest.raises(ResourceBudgetError, match=f"needs at least {5 * 60**5} "):
+    with pytest.raises(ResourceBudgetError, match=f"needs at least {5 * 60**5 * 19} "):
         template_values(group, shared)
     # gamma5 is a chain of 4 brackets of 5 * 60 products each
     monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 4 * 5 * 60)

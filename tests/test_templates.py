@@ -16,9 +16,9 @@ from verba.templates import (
     GAMMA3_FAMILY,
     Shape,
     beta_word,
-    commutator_product_decomposition,
+    commutator_blocks,
     commutator_product_word,
-    fresh_commutator_split,
+    fresh_head_inner,
     gamma_index,
     gamma_word,
     grope_word,
@@ -52,18 +52,14 @@ def test_gamma_index_is_structural():
     assert gamma_index(renamed) == 3
 
 
-def test_gamma_index_builds_at_most_one_template_per_call():
-    # gamma_word(n) has 3 * 2**(n-1) - 2 letters; other lengths build nothing
+def test_gamma_index_builds_no_template():
+    # the chain length is read from the shape; no gamma_word is built to compare
     others = [template_from_word(Word(((1, 1),) * k)) for k in range(1, 12)]
     others += [beta_word(2), commutator_product_word(2), GAMMA3_FAMILY]
     gamma_word.cache_clear()
-    for template in others:
-        before = gamma_word.cache_info().misses
-        gamma_index(template)
-        assert gamma_word.cache_info().misses - before <= 1
-    assert [gamma_index(t) for t in others[:10]] == [1] + [None] * 9
-    assert gamma_word.cache_info().misses <= 3  # n = 1, 2 and 3 by length
+    assert [gamma_index(t) for t in others] == [1] + [None] * 13
     assert gamma_index(template_from_word(gen(1).inverse())) is None
+    assert gamma_word.cache_info().misses == 0
 
 
 def test_stock_templates_are_built_once_per_index():
@@ -226,21 +222,137 @@ def test_instance_substitution():
 
 def test_commutator_product_decomposition():
     for g in range(1, 5):
-        pairs = commutator_product_decomposition(commutator_product_word(g).body)
-        assert pairs is not None and len(pairs) == g
-    assert commutator_product_decomposition(gamma_word(3).body) is None
+        assert commutator_blocks(commutator_product_word(g)) == g
+    assert commutator_blocks(gamma_word(3)) is None
     repeated = commutator(gen(1), gen(2)) * commutator(gen(1), gen(3))
-    assert commutator_product_decomposition(repeated) is None
+    assert commutator_blocks(template_from_word(repeated)) is None
 
 
 def test_fresh_commutator_split():
     for n in range(2, 6):
-        head, inner = fresh_commutator_split(gamma_word(n).body)
-        assert head == 1
-        assert commutator(gen(head), inner) == gamma_word(n).body
-    assert fresh_commutator_split(gen(1) * gen(2)) is None
+        inner = fresh_head_inner(gamma_word(n))
+        assert inner is not None
+        assert commutator(gen(1), inner) == gamma_word(n).body
+    assert fresh_head_inner(template_from_word(gen(1) * gen(2))) is None
     tangled = commutator(gen(1), gen(1) * gen(2))
-    assert fresh_commutator_split(tangled) is None
+    assert fresh_head_inner(template_from_word(tangled)) is None
+
+
+# The letter-level builders and matchers that the declared shapes replaced,
+# kept as reference oracles.
+
+def _old_gamma_body(n):
+    body = gen(n)
+    for i in range(n - 1, 0, -1):
+        body = commutator(gen(i), body)
+    return body
+
+
+def _old_beta_body(n, first=1):
+    if n == 1:
+        return commutator(gen(first), gen(first + 1))
+    half = 2 ** (n - 1)
+    return commutator(_old_beta_body(n - 1, first), _old_beta_body(n - 1, first + half))
+
+
+def _old_commutator_product_body(g):
+    return product(commutator(gen(2 * i + 1), gen(2 * i + 2)) for i in range(g))
+
+
+def _old_grope_body(n):
+    inner = product(commutator(gen(2 * i + 2), gen(2 * i + 3)) for i in range(n))
+    return commutator(gen(1), inner)
+
+
+def _old_gamma_index(w):
+    """``n`` when ``w`` is literally the body of ``gamma_word(n)``."""
+    half, rest = divmod(len(w) + 2, 3)  # gamma_word(n) has 3 * 2**(n-1) - 2 letters
+    n = half.bit_length()
+    return n if not rest and half == 1 << (n - 1) and _old_gamma_body(n) == w else None
+
+
+def _old_commutator_product_decomposition(w):
+    """The generator pairs when ``w`` is literally ``[a1,b1][a2,b2]...`` over
+    pairwise distinct generators, else ``None``."""
+    letters = w.letters
+    if len(letters) % 4 != 0 or not letters:
+        return None
+    pairs, seen = [], set()
+    for block in range(0, len(letters), 4):
+        (a, sa), (b, sb), (a2, sa2), (b2, sb2) = letters[block : block + 4]
+        if (sa, sb, sa2, sb2) != (1, 1, -1, -1) or (a2, b2) != (a, b):
+            return None
+        if a in seen or b in seen or a == b:
+            return None
+        seen.update((a, b))
+        pairs.append((a, b))
+    return pairs
+
+
+def _old_fresh_commutator_split(w):
+    """``(x, v)`` when ``w == [x, v]`` with ``x`` a generator not in ``v``."""
+    letters = w.letters
+    if len(letters) < 4 or len(letters) % 2 != 0:
+        return None
+    index, sign = letters[0]
+    if sign != 1:
+        return None
+    inner = Word(letters[1 : len(letters) // 2])
+    if index in inner.generators():
+        return None
+    return (index, inner) if commutator(gen(index), inner) == w else None
+
+
+_OLD_BODIES = {
+    gamma_word: _old_gamma_body,
+    beta_word: _old_beta_body,
+    commutator_product_word: _old_commutator_product_body,
+    grope_word: _old_grope_body,
+}
+
+
+def _random_tree(rng, names):
+    """A random bracket and product tree over the variables ``names``, which
+    may repeat, with random leaf signs."""
+    if len(names) == 1 or rng.random() < 0.2:
+        return product(power(gen(i), rng.choice((1, -1))) for i in names)
+    cut = rng.randint(1, len(names) - 1)
+    left, right = _random_tree(rng, names[:cut]), _random_tree(rng, names[cut:])
+    return commutator(left, right) if rng.random() < 0.6 else left * right
+
+
+def test_stock_bodies_match_the_old_builders():
+    for family, build in _OLD_BODIES.items():
+        for n in range(1, 9):
+            assert family(n) == template_from_word(build(n)), (family, n)
+            assert family(n).body == build(n)
+
+
+def test_shape_readers_agree_with_the_letter_matchers():
+    rng = random.Random(1808)
+    templates = [GAMMA3_FAMILY] + [family(n) for family in _OLD_BODIES for n in range(1, 9)]
+    for _ in range(1500):
+        k = rng.randint(1, 5)
+        if rng.random() < 0.7:  # distinct variables, or some repeated
+            names = rng.sample(range(1, 6), k) if rng.random() < 0.7 else rng.choices(range(1, 6), k=k)
+            templates.append(template_from_word(_random_tree(rng, names)))
+        else:
+            templates.append(template_from_word(random_word(rng, k, 12)))
+    counts = {"gamma": 0, "blocks": 0, "fresh": 0}
+    for t in templates:
+        if t.body is None:
+            assert (gamma_index(t), commutator_blocks(t), fresh_head_inner(t)) == (None,) * 3
+            continue
+        assert gamma_index(t) == _old_gamma_index(t.body), t.key
+        pairs = _old_commutator_product_decomposition(t.body)
+        assert commutator_blocks(t) == (len(pairs) if pairs else None), t.key
+        split = _old_fresh_commutator_split(t.body)
+        assert fresh_head_inner(t) == (split and split[1]), t.key
+        assert split is None or split[0] == 1  # bodies are numbered by first appearance
+        counts["gamma"] += gamma_index(t) is not None
+        counts["blocks"] += pairs is not None
+        counts["fresh"] += split is not None
+    assert min(counts.values()) > 30, counts
 
 
 def _old_visible_commutator(w: Word):
