@@ -45,9 +45,12 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import repeat
 
 from . import grammar, magnus
 from .certificates import Certificate, FactorKind
@@ -69,7 +72,7 @@ from .templates import (
     parse_template_spec,
     template_from_word,
 )
-from .words import EMPTY, Word, canonical_renumber, in_commutator_subgroup, power
+from .words import EMPTY, Word, canonical_renumber, in_commutator_subgroup, power, power_length
 
 Bound = Fraction | None  # None is +infinity (upper bounds only)
 _MAX_ROUNDS = 50  # propagate gives up after this many rounds that tighten
@@ -711,6 +714,8 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _RoundFacts):
             lq = lf.quantity
             if lq.context is not tq.context or lf.hi is None:
                 continue
+            if power_length(lq.word, lq.exponent) != len(tq.word):
+                continue  # not the target, and no power is built to see it
             if power(lq.word, lq.exponent) != tq.word:
                 continue
             base = _template_scl(engine, lq)
@@ -943,43 +948,86 @@ def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
         )
 
 
+class _SplitTable:
+    """One ladder's upper bounds for power splitting (R13), by exponent: ints
+    where whole (R0 floors L bounds before R13 runs), else Fractions, and
+    ``math.inf`` where infinite; ``moved`` holds the exponents whose upper
+    bound moved at or after ``since``.  Only the ladder's own exponents are
+    held, however large or far apart they are."""
+
+    def __init__(self, ladder: dict[int, Fact], since: int | None):
+        self.since = since
+        self.rank = {m: i for i, m in enumerate(ladder)}  # key order
+        self.rungs = sorted(ladder)
+        self.hi: dict[int, int | Fraction | float] = {}
+        self.moved: set[int] = set()
+        for m, fact in ladder.items():
+            self.read(m, fact)
+
+    def read(self, m: int, fact: Fact) -> None:
+        hi = fact.hi
+        self.hi[m] = math.inf if hi is None else hi.numerator if hi.denominator == 1 else hi
+        if self.since is not None and hi is not None and fact.hi_event >= self.since:
+            self.moved.add(m)
+
+    def splits(self, n: int) -> list[int]:
+        """The parts ``a`` of the splits ``(a, n-a)`` to sum for ``n``, in key order.
+
+        A split and its mirror ``(n-a, a)`` are one sum, taken at the part
+        earlier in key order.  The first round sums them all unless even the
+        least sum is not below ``hi[n]``; later rounds, only those with a part
+        that moved since the previous round began, which proposed the rest.
+        """
+        hi, rank = self.hi, self.rank
+        if self.since is None:
+            lows = self.rungs[: bisect_right(self.rungs, n // 2)]  # each pair at its lesser part
+            highs = map(hi.get, map(n.__sub__, lows), repeat(math.inf))
+            if min(map(operator.add, map(hi.__getitem__, lows), highs), default=math.inf) >= hi[n]:
+                return []
+            candidates = rank
+        else:
+            candidates = sorted(
+                {e for m in self.moved if m < n and n - m in rank for e in (m, n - m)},
+                key=rank.__getitem__,
+            )
+        return [a for a in candidates if n - a in rank and rank[a] <= rank[n - a]]
+
+
 def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
     """``L(w^n) <= L(w^a) + L(w^(n-a))``, and ``L(w^n) <= L(w^-n)``.
 
-    Only a split that can tighten is proposed.  Its mirror ``(n-a, a)`` gives
-    the same value from the same facts, so the one later in ladder (key)
-    order is skipped.  After the first round, a split whose parts have not
-    moved since the previous round proposed it is skipped too: ``hi`` only
-    falls.
+    Only a split that can tighten is proposed, read from one ``_SplitTable``
+    per ladder, made at the ladder's first target; only a proposed sum
+    becomes a ``Fraction``.  The table re-reads a target after each proposal,
+    since later targets split over it.
     """
-    since = facts.since
+    tables: dict[tuple, tuple[_SplitTable, dict[int, Fact], dict[int, Fact]]] = {}
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
         n = tq.exponent
-        ladder = facts.ladder(tq.context, tq.word, tq.template.key)
-        for a, part in ladder.items():
-            if part.hi is None:
-                continue
-            other = ladder.get(n - a)  # exponents are at least 1, so a < n here
-            if other is None or other.hi is None:
-                continue
-            if since is not None and part.hi_event < since and other.hi_event < since:
-                continue
-            if other.quantity.key() < part.quantity.key():
-                continue
-            value = part.hi + other.hi
-            if target.hi is not None and value >= target.hi:
+        key = (tq.context, tq.word, tq.template.key)
+        entry = tables.get(key)
+        if entry is None:
+            ladder = facts.ladder(*key)
+            inverse = _keyed_word(tq.context, tq.word.inverse())
+            mirrors = facts.ladder(tq.context, inverse, tq.template.key)
+            entry = tables[key] = (_SplitTable(ladder, facts.since), ladder, mirrors)
+        table, ladder, mirrors = entry
+        hi = table.hi
+        for a in table.splits(n):
+            value = hi[a] + hi[n - a]
+            if value >= hi[n]:
                 continue
             yield (
                 tq,
                 "hi",
-                value,
+                Fraction(value),
                 "R13",
                 "factorizations of two powers concatenate",
-                [part.quantity, other.quantity],
+                [ladder[a].quantity, ladder[n - a].quantity],
             )
-        inverse = _keyed_word(tq.context, tq.word.inverse())
-        mirror = facts.ladder(tq.context, inverse, tq.template.key).get(n)
+            table.read(n, target)
+        mirror = mirrors.get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
                 tq,
@@ -989,6 +1037,7 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
                 "inverting a factorization factors the inverse",
                 [mirror.quantity],
             )
+            table.read(n, target)
 
 
 def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):

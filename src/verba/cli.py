@@ -12,7 +12,8 @@ Subcommands::
     verba cache {info,clear}             the distance-table cache
 
 Exit codes: 0 success / PASS, 1 verification failure or inconsistency,
-2 usage errors, 3 resource budgets exceeded.
+2 usage errors, 3 resource budgets exceeded.  Only ``wlength`` and ``cache``
+import numpy (through ``finite`` and ``cache``), when they run.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import cache as cache_mod
 from . import cover, experiments, grammar
 from .bounds import BoundEngine, format_interval
 from .certificates import parse_certificate
@@ -33,7 +33,6 @@ from .errors import (
     UnknownNameError,
     VerbaError,
 )
-from .finite import bi_invariance_check, eval_word, load_group
 from .identities import REWRITE_RULES
 from .templates import parse_template_spec
 
@@ -108,11 +107,12 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
 
 
 def _cmd_wlength(args: argparse.Namespace) -> int:
+    from . import cache as cache_mod
+    from .finite import bi_invariance_check, eval_word, load_group, wlength_table
+
     group = load_group(args.group)
     template = parse_template_spec(args.template)
     if args.no_cache:
-        from .finite import wlength_table
-
         table = wlength_table(group, template)
     else:
         table = cache_mod.distance_table(group, template)
@@ -237,6 +237,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from . import cache as cache_mod
+
     if args.action == "info":
         for line in cache_mod.info():
             print(line)

@@ -3,7 +3,8 @@
 Each experiment is a pure function returning report lines: seeded RNG, sorted
 iteration, no timestamps, so re-running produces byte-identical output.  The
 ``scenario_*`` helpers build the standard bound-engine setups and are shared
-with the test suite.
+with the test suite.  The three finite-group experiments import ``finite``,
+and with it numpy, when they run.
 """
 from __future__ import annotations
 
@@ -16,13 +17,6 @@ from . import magnus
 from .bounds import BoundEngine, Context, Quantity, QuantityKind, format_interval
 from .certificates import Certificate, commutator_factor
 from .cover import cover_invariants, known_shape_certificate, verify_shape_certificate
-from .finite import (
-    bi_invariance_check,
-    load_group,
-    quotient_length,
-    registry_small_groups,
-    wlength_table,
-)
 from .identities import (
     base_identity,
     culler_chain_squares,
@@ -306,6 +300,8 @@ def _culler_substitution_family() -> list[str]:
     "commutator-length histogram and bi-invariance in the order-60 simple group",
 )
 def _a5_commutator_lengths() -> list[str]:
+    from .finite import bi_invariance_check, load_group, wlength_table
+
     group = load_group("A5")
     table = wlength_table(group, gamma_word(2))
     histogram = " ".join(f"{k}:{v}" for k, v in sorted(table.histogram().items()))
@@ -319,6 +315,8 @@ def _a5_commutator_lengths() -> list[str]:
     "verbal distance histograms over the basic commutator for the registry",
 )
 def _small_group_distance_tables() -> list[str]:
+    from .finite import load_group, registry_small_groups, wlength_table
+
     lines = []
     for spec in registry_small_groups():
         group = load_group(spec)
@@ -353,6 +351,8 @@ def _cover_family_invariants() -> list[str]:
     "search registry quotients for a floor of 2 on the cube's commutator length",
 )
 def _cube_commutator_quotient_floor() -> list[str]:
+    from .finite import load_group, quotient_length, registry_small_groups
+
     word = power(commutator(gen(1), gen(2)), 3)
     template = gamma_word(2)
     lines = []

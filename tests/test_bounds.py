@@ -571,8 +571,8 @@ def test_propagate_formats_words_linearly_in_the_ladder_length(monkeypatch):
 
 
 def test_power_splitting_skips_splits_that_cannot_tighten(monkeypatch):
-    """A split and its mirror are one sum, and settled splits are not summed again."""
-    real = Fraction.__add__
+    """A ladder whose splits cannot tighten is not summed split by split in any round."""
+    real = bounds._SplitTable.splits
     for n in (20, 80):
         engine = BoundEngine()
         engine.load_facts(
@@ -582,15 +582,17 @@ def test_power_splitting_skips_splits_that_cannot_tighten(monkeypatch):
         engine.declare("SCL FREE [a,b]")
         count = [0]
 
-        def counted(a, b):
-            count[0] += 1
-            return real(a, b)
+        def counted(table, m):
+            splits = real(table, m)
+            count[0] += len(splits)  # every split R13 sums, whole or not
+            return splits
 
-        monkeypatch.setattr(Fraction, "__add__", counted)
+        monkeypatch.setattr(bounds._SplitTable, "splits", counted)
         engine.propagate()
-        monkeypatch.setattr(Fraction, "__add__", real)
-        # every split in every round would be about n**2 sums
-        assert count[0] <= n * n / 3, (n, count[0])
+        monkeypatch.undo()
+        # every split sums to n = hi, so round one skips every target at once,
+        # and no rung moves after it; all splits would be n**2/4 sums a round
+        assert count[0] <= n, (n, count[0])
 
 
 def _all_pairs_exponent_splitting(engine, facts):
@@ -636,15 +638,16 @@ _SPLIT_WORDS = (
 )
 
 
-def _random_rungs(rng, word, template, top, lows):
-    """Facts on some of the powers 1..top of ``word``, with whole, half and infinite bounds."""
+def _random_rungs(rng, word, template, top, lows, halves):
+    """Facts on some of the powers 1..top of ``word``: infinite bounds, a share
+    ``halves`` of half bounds, and whole ones."""
     exponents = sorted(rng.sample(range(1, top + 1), rng.randint(1, top)))
     lines = []
     for m in exponents:
         roll = rng.random()
         if roll < 0.15:
             hi = "inf"
-        elif roll < 0.4:
+        elif roll < 0.15 + halves:
             hi = str(Fraction(rng.randint(m + 2, 4 * m + 2), 2))
         else:
             hi = str(rng.randint(m // 2 + 1, 2 * m))
@@ -657,7 +660,11 @@ def _random_split_run(rng):
     """Load, propagate, maybe add facts and propagate again; the log and every interval.
 
     Without stable ratios and with every lower bound at one, power splitting
-    makes the first event of a round, which the skipping must not miss.
+    makes the first event of a round, which the skipping must not miss.  Some
+    ladders run to 80 rungs with gaps.  Some are whole while the inverse
+    word's ladder has halves: where no R0 floors them, a mirror proposal can
+    make a whole ladder fractional part way through a round.  The inverse of
+    ``[a,b]`` renames to ``[a,b]``, so its mirror ladder is the ladder itself.
     """
     word, inverse, other_template = rng.choice(_SPLIT_WORDS)
     templates = [word] if rng.random() < 0.5 else [word, other_template]
@@ -665,10 +672,12 @@ def _random_split_run(rng):
     lows = ("0", "0", "1", "1/2") if stable else ("1",)
     lines = []
     for template in templates:
-        lines += _random_rungs(rng, word, template, rng.randint(2, 24), lows)
+        top = rng.randint(2, 80 if rng.random() < 0.3 else 24)
+        halves = 0.0 if rng.random() < 0.3 else 0.25
+        lines += _random_rungs(rng, word, template, top, lows, halves)
         if rng.random() < 0.5:
-            lines += _random_rungs(rng, inverse, template, rng.randint(2, 16), lows)
-    later = _random_rungs(rng, word, rng.choice(templates), rng.randint(2, 30), lows)
+            lines += _random_rungs(rng, inverse, template, rng.randint(2, 16), lows, 0.4)
+    later = _random_rungs(rng, word, rng.choice(templates), rng.randint(2, 30), lows, 0.25)
     shown = [f"SL FREE {word} | {template}" for template in templates if stable]
     engine = BoundEngine()
     engine.load_facts("\n".join(lines))
@@ -683,22 +692,60 @@ def _random_split_run(rng):
 
 
 def test_power_splitting_matches_the_all_pairs_rule(monkeypatch):
-    """Skipping splits changes no event, antecedent or event order."""
-    oracle_rules = tuple(
-        _all_pairs_exponent_splitting if rule is bounds._rule_exponent_splitting else rule
-        for rule in bounds._RULES
-    )
+    """Skipping splits changes no event, antecedent or event order.
+
+    Each case also runs with power splitting alone, where no R0 floors the
+    half bounds first, so sums mix ints and Fractions and a mirror proposal
+    can bring a half into a whole ladder part way through a round.
+    """
+    def oracle(rules):
+        return tuple(
+            _all_pairs_exponent_splitting if rule is bounds._rule_exponent_splitting else rule
+            for rule in rules
+        )
+
     rng = random.Random(1986)
     split = 0
     for case in range(200):
         seed = rng.randrange(2**32)
-        fast = _random_split_run(random.Random(seed))
-        monkeypatch.setattr(bounds, "_RULES", oracle_rules)
-        slow = _random_split_run(random.Random(seed))
-        monkeypatch.undo()
-        assert fast == slow, (case, seed)
-        split += "concatenate" in fast
+        for rules in (bounds._RULES, (bounds._rule_exponent_splitting,)):
+            runs = []
+            for catalog in (rules, oracle(rules)):
+                monkeypatch.setattr(bounds, "_RULES", catalog)
+                runs.append(_random_split_run(random.Random(seed)))
+                monkeypatch.undo()
+            assert runs[0] == runs[1], (case, seed, len(rules))
+            split += rules is bounds._RULES and "concatenate" in runs[0]
     assert split >= 150, split
+
+
+@pytest.mark.parametrize(
+    "rungs",
+    [
+        [(10**12, "inf")],
+        [(1, "1")] + [(2**k, 2**k * (3 if k % 2 else 1)) for k in range(1, 31)],
+    ],
+    ids=["one-far-rung", "powers-of-two"],
+)
+def test_power_splitting_holds_only_the_ladders_own_exponents(monkeypatch, rungs):
+    """A far or sparse ladder splits as the all-pairs rule splits it, in room
+    that grows with its rungs, not with its largest exponent."""
+    facts = "".join(f"L FREE [a,b] | gamma2 @ {m} = 1 {hi}\n" for m, hi in rungs)
+    oracle = tuple(
+        _all_pairs_exponent_splitting if rule is bounds._rule_exponent_splitting else rule
+        for rule in bounds._RULES
+    )
+    logs = []
+    for catalog in (bounds._RULES, oracle):
+        monkeypatch.setattr(bounds, "_RULES", catalog)
+        engine = BoundEngine()
+        engine.load_facts(facts)
+        engine.propagate()
+        logs.append(engine.record_lines())
+        monkeypatch.undo()
+    assert logs[0] == logs[1]
+    # the odd powers of two start at three times their exponent; splits halve them
+    assert len(rungs) == 1 or sum("concatenate" in line for line in logs[0]) == 15
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +810,26 @@ def test_rule_scl_bridge_finite_form():
     )
     engine.propagate()
     assert engine.interval(scl_q) == (F(0), F(3, 2))
+
+
+def test_rule_scl_bridge_builds_only_powers_of_the_target_length(monkeypatch):
+    """R2 compares lengths first: of a 200-rung ladder it builds only the powers
+    as long as an SCL target, ``[a,b]^1`` for ``[a,b]`` and ``[a,b]^3``."""
+    engine = BoundEngine()
+    engine.load_facts("".join(f"L FREE [a,b] | gamma2 @ {m} = 0 {m}\n" for m in range(1, 201)))
+    engine.add_fact("SCL FREE [a,b]", hi=F(1, 2))
+    scl_q = engine.declare("SCL FREE [a,b]^3")
+    built = []
+    real = bounds.power
+
+    def counted(w, n):
+        built.append(n)
+        return real(w, n)
+
+    monkeypatch.setattr(bounds, "power", counted)
+    engine.propagate()
+    assert set(built) == {1, 3}, built
+    assert engine.interval(scl_q)[1] == F(5, 2)
 
 
 def test_rule_scl_bridge_clamps_at_zero():

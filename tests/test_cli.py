@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -27,6 +30,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("module", ["verba.cli", "verba.experiments"])
+def test_importing_does_not_import_numpy(module):
+    """Only the finite-group commands and experiments need numpy, when they run."""
+    code = f"import sys, {module}; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_reduce(capsys):
