@@ -177,13 +177,12 @@ def _parse_bound(token: str, allow_inf: bool) -> Bound:
         if not allow_inf:
             raise ParseError("only upper bounds may be infinite")
         return None
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {token!r}") from exc
-    if value < 0:
-        raise ParseError("bounds are nonnegative")
-    return value
+    numerator, slash, denominator = token.partition("/")
+    p = grammar.read_decimal(numerator, "bound")
+    q = grammar.read_decimal(denominator, "bound") if slash else 1
+    if p is None or not q:  # not decimal digits, or a zero denominator
+        raise ParseError(f"bad rational {token!r}")
+    return Fraction(p, q)
 
 
 class BoundEngine:
@@ -446,24 +445,17 @@ class BoundEngine:
     def propagate(self) -> int:
         """Apply the rule catalog to a fixed point; returns tightenings made."""
         total = 0
-        since = None  # the first event of the previous round
+        facts = _FactIndex([self.facts[key] for key in sorted(self.facts)])
         for _ in range(_MAX_ROUNDS):
-            start = len(self.events)
             changed = 0
-            for proposal in self._proposals(since):
-                quantity, side, value, rule, label, antecedents = proposal
-                if self._tighten(quantity, side, value, "RULE", rule, label, antecedents):
-                    changed += 1
+            for rule in _RULES:
+                for quantity, side, value, rule_id, label, antecedents in rule(self, facts):
+                    if self._tighten(quantity, side, value, "RULE", rule_id, label, antecedents):
+                        changed += 1
             total += changed
             if changed == 0:
                 return total
-            since = start
         raise VerbaError(f"propagation did not stabilize in {_MAX_ROUNDS} rounds")
-
-    def _proposals(self, since: int | None):
-        facts = _RoundFacts([self.facts[key] for key in sorted(self.facts)], since)
-        for rule in _RULES:
-            yield from rule(self, facts)
 
     # -- reporting -------------------------------------------------------------
 
@@ -556,22 +548,18 @@ def _factor_matches_template(factor, template: Template) -> bool:
 # unless the other side is zero (length zero forces the identity, whose
 # length is zero over anything).
 #
-# A rule gets the round's facts as a ``_RoundFacts``: all of them in key order,
-# those of one kind through ``of``, and the L facts indexed for the rules that
-# pair them up.  A rule that needs one partner fact looks it up with
+# A rule gets the facts as a ``_FactIndex``: all of them in key order, those
+# of one kind through ``of``, and the L facts indexed for the rules that pair
+# them up.  A rule that needs one partner fact looks it up with
 # ``engine._fact``.  No rule adds a fact, so ``engine.facts`` and the index
-# hold for the whole round; both hold the ``Fact`` objects themselves, so a
-# rule reads the bounds tightened earlier in its round.  ``since`` is the
-# first event of the previous round of the same ``propagate`` call (``None``
-# in its first round): a fact whose bound event is older has not moved since
-# the previous round proposed from it.
+# hold for the whole ``propagate`` call; both hold the ``Fact`` objects
+# themselves, so a rule reads the bounds tightened before it.
 
-class _RoundFacts:
-    """The facts of one round in key order, by kind, with their L facts indexed."""
+class _FactIndex:
+    """The facts in key order, by kind, with their L facts indexed."""
 
-    def __init__(self, facts: list[Fact], since: int | None) -> None:
+    def __init__(self, facts: list[Fact]) -> None:
         self._facts = facts
-        self.since = since
         self._by_kind: dict[QuantityKind, list[Fact]] = {kind: [] for kind in QuantityKind}
         # (context, word, template key) -> {exponent: fact}, in key order; a key
         # string hashes once, where a Template would hash its body word
@@ -638,7 +626,7 @@ def _linked(inner: Fact, outer: Fact, c: Fraction | int, rule: str, note: str):
     yield (outer.quantity, "lo", inner.lo / c, rule, note, [inner.quantity])
 
 
-def _rule_trivial(engine: BoundEngine, facts: _RoundFacts):
+def _rule_trivial(engine: BoundEngine, facts: _FactIndex):
     for fact in facts:
         q = fact.quantity
         if q.word == EMPTY:
@@ -654,7 +642,7 @@ def _rule_trivial(engine: BoundEngine, facts: _RoundFacts):
             )
 
 
-def _rule_integrality(engine: BoundEngine, facts: _RoundFacts):
+def _rule_integrality(engine: BoundEngine, facts: _FactIndex):
     for fact in facts:
         if fact.quantity.kind not in (QuantityKind.L, QuantityKind.CL):
             continue
@@ -665,7 +653,7 @@ def _rule_integrality(engine: BoundEngine, facts: _RoundFacts):
             yield (fact.quantity, "lo", Fraction(math.ceil(fact.lo)), "R0", note, [])
 
 
-def _rule_compose(engine: BoundEngine, facts: _RoundFacts):
+def _rule_compose(engine: BoundEngine, facts: _FactIndex):
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
         for mid in facts.same_power(tq.context, tq.word, tq.exponent):
@@ -691,7 +679,7 @@ def _rule_compose(engine: BoundEngine, facts: _RoundFacts):
             )
 
 
-def _rule_scl_bridge(engine: BoundEngine, facts: _RoundFacts):
+def _rule_scl_bridge(engine: BoundEngine, facts: _FactIndex):
     for target in facts.of(QuantityKind.SCL):
         tq = target.quantity
         for sl in facts.of(QuantityKind.SL):
@@ -741,7 +729,7 @@ def _diagonal(q: Quantity) -> Template | None:
     return template
 
 
-def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
+def _rule_diagonal_window(engine: BoundEngine, facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         if q.context is not Context.FREE:
@@ -771,7 +759,7 @@ def _rule_diagonal_window(engine: BoundEngine, facts: _RoundFacts):
             )
 
 
-def _rule_power_ratio(engine: BoundEngine, facts: _RoundFacts):
+def _rule_power_ratio(engine: BoundEngine, facts: _FactIndex):
     for target in facts.of(QuantityKind.SL):
         tq = target.quantity
         for n, lf in facts.ladder(tq.context, tq.word, tq.template.key).items():
@@ -787,7 +775,7 @@ def _rule_power_ratio(engine: BoundEngine, facts: _RoundFacts):
             )
 
 
-def _rule_stable_promotion(engine: BoundEngine, facts: _RoundFacts):
+def _rule_stable_promotion(engine: BoundEngine, facts: _FactIndex):
     for target in facts.of(QuantityKind.SL):
         tq = target.quantity
         template = _body_template(tq)
@@ -821,7 +809,7 @@ def _rule_stable_promotion(engine: BoundEngine, facts: _RoundFacts):
             )
 
 
-def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
+def _rule_fresh_head(engine: BoundEngine, facts: _FactIndex):
     for fact in facts:
         q = fact.quantity
         if q.context is not Context.FREE or _diagonal(q) is None:
@@ -845,7 +833,7 @@ def _rule_fresh_head(engine: BoundEngine, facts: _RoundFacts):
         yield (q, "hi", value, "R6", note, [inner.quantity])
 
 
-def _rule_chain_ceiling(engine: BoundEngine, facts: _RoundFacts):
+def _rule_chain_ceiling(engine: BoundEngine, facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         if q.context is not Context.FREE:
@@ -866,7 +854,7 @@ def _rule_chain_ceiling(engine: BoundEngine, facts: _RoundFacts):
         )
 
 
-def _rule_perfect_comparison(engine: BoundEngine, facts: _RoundFacts):
+def _rule_perfect_comparison(engine: BoundEngine, facts: _FactIndex):
     """scl(g) <= sl_gamma_n(g) <= 2^(n-2) scl(g) in a perfect ambient group."""
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
@@ -890,7 +878,7 @@ def _rule_perfect_comparison(engine: BoundEngine, facts: _RoundFacts):
         )
 
 
-def _rule_gamma3_bridge(engine: BoundEngine, facts: _RoundFacts):
+def _rule_gamma3_bridge(engine: BoundEngine, facts: _FactIndex):
     gamma3_key = gamma_word(3).key
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
@@ -910,7 +898,7 @@ def _rule_gamma3_bridge(engine: BoundEngine, facts: _RoundFacts):
         )
 
 
-def _rule_unbalanced_vanish(engine: BoundEngine, facts: _RoundFacts):
+def _rule_unbalanced_vanish(engine: BoundEngine, facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         template = _body_template(q)
@@ -926,7 +914,7 @@ def _rule_unbalanced_vanish(engine: BoundEngine, facts: _RoundFacts):
         )
 
 
-def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
+def _rule_block_division(engine: BoundEngine, facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         template = _body_template(q)
@@ -951,55 +939,42 @@ def _rule_block_division(engine: BoundEngine, facts: _RoundFacts):
 class _SplitTable:
     """One ladder's upper bounds for power splitting (R13), by exponent: ints
     where whole (R0 floors L bounds before R13 runs), else Fractions, and
-    ``math.inf`` where infinite; ``moved`` holds the exponents whose upper
-    bound moved at or after ``since``.  Only the ladder's own exponents are
-    held, however large or far apart they are."""
+    ``math.inf`` where infinite.  Only the ladder's own exponents are held,
+    however large or far apart they are."""
 
-    def __init__(self, ladder: dict[int, Fact], since: int | None):
-        self.since = since
+    def __init__(self, ladder: dict[int, Fact]):
         self.rank = {m: i for i, m in enumerate(ladder)}  # key order
         self.rungs = sorted(ladder)
         self.hi: dict[int, int | Fraction | float] = {}
-        self.moved: set[int] = set()
         for m, fact in ladder.items():
             self.read(m, fact)
 
     def read(self, m: int, fact: Fact) -> None:
         hi = fact.hi
         self.hi[m] = math.inf if hi is None else hi.numerator if hi.denominator == 1 else hi
-        if self.since is not None and hi is not None and fact.hi_event >= self.since:
-            self.moved.add(m)
 
     def splits(self, n: int) -> list[int]:
         """The parts ``a`` of the splits ``(a, n-a)`` to sum for ``n``, in key order.
 
         A split and its mirror ``(n-a, a)`` are one sum, taken at the part
-        earlier in key order.  The first round sums them all unless even the
-        least sum is not below ``hi[n]``; later rounds, only those with a part
-        that moved since the previous round began, which proposed the rest.
+        earlier in key order.  None is summed when even the least sum is not
+        below ``hi[n]``: no split could tighten it.
         """
         hi, rank = self.hi, self.rank
-        if self.since is None:
-            lows = self.rungs[: bisect_right(self.rungs, n // 2)]  # each pair at its lesser part
-            highs = map(hi.get, map(n.__sub__, lows), repeat(math.inf))
-            if min(map(operator.add, map(hi.__getitem__, lows), highs), default=math.inf) >= hi[n]:
-                return []
-            candidates = rank
-        else:
-            candidates = sorted(
-                {e for m in self.moved if m < n and n - m in rank for e in (m, n - m)},
-                key=rank.__getitem__,
-            )
-        return [a for a in candidates if n - a in rank and rank[a] <= rank[n - a]]
+        lows = self.rungs[: bisect_right(self.rungs, n // 2)]  # each pair at its lesser part
+        highs = map(hi.get, map(n.__sub__, lows), repeat(math.inf))
+        if min(map(operator.add, map(hi.__getitem__, lows), highs), default=math.inf) >= hi[n]:
+            return []
+        return [a for a in rank if n - a in rank and rank[a] <= rank[n - a]]
 
 
-def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
+def _rule_exponent_splitting(engine: BoundEngine, facts: _FactIndex):
     """``L(w^n) <= L(w^a) + L(w^(n-a))``, and ``L(w^n) <= L(w^-n)``.
 
     Only a split that can tighten is proposed, read from one ``_SplitTable``
     per ladder, made at the ladder's first target; only a proposed sum
     becomes a ``Fraction``.  The table re-reads a target after each proposal,
-    since later targets split over it.
+    as later targets split over it.
     """
     tables: dict[tuple, tuple[_SplitTable, dict[int, Fact], dict[int, Fact]]] = {}
     for target in facts.of(QuantityKind.L):
@@ -1011,7 +986,7 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
             ladder = facts.ladder(*key)
             inverse = _keyed_word(tq.context, tq.word.inverse())
             mirrors = facts.ladder(tq.context, inverse, tq.template.key)
-            entry = tables[key] = (_SplitTable(ladder, facts.since), ladder, mirrors)
+            entry = tables[key] = (_SplitTable(ladder), ladder, mirrors)
         table, ladder, mirrors = entry
         hi = table.hi
         for a in table.splits(n):
@@ -1040,7 +1015,7 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _RoundFacts):
             table.read(n, target)
 
 
-def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):
+def _rule_one_step_beta(engine: BoundEngine, facts: _FactIndex):
     beta2_key = beta_word(2).key
     gamma3 = gamma_word(3)
     for fact in facts.of(QuantityKind.SL):
@@ -1060,7 +1035,7 @@ def _rule_one_step_beta(engine: BoundEngine, facts: _RoundFacts):
         )
 
 
-def _rule_cl_alias(engine: BoundEngine, facts: _RoundFacts):
+def _rule_cl_alias(engine: BoundEngine, facts: _FactIndex):
     gamma2 = gamma_word(2)
     for fact in facts.of(QuantityKind.CL):
         q = fact.quantity

@@ -18,7 +18,6 @@ import numpy (through ``finite`` and ``cache``), when they run.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -157,11 +156,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     declared = []
     try:
         if not args.no_default_seeds:
-            seeds = os.environ.get("VERBA_SEEDS")
-            if seeds:
-                engine.load_facts(_read_text(seeds))
-            else:
-                engine.load_default_seeds()
+            engine.load_default_seeds()
         for path in args.facts or ():
             engine.load_facts(_read_text(path))
         for text in args.declare or ():

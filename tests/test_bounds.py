@@ -595,6 +595,62 @@ def test_power_splitting_skips_splits_that_cannot_tighten(monkeypatch):
         assert count[0] <= n, (n, count[0])
 
 
+_SHORT_RUNG = "".join(
+    f"L FREE a b^2 a^-1 b | a b^2 a^-1 b @ {m} = 0 {2 if m == 3 else m}\n" for m in range(1, 81)
+)
+
+
+def _with_round_marker(monkeypatch, mark):
+    """Run ``mark(facts)`` at the start of every round of ``propagate``."""
+    def marker(engine, facts):
+        mark(facts)
+        return iter(())
+
+    monkeypatch.setattr(bounds, "_RULES", (marker,) + bounds._RULES)
+
+
+def test_power_splitting_sums_no_split_in_the_round_that_proposes_nothing(monkeypatch):
+    """One short rung moves many targets, but once nothing can tighten, the
+    last round sums no split, and the log is the all-pairs rule's."""
+    counts = []
+    real = bounds._SplitTable.splits
+
+    def counted(table, m):
+        splits = real(table, m)
+        counts[-1] += len(splits)
+        return splits
+
+    monkeypatch.setattr(bounds._SplitTable, "splits", counted)
+    _with_round_marker(monkeypatch, lambda facts: counts.append(0))
+    engine = BoundEngine()
+    engine.load_facts(_SHORT_RUNG)
+    engine.propagate()
+    monkeypatch.undo()
+    assert len(counts) >= 3 and counts[0] > 0 and counts[-1] == 0, counts
+    oracle = tuple(
+        _all_pairs_exponent_splitting if rule is bounds._rule_exponent_splitting else rule
+        for rule in bounds._RULES
+    )
+    monkeypatch.setattr(bounds, "_RULES", oracle)
+    expected = BoundEngine()
+    expected.load_facts(_SHORT_RUNG)
+    expected.propagate()
+    assert engine.record_lines() == expected.record_lines()
+
+
+def test_propagate_indexes_the_facts_once_per_call(monkeypatch):
+    """No rule adds a fact, so every round of one call reads the same index."""
+    seen = []
+    _with_round_marker(monkeypatch, seen.append)
+    engine = BoundEngine()
+    engine.load_facts(_SHORT_RUNG)
+    engine.propagate()
+    assert len(seen) >= 3 and all(facts is seen[0] for facts in seen), len(seen)
+    engine.load_facts("L FREE a b^2 a^-1 b | a b^2 a^-1 b @ 81 = 0 80\n")
+    engine.propagate()
+    assert seen[-1] is not seen[0]  # a new call indexes the facts loaded since
+
+
 def _all_pairs_exponent_splitting(engine, facts):
     """Power splitting (R13) that proposes every split of every ladder in every round."""
     for target in facts.of(QuantityKind.L):

@@ -22,7 +22,6 @@ from verba.identities import REWRITE_RULES
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("VERBA_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("VERBA_SEEDS", raising=False)
     return tmp_path
 
 
@@ -515,11 +514,12 @@ def test_bound_without_seeds(capsys):
     assert "[0, inf]" in out
 
 
-def test_bound_seeds_env_override(capsys, tmp_path, monkeypatch):
+def test_bound_seeds_env_override(capsys, tmp_path):
     seeds = tmp_path / "custom.facts"
     seeds.write_text("SCL FREE [a,b] => 2\n")
-    monkeypatch.setenv("VERBA_SEEDS", str(seeds))
-    code, out, _ = run(capsys, "bound", "--declare", "SCL FREE [a,b]")
+    code, out, _ = run(
+        capsys, "bound", "--no-default-seeds", "--facts", str(seeds), "--declare", "SCL FREE [a,b]"
+    )
     assert code == 0
     assert "[2, 2]" in out
 
@@ -617,6 +617,7 @@ _NUMBER_PLACES = {
     "COUNTS value": (["verify", "-"], "TARGET 1\nCOUNTS RAW={n}\n"),
     "declared exponent": (["bound", "--declare", "L FREE x | gamma2 @ {n}"], ""),
     "facts exponent": (["bound", "--facts", "-"], "L FREE x | gamma2 @ {n} = 0 1\n"),
+    "facts bound": (["bound", "--facts", "-"], "L FREE x | gamma2 @ 1 = 0 {n}\n"),
     "table order": (["wlength", "--group", "table:{t}", "--template", "gamma2"], "order {n}\n0\n"),
     "word exponent": (["reduce", "x^{n}"], ""),
     "template index": (["wlength", "--group", "S3", "--template", "gamma{n}"], ""),
@@ -642,6 +643,8 @@ def _number_cases(*rows):
         ("COUNTS value", "²", 2, "error: malformed COUNTS entry 'RAW=²'"),
         ("declared exponent", "²", 2, "error: bad exponent '²'"),
         ("facts exponent", "²", 2, "error: facts line 1: bad exponent '²'"),
+        ("facts bound", "²", 2, "error: facts line 1: bad rational '²'"),
+        ("facts bound", "1_0", 2, "error: facts line 1: bad rational '1_0'"),
         ("table order", "²", 2, "error: table file must start with 'order N'"),
         ("word exponent", "²", 2, "error: unexpected character '²'"),
         ("template index", "²", 2, "error: unexpected character '²'"),
@@ -656,6 +659,7 @@ def _number_cases(*rows):
         ("COUNTS value", _LONG, 3, "resource budget exceeded: COUNTS value of 5000 digits"),
         ("declared exponent", _LONG, 3, "resource budget exceeded: exponent of 5000 digits"),
         ("facts exponent", _LONG, 3, "resource budget exceeded: facts line 1: exponent of 5000 digits"),
+        ("facts bound", _LONG, 3, "resource budget exceeded: facts line 1: bound of 5000 digits"),
         ("table order", _LONG, 3, "resource budget exceeded: table order of 5000 digits"),
         ("word exponent", _LONG, 3, "resource budget exceeded: exponent of 5000 digits"),
         ("template index", _LONG, 3, "resource budget exceeded: template index of 5000 digits"),
@@ -746,13 +750,6 @@ def test_unreadable_input_file_exit_code(capsys, tmp_path, argv):
     paths = {"missing": tmp_path / "no_such_file", "directory": tmp_path}
     argv = [arg.format(**paths) for arg in argv]
     code, _, err = run(capsys, *argv)
-    assert code == 2
-    assert err.startswith(f"error: cannot read {tmp_path}") and err.count("\n") == 1
-
-
-def test_unreadable_seeds_file_exit_code(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("VERBA_SEEDS", str(tmp_path / "no_such_file"))
-    code, _, err = run(capsys, "bound", "--declare", "SCL FREE [x,y]")
     assert code == 2
     assert err.startswith(f"error: cannot read {tmp_path}") and err.count("\n") == 1
 

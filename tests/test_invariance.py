@@ -183,8 +183,7 @@ def _cli(capsys, *argv):
 
 
 @pytest.mark.parametrize("name", sorted(_TEMPLATES))
-def test_bound_does_not_depend_on_how_a_template_is_spelt(capsys, monkeypatch, name):
-    monkeypatch.delenv("VERBA_SEEDS", raising=False)
+def test_bound_does_not_depend_on_how_a_template_is_spelt(capsys, name):
     template, spellings = _spellings(name)
     seed_names = NameTable()  # a, b, c, ... as the default seeds name generators 1, 2, 3, ...
     for var in template.variables:
@@ -279,8 +278,7 @@ def test_renaming_generators_changes_no_free_answer():
         assert _free_answers(images) == want, images
 
 
-def test_every_records_key_declares_back_to_itself(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv("VERBA_SEEDS", raising=False)
+def test_every_records_key_declares_back_to_itself(capsys, tmp_path):
     facts = tmp_path / "extra.facts"
     facts.write_text("SCL PERFECT g = 1/2 inf\nL FREE [p,q]^3 | [p,q] @ 3 = 0 2\n")
     declared = (
@@ -306,8 +304,7 @@ def test_every_records_key_declares_back_to_itself(capsys, monkeypatch, tmp_path
         assert again.rsplit(" = ", 1)[0] == key
 
 
-def test_a_free_word_is_one_quantity_under_every_spelling(capsys, monkeypatch):
-    monkeypatch.delenv("VERBA_SEEDS", raising=False)
+def test_a_free_word_is_one_quantity_under_every_spelling(capsys):
     want = "SCL FREE x1 x2 x1^-1 x2^-1 = [1/2, 1/2]\n"
     for word in ("[a,b]", "[x,y]", "[b,a]", "[x1,x2]", "[x2,x1]", "[y,x1]", "x1 x2 x1^-1 x2^-1"):
         assert _cli(capsys, "bound", "--declare", f"SCL FREE {word}") == (0, want, ""), word

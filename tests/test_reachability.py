@@ -28,8 +28,10 @@ anything but a package module may be any method called ``name``, and a call
 with ``*args`` or ``**kwargs`` sets every parameter, so again the scan can
 miss a parameter no caller sets but does not report one that a caller sets.
 
-A last check keeps multiplication in one place: no subclass of
-``finite.FiniteGroup`` defines ``mul`` or ``_build_table``.
+A check keeps multiplication in one place: no subclass of
+``finite.FiniteGroup`` defines ``mul`` or ``_build_table``.  A last one keeps
+the environment variables the package reads to those the README's
+"Environment and exit codes" table lists.
 """
 from __future__ import annotations
 
@@ -330,3 +332,36 @@ def test_finite_backends_keep_one_product_and_leave_mul_and_tables_to_the_base(s
     forks = sorted(f"{cls}.{name}" for cls, names in methods.items() for name in names & base_only)
     assert not forks, "FiniteGroup subclasses override the base: " + ", ".join(forks)
     assert "_product" in methods["PermutationGroup"] & methods["SL2Group"]
+
+
+def _environment_reads(tree: ast.Module) -> set[str]:
+    """The variables ``os.environ[...]``, ``os.environ.get(...)`` and
+    ``os.getenv(...)`` read in ``tree``; a key that is not a string literal
+    reads as ``?``."""
+    def is_os(node, attr):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "os"
+        )
+
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_os(node.value, "environ"):
+            keys.append(node.slice)
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if is_os(func, "getenv") or (
+                isinstance(func, ast.Attribute) and func.attr == "get" and is_os(func.value, "environ")
+            ):
+                keys.append(node.args[0])
+    return {k.value if isinstance(k, ast.Constant) and isinstance(k.value, str) else "?" for k in keys}
+
+
+def test_every_environment_variable_read_is_in_the_readme_table(scan):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Environment and exit codes", 1)[1].split("\n## ", 1)[0]
+    listed = {line.split("`")[1] for line in section.splitlines() if line.startswith("| `")}
+    read = set().union(*map(_environment_reads, scan.trees.values()))
+    assert read == listed == {"VERBA_CACHE_DIR"}
+    probe = ast.parse('os.environ["A"]\nos.environ.get("B", "")\nos.getenv(name)\n')
+    assert _environment_reads(probe) == {"A", "B", "?"}

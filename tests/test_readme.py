@@ -67,7 +67,6 @@ def test_readme_example_prints_what_the_readme_shows(
 ):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("VERBA_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("VERBA_SEEDS", raising=False)
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert main(argv) == 0
