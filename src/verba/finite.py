@@ -14,8 +14,8 @@ Backends:
 Multiplication is "first left, then right" for permutation-like backends,
 matching how words act in :mod:`verba.cover`.
 
-Word evaluation, value-set enumeration, conjugacy classes, subgroup closure
-and breadth-first ball growth use one contract: :meth:`FiniteGroup.mul` over
+Word evaluation, value-set enumeration, conjugacy classes and breadth-first
+ball growth use one contract: :meth:`FiniteGroup.mul` over
 broadcast numpy id arrays, plus :meth:`FiniteGroup.inverses`.  Each
 arithmetic backend has one vectorized ``_product``, its own arithmetic on
 broadcast ids.  ``mul`` alone chooses: a dense table of 16-bit ids up to
@@ -28,12 +28,13 @@ table row.  The scalar ``multiply`` / ``inverse`` only check ``mul`` and ``inver
 Every template's values come from its bracket shape (``template_values``):
 a commutator or product of parts over disjoint variables pairs the class
 representatives among one part's values with all of the other's and closes
-the result under conjugation; a leaf word enumerates its assignments, the
-first of two or more variables over class representatives; ``Gamma3`` is
-``[x1, d]`` with ``d`` over the subgroup the commutators generate.
-``ENUMERATION_BUDGET`` counts the products and assignments formed, and the
-breadth-first products too.  A distance table is bi-invariant exactly when
-it is constant on each conjugacy class.
+the result under conjugation (``_times``); a leaf word enumerates its
+assignments, the first of two or more variables over class representatives;
+``Gamma3`` is ``[x1, d]`` with ``d`` over the subgroup the commutators
+generate.  Balls are unions of classes too, and the breadth-first search
+forms each level by ``_times``.  ``ENUMERATION_BUDGET`` counts the products
+and assignments formed, and the search's frontier classes times steps.  A
+distance table is bi-invariant exactly when it is constant on each class.
 """
 from __future__ import annotations
 
@@ -420,31 +421,18 @@ def template_values(group: FiniteGroup, template: Template) -> np.ndarray:
 
     A word map commutes with simultaneous conjugation, so every value set is
     closed under it (Segal, *Words: notes on verbal width in groups*, 2009).
-    A product or commutator of parts over disjoint variables takes the
-    products ``a * b`` or ``[a, b]`` with ``a`` over the class representatives
-    among the left part's values and ``b`` over all of the right part's, in
-    blocks of at most ``_CHUNK``, and widens them to their conjugates.  A
-    product of more parts folds from the left, and skips a factor whose
-    values once left the fold unchanged.  A single letter takes every
-    value; any other leaf evaluates its body on every assignment of its
-    variables, the first over class representatives when there are two or
-    more.  A closure is the subgroup its part's values generate.  Equal
-    shapes have equal values and are evaluated once.  ``ENUMERATION_BUDGET``
-    counts the products each node forms, a leaf's being its assignments times
-    one less than its length, before forming them (``ResourceBudgetError``
-    once the total passes it).
+    A product or commutator of parts over disjoint variables is ``_times``
+    of its parts' values; a product of more parts folds from the left, and
+    skips a factor whose values once left the fold unchanged.  A single
+    letter takes every value; any other leaf evaluates its body on every
+    assignment of its variables, the first over class representatives when
+    there are two or more.  A closure is the subgroup its part's values
+    generate.  Equal shapes have equal values and are evaluated once.
+    ``ENUMERATION_BUDGET`` counts the products each node forms, a leaf's
+    being its assignments times one less than its length, before forming
+    them (``ResourceBudgetError`` once the total passes it).
     """
-    spent = 0
-
-    def spend(count: int) -> None:
-        nonlocal spent
-        spent += count
-        if spent > ENUMERATION_BUDGET:
-            raise ResourceBudgetError(
-                f"enumerating {template.label} over {group.spec} needs at least {spent}"
-                f" products and assignments (budget {ENUMERATION_BUDGET})"
-            )
-
+    spend = _budget(f"enumerating {template.label} over {group.spec}", "products and assignments")
     return np.flatnonzero(_shape_values(group, template.shape, spend, {})).astype(np.int32)
 
 
@@ -471,26 +459,48 @@ def _node_values(group: FiniteGroup, op: str, masks: list, spend) -> np.ndarray:
     """The mask of a closure, commutator or product of parts with value masks
     ``masks``; ``spend(count)`` before forming ``count`` products."""
     if op == "closure":
-        values = np.zeros(group.order, dtype=bool)
-        values[closure(group, np.flatnonzero(masks[0]))] = True
-        return values
-    reps = group.conjugacy_labels()[1]
+        return _bfs_distances(group, np.flatnonzero(masks[0])) >= 0
     # Conjugation-closed sets commute (nm = (n m n^-1) n), so once
     # values * right == values it stays so however the fold grows.
     values, settled = masks[0], set()
     for right in masks[1:]:
         if id(right) in settled:
             continue
-        firsts, seconds = reps[values[reps]], np.flatnonzero(right)
-        spend(len(firsts) * len(seconds))
-        seen = np.zeros(group.order, dtype=bool)
-        for rows in _row_blocks(firsts, len(seconds)):
-            seen[_evaluate(group, _PAIR_BODIES[op], {1: rows, 2: seconds})] = True
-        seen = _conjugates(group, seen)
+        seen = _times(group, op, values, right, spend)
         if np.array_equal(seen, values):
             settled.add(id(right))
         values = seen
     return values
+
+
+def _times(group: FiniteGroup, op: str, left: np.ndarray, right: np.ndarray, spend) -> np.ndarray:
+    """The mask of the ``op`` ("product" or "commutator") of ``a`` in mask
+    ``left`` and ``b`` in mask ``right``, both closed under conjugation;
+    ``spend(count)`` before forming ``count``.  As ``(a^g) b = (a b^(g^-1))^g``
+    and ``[a^g, b] = [a, b^(g^-1)]^g``, ``a`` runs over ``left``'s class
+    representatives only, in blocks of ``_CHUNK``, and the result is widened."""
+    reps = group.conjugacy_labels()[1]
+    firsts, seconds = reps[left[reps]], np.flatnonzero(right)
+    spend(len(firsts) * len(seconds))
+    seen = np.zeros(group.order, dtype=bool)
+    for rows in _row_blocks(firsts, len(seconds)):
+        seen[_evaluate(group, _PAIR_BODIES[op], {1: rows, 2: seconds})] = True
+    return _conjugates(group, seen)
+
+
+def _budget(what: str, formed: str):
+    """A ``spend(count)`` that raises once its counts pass ``ENUMERATION_BUDGET``."""
+    spent = 0
+
+    def spend(count: int) -> None:
+        nonlocal spent
+        spent += count
+        if spent > ENUMERATION_BUDGET:
+            raise ResourceBudgetError(
+                f"{what} needs at least {spent} {formed} (budget {ENUMERATION_BUDGET})"
+            )
+
+    return spend
 
 
 def _word_values(group: FiniteGroup, body: Word, spend) -> np.ndarray:
@@ -520,41 +530,30 @@ def _word_values(group: FiniteGroup, body: Word, spend) -> np.ndarray:
 
 def _conjugates(group: FiniteGroup, seen: np.ndarray) -> np.ndarray:
     """The mask ``seen`` widened to every conjugate of a marked element."""
-    labels = group.conjugacy_labels()[0]
-    return np.isin(labels, labels[seen])
+    labels, reps = group.conjugacy_labels()
+    classes = np.zeros(len(reps), dtype=bool)
+    classes[labels[seen]] = True
+    return classes[labels]
 
 
 def _bfs_distances(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
     """Breadth-first levels from the identity, one step being right
     multiplication by a seed or its inverse; ``-1`` where never reached.
-    ``ENUMERATION_BUDGET`` counts the products, frontier times steps per
-    level, before each level is formed."""
-    steps = np.unique(np.concatenate([seed_ids, group.inverses()[seed_ids]]))
+    The seeds must be a union of conjugacy classes, as every value set is;
+    then so is each level, the last one ``_times`` the steps, and
+    ``ENUMERATION_BUDGET`` counts its classes times the steps."""
+    steps = np.zeros(group.order, dtype=bool)
+    steps[seed_ids] = steps[group.inverses()[seed_ids]] = True
     distances = np.full(group.order, -1, dtype=np.int32)
     distances[group.identity] = 0
-    frontier = np.array([group.identity], dtype=np.int32)
-    unplaced = group.order - 1
-    level = formed = 0
-    while frontier.size and unplaced:
+    frontier = distances == 0
+    spend = _budget(f"breadth-first search over {group.spec}", "products")
+    level = 0
+    while frontier.any() and (distances < 0).any():
         level += 1
-        formed += frontier.size * steps.size
-        if formed > ENUMERATION_BUDGET:
-            raise ResourceBudgetError(
-                f"breadth-first search over {group.spec} needs at least {formed}"
-                f" products (budget {ENUMERATION_BUDGET})"
-            )
-        hit = np.zeros(group.order, dtype=bool)
-        for rows in _row_blocks(frontier, len(steps)):
-            hit[group.mul(rows, steps)] = True
-        frontier = np.nonzero(hit & (distances < 0))[0].astype(np.int32)
+        frontier = _times(group, "product", frontier, steps, spend) & (distances < 0)
         distances[frontier] = level
-        unplaced -= frontier.size
     return distances
-
-
-def closure(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
-    """Ids of the subgroup generated by ``seed_ids`` (products of seeds)."""
-    return np.nonzero(_bfs_distances(group, seed_ids) >= 0)[0].astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

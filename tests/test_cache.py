@@ -158,6 +158,21 @@ def test_wlength_recomputes_a_corrupt_entry(cache_root, capsys, corrupt):
     assert cache.load(load_group("S3"), gamma_word(2)).distances.tolist() == [0, -1, -1, 1, 1, -1]
 
 
+def test_bi_invariance_checks_the_table_the_cache_served(cache_root, capsys):
+    # Computed tables are constant on classes by construction, so the check
+    # is worth something only on what it is served: here the 3-cycles 3 and
+    # 4 of S3 at different distances, in an entry that passes every check
+    # load makes.
+    tampered = _entry([0, -1, -1, 1, 2, -1])
+    cache.cache_path("S3", gamma_word(2)).write_bytes(tampered)
+    assert cache.load(load_group("S3"), gamma_word(2)).distances.tolist() == [0, -1, -1, 1, 2, -1]
+    code = main(["wlength", "--group", "S3", "--template", "gamma2", "--check-bi-invariance"])
+    assert capsys.readouterr().out.splitlines() == [
+        "0 1", "1 1", "2 1", "unreachable 3", "bi-invariance: FAIL"
+    ]
+    assert code == 1
+
+
 def test_table_path_with_a_space_hits_on_the_second_run(cache_root, tmp_path, capsys, monkeypatch):
     path = tmp_path / "a group" / "d 3.tbl"
     path.parent.mkdir()

@@ -415,6 +415,10 @@ def test_wlength_gamma3_family_budget_exit_code(capsys, monkeypatch):
         ("A7", "beta2", "0 1\n1 2519\n"),
         ("A7", "gamma3", "0 1\n1 2519\n"),
         ("A8", "gamma2", "0 1\n1 20159\n"),
+        # the search forms each level from the frontier's classes, not its elements
+        ("S8", "x^2", "0 1\n1 14279\n2 5880\nunreachable 20160\n"),
+        ("S8", "beta2", "0 1\n1 20159\nunreachable 20160\n"),
+        ("A8", "x^3", "0 1\n1 11199\n2 8960\n"),
         # a product of 3000 commutators inside one bracket: [S3, A3] = A3
         ("S3", "grope3000", "0 1\n1 2\nunreachable 3\n"),
     ],
@@ -424,16 +428,22 @@ def test_wlength_by_bracket_shape(capsys, group, template, histogram):
     assert (code, out, err) == (0, histogram, "")
 
 
-def test_wlength_breadth_first_budget_exit_code(capsys):
+def test_wlength_breadth_first_budget_exit_code(capsys, monkeypatch):
     # the value set is A8, 22 classes times 40320 commutators; the search's
-    # second level would form 20159 * 20160 products, so it stops first
+    # levels form the frontier's classes times the 20160 steps, so it ends
     start = time.perf_counter()
     code, out, err = run(capsys, "wlength", "--group", "S8", "--template", "gamma2", "--no-cache")
     assert time.perf_counter() - start < 10
+    assert (code, out, err) == (0, "0 1\n1 20159\nunreachable 20160\n", "")
+    # x^2 over A5 forms 60 products, whose values are the 45 elements of odd
+    # order; level 1 forms 1 * 45 products and level 2 the 3 classes of
+    # orders 3 and 5 times 45, past a budget the values fit in
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60)
+    code, out, err = run(capsys, "wlength", "--group", "A5", "--template", "x^2", "--no-cache")
     assert (code, out) == (3, "")
     assert err == (
-        "resource budget exceeded: breadth-first search over S8 needs at least"
-        f" {20160 + 20159 * 20160} products (budget 100000000)\n"
+        "resource budget exceeded: breadth-first search over A5 needs at least"
+        f" {45 + 3 * 45} products (budget 60)\n"
     )
 
 

@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,6 @@ from verba.finite import (
     TABLE_CAP,
     TableGroup,
     bi_invariance_check,
-    closure,
     dihedral_table,
     eval_word,
     load_group,
@@ -95,6 +95,26 @@ def oracle_distances(group, values):
     return dist
 
 
+def element_distances(group, seed_ids):
+    """Breadth-first levels by elements: every frontier element times every
+    seed and inverse, through ``mul`` in blocks of rows; ``-1`` where never
+    reached.  No conjugacy class is used."""
+    steps = np.unique(np.concatenate([seed_ids, group.inverses()[seed_ids]]))
+    distances = np.full(group.order, -1, dtype=np.int32)
+    distances[group.identity] = 0
+    frontier = np.array([group.identity])
+    rows = max(1, (1 << 18) // len(steps))
+    level = 0
+    while frontier.size:
+        level += 1
+        hit = np.zeros(group.order, dtype=bool)
+        for start in range(0, frontier.size, rows):
+            hit[group.mul(frontier[start : start + rows, None], steps)] = True
+        frontier = np.flatnonzero(hit & (distances < 0))
+        distances[frontier] = level
+    return distances
+
+
 def oracle_subgroup_closure(group, seed):
     members = {group.identity}
     frontier = [group.identity]
@@ -131,6 +151,14 @@ def scalar_table(spec):
     ids = range(group.order)
     products = [[group.multiply(a, b) for b in ids] for a in ids]
     return group, products, [group.inverse(a) for a in ids]
+
+
+@functools.lru_cache(maxsize=None)
+def conjugates_oracle(spec):
+    """``conj[f, x]`` is ``f^-1 x f``, by ``multiply`` and ``inverse``."""
+    group, products, inverses = scalar_table(spec)
+    ids = range(group.order)
+    return np.array([[products[products[inverses[f]][x]][f] for x in ids] for f in ids])
 
 
 def tabled_oracle_values(spec, template):
@@ -597,21 +625,37 @@ def test_s7_power_values_match_lexicographic_powers():
 
 
 def test_closure_above_table_cap():
-    # (0 1 2) and the 7-cycle generate A7; a transposition added gives S7.
+    # The 3-cycles and the 7-cycles generate A7; the transpositions added
+    # give S7.  Each seed set is whole classes, picked by cycle type.
     group = load_group("S7")
     perms = list(itertools.permutations(range(7)))  # in id order
-    index = {p: i for i, p in enumerate(perms)}
-    three_cycle = index[(1, 2, 0, 3, 4, 5, 6)]
-    seven_cycle = index[(1, 2, 3, 4, 5, 6, 0)]
-    transposition = index[(1, 0, 2, 3, 4, 5, 6)]
+
+    def cycle_type(p):
+        lengths, seen = [], set()
+        for start in range(7):
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x, length = p[x], length + 1
+            if length:
+                lengths.append(length)
+        return tuple(sorted(lengths))
+
+    types = [cycle_type(p) for p in perms]
+
+    def of_type(*wanted):
+        return np.array([i for i, t in enumerate(types) if t in wanted])
+
     even = [
         i
         for i, p in enumerate(perms)
         if sum(p[x] > p[y] for x in range(7) for y in range(x + 1, 7)) % 2 == 0
     ]
-    assert closure(group, np.array([three_cycle, seven_cycle])).tolist() == even
-    everything = closure(group, np.array([three_cycle, seven_cycle, transposition]))
-    assert everything.tolist() == list(range(group.order))
+    three, seven, transposition = (1, 1, 1, 1, 3), (7,), (1, 1, 1, 1, 1, 2)
+    reached = finite._bfs_distances(group, of_type(three, seven)) >= 0
+    assert np.flatnonzero(reached).tolist() == even
+    everything = finite._bfs_distances(group, of_type(three, seven, transposition)) >= 0
+    assert everything.all()
 
 
 def test_a7_commutator_distances_span_several_blocks():
@@ -896,15 +940,16 @@ def test_template_values_budget(monkeypatch):
 
 def test_breadth_first_budget_counts_frontier_times_steps(monkeypatch):
     # A4's commutators are the 4 elements of its Klein subgroup: level 1
-    # forms 1 * 4 products and level 2 forms 3 * 4, which place nothing new.
+    # forms the identity's class times 4 steps, and level 2 the one class
+    # of the 3 involutions times 4, which place nothing new.
     group = load_group("A4")
     values = template_values(group, gamma_word(2))
     assert len(values) == 4
-    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 16)
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 8)
     distances = finite._bfs_distances(group, values)
     assert sorted(distances.tolist()) == [-1] * 8 + [0] + [1] * 3
-    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 15)
-    with pytest.raises(ResourceBudgetError, match="needs at least 16 products"):
+    monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 7)
+    with pytest.raises(ResourceBudgetError, match="needs at least 8 products"):
         finite._bfs_distances(group, values)
 
 
@@ -932,6 +977,68 @@ def test_distances_match_bfs_oracle():
         assert sum(histogram.values()) == len(want)
         for level, count in histogram.items():
             assert count == sum(1 for v in want.values() if v == level)
+
+
+ORACLE_GROUPS = [
+    *registry_small_groups(), "S5", "S6", "S7", "A6", "A7", "SL2_5", "SL2_7", "SL2_11", "SL2_13"
+]
+# the stock templates of perfbench's quotient workload, and three power words
+ORACLE_TEMPLATES = [
+    "gamma2", "gamma3", "Gamma3", "beta2", "commutator_product2", "x^2", "x^3", "x^2 y^2"
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_GROUPS)
+def test_search_by_classes_matches_the_search_by_elements(spec):
+    # Templates with one value set share one element-level search, so S7,
+    # whose gamma-like templates all give A7, runs three in about 2 s.
+    start = time.perf_counter()
+    group = load_group(spec)
+    searched = {}
+    for name in ORACLE_TEMPLATES:
+        template = parse_template_spec(name)
+        values = template_values(group, template)
+        key = values.tobytes()
+        if key not in searched:
+            searched[key] = element_distances(group, values)
+        assert wlength_table(group, template).distances.tobytes() == searched[key].tobytes(), name
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("spec", [*registry_small_groups(), "S5", "A6", "SL2_7"])
+def test_search_by_classes_matches_on_random_unions_of_classes(spec):
+    group = load_group(spec)
+    labels, reps = group.conjugacy_labels()
+    identity_class = int(labels[group.identity])
+    others = [c for c in range(len(reps)) if c != identity_class]
+    rng = random.Random(sum(map(ord, spec)))
+    for with_identity in (False, True) * 4:
+        picked = rng.sample(others, rng.randint(1, len(others)))
+        picked += [identity_class] * with_identity
+        seeds = np.flatnonzero(np.isin(labels, picked))
+        got = finite._bfs_distances(group, seeds)
+        assert got.tobytes() == element_distances(group, seeds).tobytes(), picked
+
+
+def assert_conjugation_closed(spec, template):
+    values = template_values(load_group(spec), template)
+    widened = np.unique(conjugates_oracle(spec)[:, values])
+    assert values.tolist() == widened.tolist(), template.shape
+
+
+@pytest.mark.parametrize("spec", registry_small_groups())
+def test_value_sets_are_unions_of_classes(spec):
+    # the search forms each level from class representatives, which is
+    # right only when its seeds are closed under conjugation
+    for name in [*ORACLE_TEMPLATES, "grope2", "[x,y^3]"]:
+        assert_conjugation_closed(spec, parse_template_spec(name))
+
+
+@seed(20210)
+@settings(max_examples=100, deadline=None, database=None)
+@given(spec=st.sampled_from(registry_small_groups()), text=bracket_trees())
+def test_word_template_value_sets_are_unions_of_classes(spec, text):
+    assert_conjugation_closed(spec, template_from_word(grammar.parse(text)))
 
 
 def test_search_stops_once_every_element_is_placed():
