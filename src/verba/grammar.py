@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from operator import eq
 
 from .errors import ParseError, ResourceBudgetError
 from .words import EMPTY, Word, _reduced, check_size, commutator, conjugate, gen, power, product
@@ -227,20 +228,31 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
     """``parse`` of a flat text, or ``None`` when ``text`` is not flat.
 
     Each term is one run of its generator.  Distinct terms are bound and
-    checked in order of first appearance, as the full parser meets them;
-    adjacent runs of one generator merge, so the runs left are reduced.
+    checked in order of first appearance, as the full parser meets them.
+    When every exponent is +-1 and no two neighbouring terms name one
+    generator, each term is a letter and the word is those letters;
+    otherwise adjacent runs of one generator merge, so the runs left are
+    reduced.
     """
     terms = text.split()  # at the whitespace ``\s`` matches in ``_TOKEN_RE``
     seen: dict[str, tuple[int, int] | None] = dict.fromkeys(terms)
     if not terms or not all(map(_FLAT_TERM_RE.fullmatch, seen)):
         return None
+    generator: dict[str, int] = {}
+    letters_only = True
     for term in seen:
         name, _, digits = term.partition("^")
         index, exponent = names.index(name), 1
         if digits:
             exponent = read_integer(digits, "exponent")
             check_size(abs(exponent), "letters")  # as ``power`` checks a term
+            letters_only = letters_only and exponent in (1, -1)
         seen[term] = (index, exponent)
+        generator[term] = index
+    if letters_only:
+        indices = list(map(generator.__getitem__, terms))
+        if not any(map(eq, indices, islice(indices, 1, None))):
+            return _reduced(tuple(map(seen.__getitem__, terms)))
     runs: list[tuple[int, int]] = []  # nonzero exponents, neighbours differ
     for term in terms:
         run = seen[term]
@@ -265,22 +277,68 @@ def parse(text: str, names: NameTable | None = None) -> Word:
     return _Parser(_tokenize(text), names).expression()
 
 
+class _CanonicalTexts(dict):
+    """The canonical text of each letter, ``x<i>`` or ``x<i>^-1``, made on
+    first use; cleared when it reaches ``_CANONICAL_TEXTS_BOUND`` letters."""
+
+    def __missing__(self, letter: tuple[int, int]) -> str:
+        if len(self) >= _CANONICAL_TEXTS_BOUND:
+            self.clear()
+        index, sign = letter
+        text = self[letter] = f"x{index}" if sign == 1 else f"x{index}^-1"
+        return text
+
+
+_CANONICAL_TEXTS_BOUND = 4096
+_CANONICAL_TEXTS = _CanonicalTexts()
+_GALLOP_STEP_CAP = 4096  # letters in the longest slice a run's length is counted in
+
+
+def _run_length(letters: tuple[tuple[int, int], ...], start: int) -> int:
+    """Length of the run of ``letters[start]`` that begins at ``start``,
+    counted in slices that double, up to a cap, and then halve."""
+    letter = letters[start]
+    run, step = 1, 1
+    while letters[start + run : start + run + step].count(letter) == step:
+        run += step
+        step = min(2 * step, _GALLOP_STEP_CAP)
+    while step > 1:  # the run ends within the next ``step`` letters
+        step //= 2
+        if letters[start + run : start + run + step].count(letter) == step:
+            run += step
+    return run
+
+
 def format_word(w: Word, names: NameTable | None = None) -> str:
-    """Render ``w`` as space-separated powers; canonical ``x<i>`` names by default."""
-    if not w:
+    """Render ``w`` as space-separated powers; canonical ``x<i>`` names by default.
+
+    Names a ``names`` table lacks are invented and bound in order of first
+    appearance.  A word with no two equal neighbouring letters is one term
+    per letter, joined without a Python step per letter.
+    """
+    letters = w.letters
+    if not letters:
         return "1"
+    if names is None:
+        texts: dict[tuple[int, int], str] = _CANONICAL_TEXTS
+    else:
+        texts = {}
+        for letter in dict.fromkeys(letters):
+            name = names.name(letter[0])
+            texts[letter] = name if letter[1] == 1 else f"{name}^-1"
+    if not any(map(eq, letters, islice(letters, 1, None))):
+        return " ".join(map(texts.__getitem__, letters))
     parts: list[str] = []
-    run_letter = w.letters[0]
-    run = 0
-    for letter in w.letters + ((0, 0),):
-        if letter == run_letter:
-            run += 1
-            continue
-        name = names.name(run_letter[0]) if names is not None else f"x{run_letter[0]}"
-        exponent = run * run_letter[1]
-        parts.append(name if exponent == 1 else f"{name}^{exponent}")
-        run_letter = letter
-        run = 1
+    start = 0
+    while start < len(letters):
+        letter = letters[start]
+        run = _run_length(letters, start)
+        if run == 1:
+            parts.append(texts[letter])
+        else:
+            name = names.name(letter[0]) if names is not None else f"x{letter[0]}"
+            parts.append(f"{name}^{run * letter[1]}")
+        start += run
     return " ".join(parts)
 
 

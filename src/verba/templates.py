@@ -274,6 +274,31 @@ def parse_template_spec(text: str) -> Template:
     return template_from_word(grammar.parse(text.removeprefix("w:")))
 
 
+def _border_lengths(text: tuple, pattern: tuple) -> list[int]:
+    """Every ``k`` with ``text[len(text) - k:] == pattern[:k]``, longest first
+    and ``0`` last, from the Knuth-Morris-Pratt border table of ``pattern``.
+    ``text`` is no longer than ``pattern``."""
+    border = [0] * (len(pattern) + 1)  # border[q]: longest proper border of pattern[:q]
+    k = 0
+    for q in range(1, len(pattern)):
+        while k and pattern[q] != pattern[k]:
+            k = border[k]
+        if pattern[q] == pattern[k]:
+            k += 1
+        border[q + 1] = k
+    k = 0
+    for letter in text:
+        while k and letter != pattern[k]:
+            k = border[k]
+        if letter == pattern[k]:  # k < len(pattern) until the last letter
+            k += 1
+    lengths = [k]
+    while k:
+        k = border[k]
+        lengths.append(k)
+    return lengths
+
+
 def visible_commutator(w: Word) -> tuple[Word, Word] | None:
     """The first split ``w == [u, v]`` with ``u = w[:i]`` and ``v = w[i:j]``,
     in ``(i, j)`` order, or ``None``.
@@ -284,26 +309,32 @@ def visible_commutator(w: Word) -> tuple[Word, Word] | None:
     left, ``w[i:m] w[s:i]``, spells ``r^-1``, the first ``m - s`` letters of
     ``w^-1``.  At ``i = m`` all of ``v`` cancels, ``v = w[:s]^-1``, and
     ``[u, v] = [w[:s], w[s:m]]`` is found first, so ``i < m``.  A commutator
-    lies in ``[F, F]``, so no other word is searched.  The letters compared
-    count against ``words.SIZE_BUDGET`` (``ResourceBudgetError`` beyond it).
+    lies in ``[F, F]``, so no other word is searched.
+
+    The cuts ``i`` where ``w[:m]`` ends in ``w^-1[:m - i]``, and the ``s``
+    where ``w^-1`` ends in ``w[m:m + s]``, are each read from one border
+    table, in time linear in ``|w|``; only ``w[s:i]`` is compared per pair.
+    The letters compared count against ``words.SIZE_BUDGET``
+    (``ResourceBudgetError`` beyond it).
     """
     letters = w.letters
     n = len(letters)
     if not in_commutator_subgroup(w):
         return None
     m = n // 2  # a word in [F, F] has even length
-    inverse = tuple((index, -sign) for index, sign in reversed(letters))  # w^-1
+    inverse = w.inverse().letters
     what = "letter comparisons in a commutator search"
-    compared = 0
-    for i in range(1, m):
-        compared += m - i
-        check_size(compared, what)
-        if letters[i:m] != inverse[: m - i]:
-            continue
-        compared += (i + 1) * i
-        check_size(compared, what)
-        for s in range(i + 1):
+    compared = 6 * n  # two border tables and their scans, each at most 3 comparisons a letter
+    check_size(compared, what)
+    cuts = [m - k for k in _border_lengths(letters[:m], inverse[:m]) if 0 < k < m]
+    cancels = _border_lengths(inverse[m:], letters[m:])[::-1]  # s ascending, from 0
+    for i in cuts:
+        for s in cancels:
+            if s > i:
+                break
+            compared += i - s
+            check_size(compared, what)
             # v's last s letters cancel u's first s, and w[s:i] ends r^-1
-            if letters[m : m + s] == inverse[n - s :] and letters[s:i] == inverse[m - i : m - s]:
+            if letters[s:i] == inverse[m - i : m - s]:
                 return Word(letters[:i]), Word(letters[i : m + s])
     return None

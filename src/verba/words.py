@@ -184,16 +184,11 @@ def substitute(w: Word, images: Mapping[int, Word]) -> Word:
 
     Generators absent from ``images`` are fixed.
     """
-    out: list[Letter] = []
-    for index, sign in w.letters:
-        image = images.get(index)
-        if image is None:
-            out.append((index, sign))
-        elif sign == 1:
-            out.extend(image.letters)
-        else:
-            out.extend(image.inverse().letters)
-    return Word(tuple(out))
+    table = {letter: _reduced((letter,)) for letter in set(w.letters)}
+    for index, image in images.items():
+        table[index, 1] = image
+        table[index, -1] = image.inverse()
+    return product(map(table.__getitem__, w.letters))
 
 
 def abelianization(w: Word) -> dict[int, int]:

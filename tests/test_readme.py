@@ -48,8 +48,19 @@ def _examples():
             if argv[0] == "cat":
                 files[argv[1]] = "".join(line + "\n" for line in output)
             elif argv[0] == "verba" and not _SHELL_OPERATORS & set(argv):
-                examples.append(pytest.param(argv[1:], output, dict(files), id=" ".join(argv[1:3])))
-    return examples
+                examples.append((argv[1:], output, dict(files)))
+    commands = [example[0] for example in examples]
+    return [pytest.param(*example, id=_example_id(example[0], commands)) for example in examples]
+
+
+def _example_id(argv, commands):
+    """The fewest leading words of ``argv``, two at least, that begin no other
+    command: commands that share their first words are told apart by words,
+    not by the numbers pytest appends to equal ids."""
+    n = 2
+    while n < len(argv) and sum(command[:n] == argv[:n] for command in commands) > 1:
+        n += 1
+    return " ".join(argv[:n])
 
 
 _EXAMPLES = _examples()

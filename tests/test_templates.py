@@ -1,6 +1,7 @@
 """Word templates: constructors and structure tests."""
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from helpers import random_nonempty_word, random_word
 
-from verba import experiments, grammar, words
+from verba import experiments, grammar, templates, words
 from verba.bounds import BoundEngine
 from verba.cli import main
 from verba.errors import ResourceBudgetError
@@ -396,15 +397,69 @@ def test_visible_commutator_splits_long_commutators():
     assert visible_commutator(grammar.parse("[a,b]^1000")) is None
 
 
+def test_visible_commutator_agrees_on_powers_and_one_generator_words():
+    """Periodic words and words that cancel deeply, where many cuts share borders."""
+    rng = random.Random(1304)
+    found = 0
+    for _ in range(1500):
+        u = random_nonempty_word(rng, rng.randint(1, 2), 4)
+        v = random_nonempty_word(rng, rng.randint(1, 2), 4)
+        roll = rng.random()
+        if roll < 0.35:
+            w = commutator(power(u, rng.randint(1, 3)), power(v, rng.randint(-3, 3)) * u)
+        elif roll < 0.7:
+            w = power(commutator(u, v), rng.randint(1, 3))
+        else:
+            w = commutator(u, v) * commutator(v, u ** rng.randint(1, 2))
+        want = _old_visible_commutator(w)
+        assert visible_commutator(w) == want, w
+        found += want is not None
+    assert found > 300
+
+
 def test_visible_commutator_counts_its_comparisons(monkeypatch):
     w = grammar.parse("[a,b]^30")
+    # no cut is a candidate, so only the two border tables are charged: 6 per letter
+    monkeypatch.setattr(words, "SIZE_BUDGET", 6 * len(w))
     assert visible_commutator(w) is None
-    monkeypatch.setattr(words, "SIZE_BUDGET", 1000)
+    monkeypatch.setattr(words, "SIZE_BUDGET", 6 * len(w) - 1)
     with pytest.raises(ResourceBudgetError, match="letter comparisons"):
         visible_commutator(w)
     # a word outside [F, F] is no commutator, and is not searched
     assert visible_commutator(w * gen(1)) is None
     assert visible_commutator(commutator(gen(1) * gen(2), gen(3))) == (gen(1) * gen(2), gen(3))
+
+
+def test_border_lengths_match_a_brute_force_scan():
+    """Every pair of equal-length texts over two letters, up to seven letters."""
+    for length in range(8):
+        for pattern in itertools.product("ab", repeat=length):
+            for text in itertools.product("ab", repeat=length):
+                want = [k for k in range(length, -1, -1) if text[length - k :] == pattern[:k]]
+                assert templates._border_lengths(text, pattern) == want, (text, pattern)
+
+
+def test_visible_commutator_takes_linear_time_on_long_powers(monkeypatch):
+    monkeypatch.setattr(words, "SIZE_BUDGET", 10**5)
+    assert visible_commutator(grammar.parse("[a,b]^4000")) is None
+    w = commutator(power(gen(1), 4000), gen(2))
+    assert visible_commutator(w) == (power(gen(1), 4000), gen(2))
+    # past the border tables, the letters compared for each (cut, cancel) pair count too
+    monkeypatch.setattr(words, "SIZE_BUDGET", 6 * len(w))
+    with pytest.raises(ResourceBudgetError, match="letter comparisons"):
+        visible_commutator(w)
+
+
+def test_hall_witt_split_certifies_a_long_power(capsys, tmp_path):
+    """The search of ``[a,b]^2300`` compared 10,000,425 letters by slicing at
+    every cut; by border tables it finds no split, so the factors stay RAW."""
+    assert main(["rewrite", "hall_witt_split", "g", "[a,b]^2300", "[c,d]"]) == 0
+    text = capsys.readouterr().out
+    assert "FLAG commutator-of-commutators tags withheld" in text
+    path = tmp_path / "split.cert"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("PASS: product of 2 factors")
 
 
 def test_hall_witt_split_on_a_long_power_ends_quickly(capsys):

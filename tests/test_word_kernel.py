@@ -3,7 +3,8 @@
 Multiplication cancels only at the seam, the parser and ``Certificate.product``
 reduce in one pass, and powers skip re-reduction.  Each is checked against a
 plain stack reduction of the concatenated letters written out here, which
-shares no code with ``verba.words``.
+shares no code with ``verba.words``.  The printer and ``substitute``, which do
+no Python step per letter, are checked against the letter loops they replaced.
 """
 from __future__ import annotations
 
@@ -11,10 +12,11 @@ import random
 
 import pytest
 
+from verba import grammar
 from verba.certificates import parse_certificate
 from verba.grammar import NameTable, canonical_table, format_word, parse
 from verba.identities import culler_chain_squares, gamma3_triangle, square_to_gamma3
-from verba.words import EMPTY, Word, commutator
+from verba.words import EMPTY, Word, commutator, gen, power, substitute
 
 
 def oracle(letters) -> tuple:
@@ -139,3 +141,109 @@ def test_large_certificate_round_trip():
     assert again.serialize() == text
     again.check()
     assert again.target == commutator(parse("x y", names), parse("y z x", names)) ** 256
+
+
+def old_format_word(w: Word, names: NameTable | None = None) -> str:
+    """The printer's letter-by-letter run loop, before the joined fast lane."""
+    if not w:
+        return "1"
+    parts: list[str] = []
+    run_letter = w.letters[0]
+    run = 0
+    for letter in w.letters + ((0, 0),):
+        if letter == run_letter:
+            run += 1
+            continue
+        name = names.name(run_letter[0]) if names is not None else f"x{run_letter[0]}"
+        exponent = run * run_letter[1]
+        parts.append(name if exponent == 1 else f"{name}^{exponent}")
+        run_letter = letter
+        run = 1
+    return " ".join(parts)
+
+
+def old_substitute(w: Word, images) -> Word:
+    """Substitution letter by letter through the public, re-reducing constructor."""
+    out: list = []
+    for index, sign in w.letters:
+        image = images.get(index)
+        if image is None:
+            out.append((index, sign))
+        elif sign == 1:
+            out.extend(image.letters)
+        else:
+            out.extend(image.inverse().letters)
+    return Word(tuple(out))
+
+
+def printer_words(rng: random.Random) -> list[Word]:
+    """Runs over few generators, huge indices, single letters and the empty word."""
+    made = [EMPTY, gen(1), gen(7).inverse(), gen(10**12), power(gen(3), -5)]
+    for _ in range(600):
+        rank = rng.choice((1, 2, 3, 12))
+        letters = []
+        for _ in range(rng.randrange(1, 10)):
+            index = rng.randrange(1, rank + 1) * rng.choice((1, 1, 1, 10**9 + 7))
+            letters += [(index, rng.choice((1, -1)))] * rng.choice((1, 1, 1, 2, 3, 40))
+        made.append(Word(tuple(letters)))
+    return made
+
+
+def tables_with_taken_names() -> list[NameTable]:
+    """Tables where the invented ``x<i>`` names clash with bound names."""
+    taken = NameTable()
+    taken.bind("x2", 5)
+    taken.bind("x1", 3)
+    taken.bind("a", 2)
+    return [NameTable(), taken]
+
+
+def test_format_word_matches_the_letter_loop():
+    rng = random.Random(41)
+    for w in printer_words(rng):
+        assert format_word(w) == old_format_word(w)
+        for fresh, old in zip(tables_with_taken_names(), tables_with_taken_names()):
+            assert format_word(w, fresh) == old_format_word(w, old)
+            # the same names, bound in the same order
+            assert list(fresh.by_name.items()) == list(old.by_name.items())
+            assert list(fresh.by_index.items()) == list(old.by_index.items())
+
+
+@pytest.mark.parametrize("n", [10**6, -(10**6)])
+def test_format_word_of_a_long_run(n):
+    assert format_word(power(gen(1), n)) == f"x1^{n}"
+    w = gen(2) * power(gen(1), n) * gen(2) * gen(2) * gen(3)
+    assert format_word(w) == f"x2 x1^{n} x2^2 x3"
+    names = NameTable()
+    assert format_word(w, names) == old_format_word(w, NameTable()) == f"x2 x1^{n} x2^2 x3"
+
+
+def test_canonical_texts_stay_within_their_bound():
+    bound = grammar._CANONICAL_TEXTS_BOUND
+    w = Word(tuple((index, 1) for index in range(1, 3 * bound, 2)))
+    assert format_word(w) == old_format_word(w)
+    assert len(grammar._CANONICAL_TEXTS) <= bound
+    assert format_word(w.inverse()) == old_format_word(w.inverse())
+    assert len(grammar._CANONICAL_TEXTS) <= bound
+
+
+def test_substitute_matches_the_letter_loop():
+    rng = random.Random(42)
+    for _ in range(1500):
+        w = Word(oracle(random_letters(rng, 4, 16)))
+        u = Word(oracle(random_letters(rng, 3, 6)))
+        images = {}
+        for index in rng.sample(range(1, 6), rng.randrange(0, 6)):
+            roll = rng.random()
+            if roll < 0.2:
+                images[index] = EMPTY
+            elif roll < 0.5:  # images that cancel each other where they meet
+                images[index] = u if rng.random() < 0.5 else u.inverse() * gen(index)
+            else:
+                images[index] = Word(oracle(random_letters(rng, 3, 6)))
+        got = substitute(w, images)
+        assert got == old_substitute(w, images)
+        assert got.letters == oracle(got.letters)
+    assert substitute(gen(1) * gen(2), {1: gen(2).inverse()}) == EMPTY
+    assert substitute(commutator(gen(1), gen(2)), {}) == commutator(gen(1), gen(2))
+    assert substitute(EMPTY, {1: gen(2)}) == EMPTY
