@@ -32,8 +32,8 @@ upper bound.  The ``| spec`` text is read by ``templates.parse_template_spec``
 ``Gamma3``, or any word expression, whose variables are bound in the spec's
 own text), and the rules take their stock templates from ``templates``, which
 builds each one once.  A ``Quantity`` holds its ``Template``; its key names
-the template by structure (``| <template.key>``) and ``display`` by the label
-it was made with.
+the template by its shape's text (``| [x1,x2]`` for ``| [a,b]``) and
+``display`` by the label it was made with.
 
 Verbal subgroups are fully invariant (H. Neumann, *Varieties of Groups*,
 1967), so a ``FREE`` word is one up to renaming: its text binds its own names,
@@ -63,6 +63,7 @@ from .errors import (
 )
 from .templates import (
     GAMMA3_FAMILY,
+    Shape,
     Template,
     beta_word,
     commutator_blocks,
@@ -70,7 +71,6 @@ from .templates import (
     gamma_index,
     gamma_word,
     parse_template_spec,
-    template_from_word,
 )
 from .words import EMPTY, Word, canonical_renumber, in_commutator_subgroup, power, power_length
 
@@ -556,7 +556,7 @@ def _factor_matches_template(factor, template: Template) -> bool:
 # themselves, so a rule reads the bounds tightened before it.
 
 class _FactIndex:
-    """The facts in key order, by kind, with their L facts indexed."""
+    """The facts in key order, by kind, with their L facts indexed and SCL word lengths."""
 
     def __init__(self, facts: list[Fact]) -> None:
         self._facts = facts
@@ -573,6 +573,7 @@ class _FactIndex:
                 ladder = self._ladders.setdefault((q.context, q.word, q.template.key), {})
                 ladder[q.exponent] = fact
                 self._same_power.setdefault((q.context, q.word, q.exponent), []).append(fact)
+        self.scl_lengths = {len(f.quantity.word) for f in self._by_kind[QuantityKind.SCL]}
 
     def __iter__(self):
         return iter(self._facts)
@@ -599,17 +600,17 @@ def _mul_hi(a: Bound, b: Bound) -> Bound:
 
 
 def _body_template(q: Quantity) -> Template | None:
-    """The template of ``q`` when it is a single word, else ``None``."""
-    if q.template is None or q.template.body is None:
+    """The template of ``q`` when it has a body word, else ``None``."""
+    if q.template is None or q.template.letters is None:
         return None
     return q.template
 
 
-def _template_scl(engine: BoundEngine, q: Quantity) -> Fact | None:
+def _template_scl(engine: BoundEngine, facts: _FactIndex, q: Quantity) -> Fact | None:
     """The ``SCL FREE`` fact of ``q``'s template body when it has an upper bound, else ``None``."""
     template = _body_template(q)
-    if template is None:
-        return None
+    if template is None or template.letters not in facts.scl_lengths:
+        return None  # no SCL word is as long as the body, which stays unspelled
     base = engine._fact(QuantityKind.SCL, Context.FREE, template.body)
     if base is None or base.hi is None:
         return None
@@ -686,7 +687,7 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _FactIndex):
             sq = sl.quantity
             if sq.word != tq.word or sq.context is not tq.context or sl.hi is None:
                 continue
-            base = _template_scl(engine, sq)
+            base = _template_scl(engine, facts, sq)
             if base is None:
                 continue
             yield (
@@ -706,7 +707,7 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _FactIndex):
                 continue  # not the target, and no power is built to see it
             if power(lq.word, lq.exponent) != tq.word:
                 continue
-            base = _template_scl(engine, lq)
+            base = _template_scl(engine, facts, lq)
             if base is None:
                 continue
             value = max(Fraction(0), lf.hi * base.hi + (lf.hi - 1) / 2)
@@ -724,7 +725,7 @@ def _diagonal(q: Quantity) -> Template | None:
     """The template when ``q`` is ``SL(w | w)`` or ``L(w | w)``, else ``None``; both
     words are numbered by first appearance in ``FREE``, where the rules ask."""
     template = _body_template(q)
-    if template is None or q.word != template.body:
+    if template is None or len(q.word.letters) != template.letters or q.word != template.body:
         return None
     return template
 
@@ -778,12 +779,13 @@ def _rule_power_ratio(engine: BoundEngine, facts: _FactIndex):
 def _rule_stable_promotion(engine: BoundEngine, facts: _FactIndex):
     for target in facts.of(QuantityKind.SL):
         tq = target.quantity
+        ladder = facts.ladder(tq.context, tq.word, tq.template.key)
         template = _body_template(tq)
         diagonal = tq.context is Context.FREE and _diagonal(tq) is not None
         diag = None
-        if not diagonal and template is not None:
+        if ladder and not diagonal and template is not None:
             diag = engine._fact(QuantityKind.SL, Context.FREE, template.body, tq.template)
-        for n, lf in facts.ladder(tq.context, tq.word, tq.template.key).items():
+        for n, lf in ladder.items():
             if lf.hi is None or lf.hi < 1:
                 continue
             if diagonal:
@@ -819,13 +821,12 @@ def _rule_fresh_head(engine: BoundEngine, facts: _FactIndex):
         v = fresh_head_inner(q.template)
         if v is None:
             continue
-        inner_template = template_from_word(v)
         if q.kind is QuantityKind.SL:
-            inner = engine._fact(QuantityKind.SL, Context.FREE, v, inner_template)
+            inner = engine._fact(QuantityKind.SL, Context.FREE, v.body, v)
             note = "a fresh head generator lets consecutive blocks pair up"
         else:
             n = (q.exponent - 1) // 2
-            inner = engine._fact(QuantityKind.L, Context.FREE, v, inner_template, n + 1)
+            inner = engine._fact(QuantityKind.L, Context.FREE, v.body, v, n + 1)
             note = "odd powers of a fresh-head bracket fold pairwise"
         if inner is None or inner.hi is None:
             continue
@@ -902,7 +903,7 @@ def _rule_unbalanced_vanish(engine: BoundEngine, facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         template = _body_template(q)
-        if template is None or in_commutator_subgroup(template.body):
+        if template is None or _balanced(template.shape):
             continue
         yield (
             q,
@@ -912,6 +913,13 @@ def _rule_unbalanced_vanish(engine: BoundEngine, facts: _FactIndex):
             "an exponent surplus in the template absorbs powers for free",
             [],
         )
+
+
+def _balanced(shape: Shape) -> bool:
+    """Does every variable's exponent sum vanish in the body ``shape`` spells?"""
+    if shape.op == "word":
+        return in_commutator_subgroup(shape.parts[0])
+    return shape.op == "commutator" or all(map(_balanced, shape.parts))
 
 
 def _rule_block_division(engine: BoundEngine, facts: _FactIndex):

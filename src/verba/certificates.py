@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import grammar
 from .errors import CertificateError, ParseError
 from .templates import Template, beta_word, gamma_word, template_from_word
-from .words import EMPTY, Word, commutator, product, substitute
+from .words import EMPTY, Word, check_size, commutator, product, substitute
 
 
 class FactorKind(enum.Enum):
@@ -228,10 +228,16 @@ def _parse_kind(token: str) -> tuple[FactorKind, Template | None, bool]:
 
 
 def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Certificate:
-    """Inverse of :meth:`Certificate.serialize` (canonical names by default)."""
+    """Inverse of :meth:`Certificate.serialize` (canonical names by default).
+
+    The factors' bases plus twice their conjugators, the letters a rewrite
+    rule counts before it builds, are refused past ``words.SIZE_BUDGET`` as
+    each factor is read, before the certificate is expanded.
+    """
     if names is None:
         names = grammar.canonical_table()
     target: Word | None = None
+    letters = 0  # in the factors read so far, bases plus twice the conjugators
     rows: list[dict] = []
     flags: list[str] = []
     declared_counts: dict[str, int] | None = None
@@ -254,6 +260,8 @@ def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Cert
             split = tokens.index("CONJ")
             base = grammar.parse(" ".join(tokens[:split]), names)
             conj = grammar.parse(" ".join(tokens[split + 1 :]), names)
+            letters += len(base) + 2 * len(conj)
+            check_size(letters, "letters in the factors")
             rows.append(
                 dict(kind=kind, base=base, conjugator=conj, inverted=inverted,
                      template=template, witness=None)

@@ -30,7 +30,6 @@ from .templates import (
     Template,
     beta_word,
     commutator_product_word,
-    fresh_head_inner,
     gamma_word,
     grope_word,
     template_from_word,
@@ -149,7 +148,8 @@ def scenario_grope_family(
     """One-step family membership of the n-block grope word and its ceilings."""
     engine = BoundEngine()
     grope = grope_word(n)
-    body, inner = grope.body, fresh_head_inner(grope)
+    body = grope.body
+    inner = Word(body.letters[1 : len(body) // 2])  # the body is x1 v x1^-1 v^-1
     cert = Certificate(
         target=body, factors=(commutator_factor(gen(1), inner),), flags=()
     )

@@ -20,6 +20,12 @@ A *flat* text, whitespace-separated terms ``NAME`` or ``NAME^[-]digits`` as
 terms instead of by the recursive descent.  That lane gives the same words,
 binds the same names in the same order and raises the same errors as the full
 parser; any other text, and so every syntax error, goes to the full parser.
+
+No word is formed past ``words.SIZE_BUDGET`` letters: a product is refused
+when its terms' letters sum past it, a commutator ``[a,b]`` at
+``2(|a| + |b|)`` and a conjugate ``a^b`` at ``|a| + 2|b|``, before the letters
+are formed (``ResourceBudgetError``).  The flat lane refuses the same texts,
+from the sum over all its terms, so its message may name a larger count.
 """
 from __future__ import annotations
 
@@ -176,9 +182,12 @@ class _Parser:
 
     def word(self) -> Word:
         terms = [self.term()]
+        letters = len(terms[0])  # the product's letters are at most its terms'
         while self.peek() not in (None, ")", "]", ","):
             terms.append(self.term())
-        return product(terms)
+            letters += len(terms[-1])
+            check_size(letters, "letters")
+        return terms[0] if len(terms) == 1 else product(terms)
 
     def term(self) -> Word:
         base = self.atom()
@@ -196,7 +205,9 @@ class _Parser:
                 raise ParseError(f"expected an exponent, found {digits!r}")
             result = power(base, -exponent if negative else exponent)
         else:
-            result = conjugate(base, self.atom())
+            by = self.atom()
+            check_size(len(base) + 2 * len(by), "letters")
+            result = conjugate(base, by)
         if self.peek() == "^":
             raise ParseError("'^' does not chain; parenthesize, e.g. (x^2)^y")
         return result
@@ -214,6 +225,7 @@ class _Parser:
             self.take(",")
             right = self.word()
             self.take("]")
+            check_size(2 * (len(left) + len(right)), "letters")
             return commutator(left, right)
         found = self.generators.get(tok)
         if found is not None:
@@ -250,12 +262,15 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
         seen[term] = (index, exponent)
         generator[term] = index
     if letters_only:
+        check_size(len(terms), "letters")  # as the full parser counts the terms
         indices = list(map(generator.__getitem__, terms))
         if not any(map(eq, indices, islice(indices, 1, None))):
             return _reduced(tuple(map(seen.__getitem__, terms)))
     runs: list[tuple[int, int]] = []  # nonzero exponents, neighbours differ
+    letters = 0
     for term in terms:
         run = seen[term]
+        letters += abs(run[1])
         if runs and runs[-1][0] == run[0]:
             exponent = runs[-1][1] + run[1]
             if exponent:
@@ -264,6 +279,7 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
                 runs.pop()
         elif run[1]:
             runs.append(run)
+    check_size(letters, "letters")  # as the full parser counts the terms
     pieces = [((index, 1 if e > 0 else -1),) * abs(e) for index, e in runs]
     return _reduced(pieces[0] if len(pieces) == 1 else tuple(chain.from_iterable(pieces)))
 

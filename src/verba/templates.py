@@ -12,15 +12,11 @@ image of its body.  The stock families:
 * ``GAMMA3_FAMILY`` -- the set-valued family of commutators whose second entry
   lies in the commutator subgroup; it has no single body word.
 
-Templates compare by structure: the key of a single-word template is the
-canonical string of its body, so differently named but identical templates
-coincide.
-
-Each template also has a bracket ``shape``: a product of factors over
-pairwise disjoint variables, a commutator of two parts over disjoint
-variables, or a leaf word.  The stock families declare theirs from their index
-and spell their bodies from it; only a template made from a word, such as
-``[x,[y,z]]``, has its shape recognised from its body, once, on first use.
+A template is its bracket ``shape``: products and commutators over pairwise
+disjoint variables, down to leaf words.  The stock families declare theirs; a
+template made from a word, such as ``[x,[y,z]]``, has it recognised from its
+body.  Both are keyed by the shape's text (``gamma3`` and ``[x,[y,z]]`` by
+``[x1,[x2,x3]]``) and spell their bodies from it only where letters are read.
 ``GAMMA3_FAMILY`` is the commutator of a variable with the subgroup that
 ``gamma_word(2)``'s values generate.  :func:`verba.finite.template_values`
 evaluates the shape, and the bound rules read structure from it.
@@ -34,20 +30,17 @@ hand every later caller the same object.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field
 
 from . import grammar
 from .words import (
     Word,
+    _reduced,
     canonical_renumber,
     check_power_size,
     check_size,
-    commutator,
-    gen,
     in_commutator_subgroup,
-    product,
     substitute,
 )
 
@@ -69,13 +62,23 @@ class Shape:
     op: str
     parts: tuple
 
+    @functools.cached_property
+    def sizes(self) -> tuple[int, int] | None:
+        """The letters and variables of this node's body, once per node; ``None`` with a closure."""
+        if self.op == "word":
+            return len(self.parts[0]), len(self.parts[0].generators())
+        sizes = [part.sizes for part in self.parts]
+        if self.op == "closure" or None in sizes:
+            return None
+        letters, variables = map(sum, zip(*sizes))
+        return (2 * letters if self.op == "commutator" else letters), variables
+
 
 @dataclass(frozen=True)
 class Template:
     key: str
-    label: str = field(compare=False)  # a display name; templates compare by structure
-    body: Word | None
-    variables: tuple[int, ...]
+    label: str = field(compare=False)  # a display name; templates compare by key
+    shape: Shape = field(compare=False, repr=False)
 
     def instance(self, images: Substitution) -> Word:
         if self.body is None:
@@ -83,9 +86,17 @@ class Template:
         return substitute(self.body, images)
 
     @functools.cached_property
-    def shape(self) -> Shape:
-        """The bracket shape, recognised once per template object unless declared."""
-        return _bracket_shape(self.body)
+    def letters(self) -> int | None:
+        return self.shape.sizes and self.shape.sizes[0]
+
+    @functools.cached_property
+    def variables(self) -> tuple[int, ...]:
+        return tuple(range(1, self.shape.sizes[1] + 1)) if self.shape.sizes else ()
+
+    @functools.cached_property
+    def body(self) -> Word | None:
+        """The body, spelled by parsing the key on first use."""
+        return None if self.letters is None else grammar.parse(self.key, grammar.canonical_table())
 
 
 _LETTER_SHAPES = {sign: Shape("word", (Word(((1, sign),)),)) for sign in (1, -1)}
@@ -93,10 +104,23 @@ _X = _LETTER_SHAPES[1]
 _COMMUTATOR = Shape("commutator", (_X, _X))
 
 
-def _declared(template: Template, shape: Shape) -> Template:
-    """``template`` with its bracket shape set to ``shape``, never recognised."""
-    object.__setattr__(template, "shape", shape)  # fills the cached property
-    return template
+def _shape_text(shape: Shape, top: int) -> str:
+    """``shape`` in the expression grammar, its variables numbered on from ``top``."""
+    if shape.op == "word":
+        letters = shape.parts[0].letters
+        if len(letters) == 1:  # a letter, written without a formatter call
+            return f"x{top + 1}" if letters[0][1] == 1 else f"x{top + 1}^-1"
+        return grammar.canonical_key(_reduced(tuple((i + top, s) for i, s in letters)))
+    texts = []
+    for part in shape.parts:
+        texts.append(_shape_text(part, top))
+        top += part.sizes[1]
+    return f"[{texts[0]},{texts[1]}]" if shape.op == "commutator" else " ".join(texts)
+
+
+def _template(shape: Shape, label: str | None) -> Template:
+    key = _shape_text(shape, 0)
+    return Template(key, label or key, shape)
 
 
 def _bracket_shape(body: Word) -> Shape:
@@ -157,36 +181,18 @@ def _commutator_middle(letters: tuple, lo: int, hi: int) -> int | None:
 
 
 #: Commutators ``[u, v]`` with ``v`` in the commutator subgroup.
-GAMMA3_FAMILY = _declared(
-    Template(key="Gamma3", label="Gamma3", body=None, variables=()),
-    Shape("commutator", (_X, Shape("closure", (_COMMUTATOR,)))),
+GAMMA3_FAMILY = Template(
+    "Gamma3", "Gamma3", Shape("commutator", (_X, Shape("closure", (_COMMUTATOR,))))
 )
 
 
 def template_from_word(body: Word, label: str | None = None) -> Template:
-    """Wrap a word as a template, renumbering its variables canonically.
+    """Wrap a word as a template, its shape recognised from it renumbered canonically.
 
     Renaming variables does not change the set of instances, so every
     structurally identical template gets the same key.
     """
-    body = canonical_renumber(body)
-    key = grammar.canonical_key(body)
-    return Template(key=key, label=label or key, body=body, variables=body.generators())
-
-
-def _stock(shape: Shape, label: str) -> Template:
-    """The template of a stock ``shape``, whose leaves are all ``_X``: its body
-    gives each leaf the next fresh generator, left to right, so it is numbered
-    by first appearance already."""
-    fresh = itertools.count(1)
-
-    def spell(node: Shape) -> Word:
-        if node.op == "word":
-            return gen(next(fresh))
-        parts = [spell(part) for part in node.parts]
-        return commutator(*parts) if node.op == "commutator" else product(parts)
-
-    return _declared(template_from_word(spell(shape), label), shape)
+    return _template(_bracket_shape(canonical_renumber(body)), label)
 
 
 @functools.lru_cache(maxsize=32)  # bounded: n comes from spec and certificate text
@@ -198,7 +204,7 @@ def gamma_word(n: int) -> Template:
     shape = _X
     for _ in range(n - 1):
         shape = Shape("commutator", (_X, shape))
-    return _stock(shape, f"gamma{n}")
+    return _template(shape, f"gamma{n}")
 
 
 @functools.lru_cache(maxsize=32)
@@ -209,7 +215,7 @@ def beta_word(n: int) -> Template:
     shape = _COMMUTATOR
     for _ in range(n - 1):
         shape = Shape("commutator", (shape, shape))
-    return _stock(shape, f"beta{n}")
+    return _template(shape, f"beta{n}")
 
 
 def _blocks(g: int) -> Shape:  # [x1,x2][x3,x4]... with g blocks
@@ -220,14 +226,14 @@ def commutator_product_word(g: int) -> Template:
     if g < 1:
         raise ValueError("commutator_product_word needs g >= 1")
     check_size(4 * g, f"letters in commutator_product{g}")
-    return _stock(_blocks(g), f"commutator_product{g}")
+    return _template(_blocks(g), f"commutator_product{g}")
 
 
 def grope_word(n: int) -> Template:
     if n < 1:
         raise ValueError("grope_word needs n >= 1")
     check_size(8 * n + 2, f"letters in grope{n}")
-    return _stock(Shape("commutator", (_X, _blocks(n))), f"grope{n}")
+    return _template(Shape("commutator", (_X, _blocks(n))), f"grope{n}")
 
 
 def gamma_index(t: Template) -> int | None:
@@ -244,11 +250,12 @@ def commutator_blocks(t: Template) -> int | None:
     return len(blocks) if all(block == _COMMUTATOR for block in blocks) else None
 
 
-def fresh_head_inner(t: Template) -> Word | None:
-    """``v`` when ``t`` is ``[x, v]`` with ``x`` a variable not in ``v``, else ``None``."""
-    if t.body is None or t.shape.op != "commutator" or t.shape.parts[0] != _X:
+@functools.lru_cache(maxsize=32)  # once per template: R6 asks in every round
+def fresh_head_inner(t: Template) -> Template | None:
+    """The template ``v`` when ``t`` is ``[x, v]``, ``x`` a variable not in ``v``; else ``None``."""
+    if t.letters is None or t.shape.op != "commutator" or t.shape.parts[0] != _X:
         return None
-    return Word(t.body.letters[1 : len(t.body) // 2])  # the body is x v x^-1 v^-1
+    return _template(t.shape.parts[1], None)
 
 
 _FAMILIES = {

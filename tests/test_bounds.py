@@ -461,7 +461,7 @@ _PINNED_LOGS = {
             seeds=True,
             extra=("SCL FREE [a,b]^3",),
         ),
-        "e0c7e39120a467ed9efd6e209f6ce3711e654f35b062c07013c119817a8d3190",
+        "6c8485b62d9316a104d514453249789f96399b5c79bf06be3c4594ca422ebef9",
     ),
     "ladder_plain": (
         lambda: _ladder("a^2 b a^-1 b", [3 if m == 4 else m for m in range(1, 41)]),
@@ -473,7 +473,7 @@ _PINNED_LOGS = {
     ),
     "ladder_mirror": (
         _mirror_ladder,
-        "1570360c135fdc689d2a8b4ffe2c2d7b94d282f5255edfa3068a7fb0e1f0997e",
+        "8c2772bff25ac93b327cc7d0c7ce8fe23d841ad68f51632dda6897746b9c456d",
     ),
     # [x,y^2] is one commutator, so the gamma2 ladder follows the diagonal one (R1)
     "ladder_scl": (
@@ -484,11 +484,11 @@ _PINNED_LOGS = {
             facts=[f"L FREE [x,y^2] | gamma2 @ {m} = 0 inf" for m in range(2, 31)]
             + ["L FREE [x,y^2] | gamma2 @ 1 => 1"],
         ),
-        "85aca12b8a4117b4b790855f1144aca09336b6247c3882f23c27ad88893aa555",
+        "f42f8a0696a2dc8f21bea56c849cb93e1ee94633c9d4e35d54feb2fe35061a31",
     ),
     "power_pair_diagonal": (
         lambda: _scenario(lambda: experiments.scenario_power_pair_diagonal(2)),
-        "63a6b65fe11e3dee0623a4568b3ee39a8738fb2a5b5f3fc147b2b549db63fc5a",
+        "3bad15f40a1a798846f7ee4926017167f058b1e4ae18c2769957a368ae9b0d18",
     ),
     "squared_commutator": (
         lambda: _scenario(experiments.scenario_squared_commutator),
@@ -496,43 +496,43 @@ _PINNED_LOGS = {
     ),
     "gamma_chain": (
         lambda: _scenario(lambda: experiments.scenario_gamma_chain(3)),
-        "48dbbe4b10d7d3cadba33aa6b57031ca3b988b5712b76095ed624836b98fc0e4",
+        "809629a2c58a46d2e6de88d71523836d84a6797d6d7d855de989e5575e6b815f",
     ),
     "commutator_product": (
         lambda: _scenario(lambda: experiments.scenario_commutator_product(2)),
-        "de3c9a9b384d8825a290fb71b71117e408586629b25cd6fb4359163158c68936",
+        "8e87185c64677d0e36043f205f59d72b77691a16e38d9fef5dc6cc2d34f3fb92",
     ),
     "perfect_comparison": (
         lambda: _scenario(lambda: experiments.scenario_perfect_comparison(F(3, 2), 3)),
-        "139fba162ff5c3352526bcd8f854390f1b3e14870ed74f240da8d0e953beaead",
+        "97074820ae279734327b99342226708cd3555d1b89e01477d30287ae6a300af3",
     ),
     "grope_family": (
         lambda: _scenario(lambda: experiments.scenario_grope_family(2)),
-        "db3ee323e04477188a1d9ebf83aa22dc717d8b3002f8caa8932ff63ad79a1615",
+        "1cb7d7069261a73702fdd59b8a6a6220246af79eb32d59e4c0ecd70f14c6af05",
     ),
     "fresh_head_stable": (
         _fresh_head_stable,
-        "e67f3c7827a12270eeb488a7f5b9d4cd95f09c710c3c0ab34432fdee46dd6634",
+        "e03a84ef46585953f723fd85f3d1c14084feae0e62f22584fc4be9376ef5c693",
     ),
     "fresh_head_finite": (
         _fresh_head_finite,
-        "d7309924e0735802b069182caf3d82d7e023a2dc801af5abd843d16f534069c4",
+        "625999d5c3978174d2407c74fa19e2c894f30e23bdf0f31b4180a29501a27a26",
     ),
     "one_step_beta": (
         _one_step_beta,
-        "416e8cb8d0ff8f40d2fc4502719a591a9846171d5a00a1e08c23c4a16e76d282",
+        "fc296d783ce4efb393f9a2fc6ba0d40ccfdc515c65ee18153597463b40522b1e",
     ),
     "perfect_comparison_two_sided": (
         _perfect_comparison_two_sided,
-        "1c67a045f4cdf40d22286f01f945bd589519313e663f7103a6a2a474c6aaf751",
+        "28be695aa10acebfe84a4f6ef6f7c6ea45258476d4fe0fe38d85f132ad8806bb",
     ),
     "cl_alias_from_length": (
         _cl_alias_from_length,
-        "fd284e682b2ca6e070ba0921d78bc49b4b2935b9461c9a20b609a5a67bed167d",
+        "02f711b5e8af9e1081020a2b6f22bb0817d552b2bbe709c35f1d4f6f997199f4",
     ),
     "cl_alias_to_length": (
         _cl_alias_to_length,
-        "9b3f0d2410eea405069daa7058dce3c794987bbf353890e6b55b09496ced07b5",
+        "221ad42634fd44fd96944fbac151c1b1e9ee6dcdcb43b23e9d7e924e3c597125",
     ),
 }
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from helpers import random_word
 
+from verba import words
 from verba.certificates import (
     Certificate,
     FactorKind,
@@ -17,7 +18,7 @@ from verba.certificates import (
     w_word_factor,
     with_conjugator_prefix,
 )
-from verba.errors import CertificateError, ParseError
+from verba.errors import CertificateError, ParseError, ResourceBudgetError
 from verba.grammar import NameTable
 from verba.templates import gamma_word, template_from_word
 from verba.words import EMPTY, commutator, conjugate, gen, power
@@ -178,3 +179,13 @@ def test_stock_kinds_carry_their_own_templates():
     )
     with pytest.raises(CertificateError, match="malformed template"):
         bad.check()
+
+
+def test_parse_counts_the_factors_letters_as_it_reads_them(monkeypatch):
+    # bases plus twice the conjugators, as the rewrite rules count before building
+    text = "TARGET x^4\nFACTOR RAW x^2 CONJ y\nFACTOR RAW x^2 CONJ 1\nFACTOR RAW x CONJ 1\n"
+    monkeypatch.setattr(words, "SIZE_BUDGET", 7)
+    assert len(parse_certificate(text).factors) == 3
+    monkeypatch.setattr(words, "SIZE_BUDGET", 6)
+    with pytest.raises(ResourceBudgetError, match="^7 letters in the factors exceed"):
+        parse_certificate(text)

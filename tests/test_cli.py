@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -235,6 +236,77 @@ def test_size_budget_exit_code(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("resource budget exceeded:") and err.count("\n") == 1
+
+
+def _run_capped(argv, megabytes, stdin=None):
+    """``verba argv`` in a child process whose address space is capped at
+    ``megabytes``; the cap acts on the child only."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-m", "verba.cli", *argv],
+        input=stdin, capture_output=True, text=True, env=env, preexec_fn=cap, timeout=60,
+    )
+
+
+_OVERSIZED = "x^9999999 " * 50  # 500 bytes that spell 5 * 10^8 letters
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["reduce", _OVERSIZED], None),
+        (["verify", _OVERSIZED, "1"], None),
+        (["bound", "--declare", "SCL FREE " + _OVERSIZED], None),
+        (
+            ["verify", "-"],
+            "TARGET 1\n" + "FACTOR RAW x^9999999 CONJ 1\nFACTOR RAW x^-9999999 CONJ 1\n" * 10,
+        ),
+    ],
+    ids=["reduce", "verify-identity", "bound", "verify-certificate"],
+)
+def test_short_inputs_that_spell_oversized_words_exit_3(argv, stdin):
+    # each raised MemoryError under this cap, after building for up to 3 s
+    result = _run_capped(argv, 512, stdin)
+    assert result.returncode == 3, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("resource budget exceeded:")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            ["bound", "--no-default-seeds", "--declare", "L FREE [x,y] | gamma22"],
+            "L FREE x1 x2 x1^-1 x2^-1 | gamma22 @ 1 = [1, inf]\n",
+        ),
+        (
+            ["bound", "--declare", "SL FREE [x,y] | gamma22"],
+            "SL FREE x1 x2 x1^-1 x2^-1 | gamma22 = [0, inf]\n",
+        ),
+        (
+            ["bound", "--declare", "SL FREE [x,y] | beta11"],
+            "SL FREE x1 x2 x1^-1 x2^-1 | beta11 = [0, inf]\n",
+        ),
+        (
+            ["wlength", "--group", "S4", "--template", "gamma22", "--no-cache"],
+            "0 1\n1 11\nunreachable 12\n",
+        ),
+        (["wlength", "--group", "A5", "--template", "beta11", "--no-cache"], "0 1\n1 59\n"),
+    ],
+    ids=["bound-L-gamma22", "bound-SL-gamma22", "bound-SL-beta11", "wlength-gamma22", "wlength-beta11"],
+)
+def test_big_stock_templates_run_in_little_memory(argv, want):
+    # 6.3M- and 4.2M-letter bodies: each took 3-8 s and 390-670 MB when the
+    # bodies were spelled to make the keys
+    start = time.perf_counter()
+    result = _run_capped(argv, 256)
+    assert time.perf_counter() - start < 20
+    assert (result.returncode, result.stdout, result.stderr) == (0, want, "")
 
 
 @pytest.mark.parametrize(
@@ -555,15 +627,15 @@ def test_bound_facts_file_and_explain(capsys, tmp_path):
     "argv, want",
     [
         (  # the form bound prints, under seeds that spell generator 1 'a'
-            ["bound", "--declare", "L FREE [x,y]^2 | x1 x2 x1^-1 x2^-1 @ 1"],
-            "L FREE x1 x2 x1^-1 x2^-1 x1 x2 x1^-1 x2^-1 | x1 x2 x1^-1 x2^-1 @ 1 = [1, inf]\n",
+            ["bound", "--declare", "L FREE [x,y]^2 | [x1,x2] @ 1"],
+            "L FREE x1 x2 x1^-1 x2^-1 x1 x2 x1^-1 x2^-1 | [x1,x2] @ 1 = [1, inf]\n",
         ),
         (  # each quantity shows the label it was made with
             [
                 "bound", "--no-default-seeds",
                 "--declare", "SL FREE [a,b] | [p,q]", "--declare", "SL FREE [a,b]^2 | gamma2",
             ],
-            "SL FREE x1 x2 x1^-1 x2^-1 | x1 x2 x1^-1 x2^-1 = [1/2, 1/2]\n"
+            "SL FREE x1 x2 x1^-1 x2^-1 | [x1,x2] = [1/2, 1/2]\n"
             "SL FREE x1 x2 x1^-1 x2^-1 x1 x2 x1^-1 x2^-1 | gamma2 = [0, inf]\n",
         ),
         (  # x is the element's first generator, whatever the template calls its own

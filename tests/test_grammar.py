@@ -8,7 +8,7 @@ from helpers import random_word
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from verba import grammar
+from verba import grammar, words
 from verba.errors import ParseError, ResourceBudgetError, VerbaError
 from verba.grammar import (
     NameTable,
@@ -180,3 +180,22 @@ def test_near_flat_texts_take_the_full_parser(text):
         assert grammar._parse_flat(text, names) is None
         assert (names.by_name, names.by_index) == ({}, {})
         assert _outcome(parse, text, table()) == _outcome(_full_parse, text, table())
+
+
+def test_words_past_the_size_budget_are_refused_before_they_are_formed(monkeypatch):
+    monkeypatch.setattr(words, "SIZE_BUDGET", 12)
+    assert len(parse("[x^3, y^3]")) == 12
+    assert parse("x^6 x^-6") == parse("(x^6 x^-6)") == EMPTY
+    cases = {
+        "[x^3, y^4]": 14,  # twice the entries
+        "(x^2)^(y^6)": 14,  # the word and twice the conjugator
+        "(x y z)^(a^5)": 13,
+        "(x^6 y^7)": 13,  # the terms, summed as they are read
+        "(x^6 x^-6 x)": 13,
+        "x^6 y^7": 13,  # the flat lane sums all its terms
+        "x^6 x^-6 x": 13,
+        "x y " * 7: 14,
+    }
+    for text, count in cases.items():
+        with pytest.raises(ResourceBudgetError, match=f"^{count} letters exceed"):
+            parse(text)

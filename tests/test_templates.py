@@ -1,6 +1,7 @@
 """Word templates: constructors and structure tests."""
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -13,6 +14,7 @@ from verba import experiments, grammar, templates, words
 from verba.bounds import BoundEngine
 from verba.cli import main
 from verba.errors import ResourceBudgetError
+from verba.finite import load_group, template_values
 from verba.templates import (
     GAMMA3_FAMILY,
     Shape,
@@ -232,11 +234,14 @@ def test_commutator_product_decomposition():
 def test_fresh_commutator_split():
     for n in range(2, 6):
         inner = fresh_head_inner(gamma_word(n))
-        assert inner is not None
-        assert commutator(gen(1), inner) == gamma_word(n).body
+        assert inner == gamma_word(n - 1)
+        shifted = Word(tuple((i + 1, sign) for i, sign in inner.body.letters))
+        assert commutator(gen(1), shifted) == gamma_word(n).body
+        assert fresh_head_inner(gamma_word(n)) is inner  # read once per template
     assert fresh_head_inner(template_from_word(gen(1) * gen(2))) is None
     tangled = commutator(gen(1), gen(1) * gen(2))
     assert fresh_head_inner(template_from_word(tangled)) is None
+    assert fresh_head_inner(GAMMA3_FAMILY) is None
 
 
 # The letter-level builders and matchers that the declared shapes replaced,
@@ -329,6 +334,84 @@ def test_stock_bodies_match_the_old_builders():
             assert family(n).body == build(n)
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ("gamma3", "[x1,[x2,x3]]"),
+        ("w:[y,[z,x]]", "[x1,[x2,x3]]"),
+        ("beta2", "[[x1,x2],[x3,x4]]"),
+        ("commutator_product2", "[x1,x2] [x3,x4]"),
+        ("grope2", "[x1,[x2,x3] [x4,x5]]"),
+        ("[x^2, y z^3] [u,v]^2 w^-1", "[x1^2,x2 x3^3] x4 x5 x4^-1 x5^-1 x4 x5 x4^-1 x5^-1 x6^-1"),
+        ("[x,y]^2", "x1 x2 x1^-1 x2^-1 x1 x2 x1^-1 x2^-1"),  # a leaf keeps its canonical text
+        ("y^-1 x^2", "x1^-1 x2^2"),
+        ("1", "1"),
+    ],
+)
+def test_a_key_is_the_shape_written_in_the_grammar(spec, key):
+    template = parse_template_spec(spec)
+    assert template.key == key
+    assert parse_template_spec(key) == template
+    if not templates._SPEC_RE.match(spec):
+        assert template.label == key  # a word template is shown by its key
+
+
+def test_keys_parse_back_to_the_bodies_they_key():
+    rng = random.Random(2318)
+    pairs = set()
+    for _ in range(2000):
+        k = rng.randint(1, 5)
+        if rng.random() < 0.6:  # distinct variables, or some repeated
+            names = rng.sample(range(1, 7), k) if rng.random() < 0.7 else rng.choices(range(1, 7), k=k)
+            w = _random_tree(rng, names)
+        else:
+            w = random_word(rng, k, 12)
+        t = template_from_word(w)
+        body = canonical_renumber(w)
+        assert grammar.parse(t.key, grammar.canonical_table()) == body == t.body, t.key
+        again = template_from_word(body)
+        assert (again.key, again.shape) == (t.key, t.shape)
+        assert (t.letters, t.variables) == (len(body), body.generators())
+        pairs.add((t.key, body))
+    # one key for each body and one body for each key, over many repeats
+    assert len({key for key, _ in pairs}) == len({body for _, body in pairs}) == len(pairs)
+    assert len(pairs) < 1500
+
+
+def _counted_spellings(monkeypatch) -> list[str]:
+    """The keys of the templates whose bodies are spelled from now on."""
+    spelled = []
+    spell = templates.Template.__dict__["body"].func
+
+    def body(self):
+        spelled.append(self.key)
+        return spell(self)
+
+    counted = functools.cached_property(body)
+    counted.__set_name__(templates.Template, "body")
+    monkeypatch.setattr(templates.Template, "body", counted)
+    return spelled
+
+
+def test_big_stock_templates_are_built_and_read_without_their_bodies(monkeypatch, capsys):
+    spelled = _counted_spellings(monkeypatch)
+    gamma_word.cache_clear()
+    beta_word.cache_clear()
+    big = [gamma_word(22), beta_word(11)]
+    assert [t.key.count("x") for t in big] == [22, 2**11]
+    assert [t.letters for t in big] == [3 * 2**21 - 2, 4**11]
+    assert [len(t.variables) for t in big] == [22, 2**11]
+    group = load_group("S4")
+    assert [len(template_values(group, t)) for t in big] == [12, 1]
+    assert main(["bound", "--declare", "SL FREE [x,y] | gamma22"]) == 0
+    assert capsys.readouterr().out == "SL FREE x1 x2 x1^-1 x2^-1 | gamma22 = [0, inf]\n"
+    assert spelled == []
+    # a body is spelled where its letters are read, once
+    template = parse_template_spec("[a,[b,c]]")
+    assert template.body == template.body == commutator(gen(1), commutator(gen(2), gen(3)))
+    assert spelled == ["[x1,[x2,x3]]"]
+
+
 def test_shape_readers_agree_with_the_letter_matchers():
     rng = random.Random(1808)
     templates = [GAMMA3_FAMILY] + [family(n) for family in _OLD_BODIES for n in range(1, 9)]
@@ -348,7 +431,9 @@ def test_shape_readers_agree_with_the_letter_matchers():
         pairs = _old_commutator_product_decomposition(t.body)
         assert commutator_blocks(t) == (len(pairs) if pairs else None), t.key
         split = _old_fresh_commutator_split(t.body)
-        assert fresh_head_inner(t) == (split and split[1]), t.key
+        inner = fresh_head_inner(t)
+        assert inner == (split and template_from_word(split[1])), t.key
+        assert split is None or inner.body == canonical_renumber(split[1]), t.key
         assert split is None or split[0] == 1  # bodies are numbered by first appearance
         counts["gamma"] += gamma_index(t) is not None
         counts["blocks"] += pairs is not None
