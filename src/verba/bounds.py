@@ -74,7 +74,9 @@ from .templates import (
 )
 from .words import EMPTY, Word, canonical_renumber, in_commutator_subgroup, power, power_length
 
-Bound = Fraction | None  # None is +infinity (upper bounds only)
+Value = int | Fraction  # an int when whole, a Fraction only with denominator > 1
+Bound = Value | None  # None is +infinity (upper bounds only)
+_HALF = Fraction(1, 2)
 _MAX_ROUNDS = 50  # propagate gives up after this many rounds that tighten
 
 
@@ -141,7 +143,7 @@ class Antecedent:
     """Snapshot of a fact at the moment it justified an event."""
 
     key: str
-    lo: Fraction
+    lo: Value
     hi: Bound
     lo_event: int | None
     hi_event: int | None
@@ -152,7 +154,7 @@ class Event:
     id: int
     side: str  # "lo" or "hi"
     quantity_key: str
-    value: Fraction
+    value: Value
     provenance: str  # SEED / CERTIFICATE / QUOTIENT / RULE
     rule: str | None
     label: str
@@ -162,7 +164,7 @@ class Event:
 @dataclass
 class Fact:
     quantity: Quantity
-    lo: Fraction = Fraction(0)
+    lo: Value = 0
     hi: Bound = None
     lo_event: int | None = None
     hi_event: int | None = None
@@ -170,6 +172,28 @@ class Fact:
 
 def _fmt_bound(value: Bound) -> str:
     return "inf" if value is None else str(value)
+
+
+def _exact(value: Value) -> Value:
+    """``value`` as the engine holds it: an int when whole, else a Fraction.
+
+    Ints compare and add at C speed; a float, inexact by nature, is refused.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"a bound is an int or a Fraction, not {type(value).__name__}")
+
+
+def _div(a: Value, b: Value) -> Value:
+    """``a / b`` exactly: the int quotient when ints divide, else a Fraction.
+
+    The one division of the rule catalog, where ``int / int`` would be a float.
+    """
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return _exact(Fraction(a, b))
 
 
 def _parse_bound(token: str, allow_inf: bool) -> Bound:
@@ -182,7 +206,7 @@ def _parse_bound(token: str, allow_inf: bool) -> Bound:
     q = grammar.read_decimal(denominator, "bound") if slash else 1
     if p is None or not q:  # not decimal digits, or a zero denominator
         raise ParseError(f"bad rational {token!r}")
-    return Fraction(p, q)
+    return _exact(Fraction(p, q)) if slash else p
 
 
 class BoundEngine:
@@ -268,7 +292,7 @@ class BoundEngine:
         """The fact of the quantity with these fields, or ``None`` when it is not declared."""
         return self.facts.get(Quantity(kind, context, word, template, exponent).key())
 
-    def interval(self, quantity: Quantity | str) -> tuple[Fraction, Bound]:
+    def interval(self, quantity: Quantity | str) -> tuple[Value, Bound]:
         if isinstance(quantity, str):
             quantity = self.parse_quantity(quantity)
         fact = self.facts.get(quantity.key())
@@ -281,16 +305,16 @@ class BoundEngine:
     def add_fact(
         self,
         quantity: Quantity | str,
-        lo: Fraction | int | None = None,
-        hi: Fraction | int | None = None,
+        lo: Value | None = None,
+        hi: Value | None = None,
         provenance: str = "SEED",
         label: str = "",
     ) -> Quantity:
         quantity = self.declare(quantity)
         if lo is not None:
-            self._tighten(quantity, "lo", Fraction(lo), provenance, None, label, ())
+            self._tighten(quantity, "lo", lo, provenance, None, label, ())
         if hi is not None:
-            self._tighten(quantity, "hi", Fraction(hi), provenance, None, label, ())
+            self._tighten(quantity, "hi", hi, provenance, None, label, ())
         return quantity
 
     def add_certificate_fact(
@@ -351,7 +375,7 @@ class BoundEngine:
             return None
         self.declare(quantity)
         label = f"image length in {group.spec}"
-        self._tighten(quantity, "lo", Fraction(value), "QUOTIENT", None, label, ())
+        self._tighten(quantity, "lo", value, "QUOTIENT", None, label, ())
         return value
 
     # -- facts files ---------------------------------------------------------
@@ -402,12 +426,13 @@ class BoundEngine:
         self,
         quantity: Quantity,
         side: str,
-        value: Fraction,
+        value: Value,
         provenance: str,
         rule: str | None,
         label: str,
         antecedents: tuple[Quantity, ...],
     ) -> bool:
+        value = _exact(value)
         fact = self.facts[quantity.key()]
         if side == "lo":
             if value <= fact.lo:
@@ -511,12 +536,12 @@ class BoundEngine:
         return lines
 
 
-def format_interval(lo: Fraction, hi: Bound) -> str:
+def format_interval(lo: Value, hi: Bound) -> str:
     """``[lo, hi]``, with ``inf`` for an infinite upper bound."""
     return f"[{lo}, {_fmt_bound(hi)}]"
 
 
-def _explained_interval(lo: Fraction, hi: Bound) -> str:
+def _explained_interval(lo: Value, hi: Bound) -> str:
     if hi is not None and lo == hi:
         return f"{lo} (exact)"
     return format_interval(lo, hi)
@@ -544,7 +569,10 @@ def _factor_matches_template(factor, template: Template) -> bool:
 #
 # Every rule reads the current facts and yields proposals
 # (quantity, side, value, rule id, note, antecedent quantities).  Values are
-# exact Fractions; an upper-bound product with an infinite input is skipped
+# exact: ints where whole and Fractions otherwise, every quotient taken by
+# ``_div`` and every value normalised by ``_tighten`` through ``_exact``, so
+# whole bounds compare and add as ints.  An upper-bound product with an
+# infinite input is skipped
 # unless the other side is zero (length zero forces the identity, whose
 # length is zero over anything).
 #
@@ -593,7 +621,7 @@ class _FactIndex:
 
 def _mul_hi(a: Bound, b: Bound) -> Bound:
     if a == 0 or b == 0:
-        return Fraction(0)
+        return 0
     if a is None or b is None:
         return None
     return a * b
@@ -617,30 +645,23 @@ def _template_scl(engine: BoundEngine, facts: _FactIndex, q: Quantity) -> Fact |
     return base
 
 
-def _linked(inner: Fact, outer: Fact, c: Fraction | int, rule: str, note: str):
+def _linked(inner: Fact, outer: Fact, c: int, rule: str, note: str):
     """The four proposals of ``outer <= inner <= c * outer``, inner side first."""
     if outer.hi is not None:
         yield (inner.quantity, "hi", c * outer.hi, rule, note, [outer.quantity])
     yield (inner.quantity, "lo", outer.lo, rule, note, [outer.quantity])
     if inner.hi is not None:
         yield (outer.quantity, "hi", inner.hi, rule, note, [inner.quantity])
-    yield (outer.quantity, "lo", inner.lo / c, rule, note, [inner.quantity])
+    yield (outer.quantity, "lo", _div(inner.lo, c), rule, note, [inner.quantity])
 
 
 def _rule_trivial(engine: BoundEngine, facts: _FactIndex):
     for fact in facts:
         q = fact.quantity
         if q.word == EMPTY:
-            yield (q, "hi", Fraction(0), "R0", "the identity has length zero", [])
+            yield (q, "hi", 0, "R0", "the identity has length zero", [])
         elif q.kind is QuantityKind.L and q.context is Context.FREE:
-            yield (
-                q,
-                "lo",
-                Fraction(1),
-                "R0",
-                "a nontrivial word needs at least one factor",
-                [],
-            )
+            yield (q, "lo", 1, "R0", "a nontrivial word needs at least one factor", [])
 
 
 def _rule_integrality(engine: BoundEngine, facts: _FactIndex):
@@ -649,9 +670,9 @@ def _rule_integrality(engine: BoundEngine, facts: _FactIndex):
             continue
         note = "factor counts are whole numbers"
         if fact.hi is not None and fact.hi.denominator != 1:
-            yield (fact.quantity, "hi", Fraction(math.floor(fact.hi)), "R0", note, [])
+            yield (fact.quantity, "hi", math.floor(fact.hi), "R0", note, [])
         if fact.lo.denominator != 1:
-            yield (fact.quantity, "lo", Fraction(math.ceil(fact.lo)), "R0", note, [])
+            yield (fact.quantity, "lo", math.ceil(fact.lo), "R0", note, [])
 
 
 def _rule_compose(engine: BoundEngine, facts: _FactIndex):
@@ -693,7 +714,7 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _FactIndex):
             yield (
                 tq,
                 "hi",
-                sl.hi * (base.hi + Fraction(1, 2)),
+                sl.hi * (base.hi + _HALF),
                 "R2",
                 "stable factors each cost their own stable commutator length"
                 " plus a half for joining",
@@ -710,7 +731,7 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _FactIndex):
             base = _template_scl(engine, facts, lq)
             if base is None:
                 continue
-            value = max(Fraction(0), lf.hi * base.hi + (lf.hi - 1) / 2)
+            value = max(0, lf.hi * base.hi + _div(lf.hi - 1, 2))
             yield (
                 tq,
                 "hi",
@@ -738,22 +759,15 @@ def _rule_diagonal_window(engine: BoundEngine, facts: _FactIndex):
         template = _diagonal(q)
         if template is None or q.word == EMPTY:
             continue
-        yield (q, "hi", Fraction(1), "R3", "a template over itself stabilizes at one", [])
+        yield (q, "hi", 1, "R3", "a template over itself stabilizes at one", [])
         if in_commutator_subgroup(q.word):
-            yield (
-                q,
-                "lo",
-                Fraction(1, 2),
-                "R3",
-                "balanced templates over themselves stay above a half",
-                [],
-            )
+            yield (q, "lo", _HALF, "R3", "balanced templates over themselves stay above a half", [])
         scl = engine._fact(QuantityKind.SCL, Context.FREE, q.word)
         if scl is not None and scl.lo > 0:
             yield (
                 q,
                 "lo",
-                scl.lo / (scl.lo + Fraction(1, 2)),
+                _div(scl.lo, scl.lo + _HALF),
                 "R3",
                 "the stable commutator length pushes the diagonal up",
                 [scl.quantity],
@@ -769,7 +783,7 @@ def _rule_power_ratio(engine: BoundEngine, facts: _FactIndex):
             yield (
                 tq,
                 "hi",
-                lf.hi / n,
+                _div(lf.hi, n),
                 "R4",
                 "any power factorization bounds the stable ratio",
                 [lf.quantity],
@@ -793,7 +807,7 @@ def _rule_stable_promotion(engine: BoundEngine, facts: _FactIndex):
                     yield (
                         tq,
                         "hi",
-                        (lf.hi - 1) / (n - 1),
+                        _div(lf.hi - 1, n - 1),
                         "R5",
                         "one factor seeds the next power of the template",
                         [lf.quantity],
@@ -804,7 +818,7 @@ def _rule_stable_promotion(engine: BoundEngine, facts: _FactIndex):
             yield (
                 tq,
                 "hi",
-                (lf.hi - 1 + diag.hi) / n,
+                _div(lf.hi - 1 + diag.hi, n),
                 "R5",
                 "one factor of each power block is recycled into the next",
                 [lf.quantity, diag.quantity],
@@ -830,7 +844,7 @@ def _rule_fresh_head(engine: BoundEngine, facts: _FactIndex):
             note = "odd powers of a fresh-head bracket fold pairwise"
         if inner is None or inner.hi is None:
             continue
-        value = (1 + inner.hi) / 2 if q.kind is QuantityKind.SL else n + inner.hi
+        value = _div(1 + inner.hi, 2) if q.kind is QuantityKind.SL else n + inner.hi
         yield (q, "hi", value, "R6", note, [inner.quantity])
 
 
@@ -873,7 +887,7 @@ def _rule_perfect_comparison(engine: BoundEngine, facts: _FactIndex):
         yield from _linked(
             fact,
             scl,
-            Fraction(2 ** (n - 2)),
+            2 ** (n - 2),
             "R8",
             "in perfect ambient groups nested chains track commutators",
         )
@@ -905,14 +919,7 @@ def _rule_unbalanced_vanish(engine: BoundEngine, facts: _FactIndex):
         template = _body_template(q)
         if template is None or _balanced(template.shape):
             continue
-        yield (
-            q,
-            "hi",
-            Fraction(0),
-            "R10",
-            "an exponent surplus in the template absorbs powers for free",
-            [],
-        )
+        yield (q, "hi", 0, "R10", "an exponent surplus in the template absorbs powers for free", [])
 
 
 def _balanced(shape: Shape) -> bool:
@@ -937,7 +944,7 @@ def _rule_block_division(engine: BoundEngine, facts: _FactIndex):
         yield (
             q,
             "hi",
-            scl.hi / blocks,
+            _div(scl.hi, blocks),
             "R12",
             "disjoint commutator blocks divide the stable commutator length",
             [scl.quantity],
@@ -945,10 +952,10 @@ def _rule_block_division(engine: BoundEngine, facts: _FactIndex):
 
 
 class _SplitTable:
-    """One ladder's upper bounds for power splitting (R13), by exponent: ints
-    where whole (R0 floors L bounds before R13 runs), else Fractions, and
-    ``math.inf`` where infinite.  Only the ladder's own exponents are held,
-    however large or far apart they are."""
+    """One ladder's upper bounds for power splitting (R13), by exponent, as
+    the facts hold them (ints where whole; R0 floors L bounds before R13
+    runs), with ``math.inf`` where infinite.  Only the ladder's own exponents
+    are held, however large or far apart they are."""
 
     def __init__(self, ladder: dict[int, Fact]):
         self.rank = {m: i for i, m in enumerate(ladder)}  # key order
@@ -958,8 +965,7 @@ class _SplitTable:
             self.read(m, fact)
 
     def read(self, m: int, fact: Fact) -> None:
-        hi = fact.hi
-        self.hi[m] = math.inf if hi is None else hi.numerator if hi.denominator == 1 else hi
+        self.hi[m] = math.inf if fact.hi is None else fact.hi
 
     def splits(self, n: int) -> list[int]:
         """The parts ``a`` of the splits ``(a, n-a)`` to sum for ``n``, in key order.
@@ -980,9 +986,8 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _FactIndex):
     """``L(w^n) <= L(w^a) + L(w^(n-a))``, and ``L(w^n) <= L(w^-n)``.
 
     Only a split that can tighten is proposed, read from one ``_SplitTable``
-    per ladder, made at the ladder's first target; only a proposed sum
-    becomes a ``Fraction``.  The table re-reads a target after each proposal,
-    as later targets split over it.
+    per ladder, made at the ladder's first target.  The table re-reads a
+    target after each proposal, as later targets split over it.
     """
     tables: dict[tuple, tuple[_SplitTable, dict[int, Fact], dict[int, Fact]]] = {}
     for target in facts.of(QuantityKind.L):
@@ -1004,7 +1009,7 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _FactIndex):
             yield (
                 tq,
                 "hi",
-                Fraction(value),
+                value,
                 "R13",
                 "factorizations of two powers concatenate",
                 [ladder[a].quantity, ladder[n - a].quantity],
@@ -1036,7 +1041,7 @@ def _rule_one_step_beta(engine: BoundEngine, facts: _FactIndex):
         yield (
             q,
             "hi",
-            Fraction(1),
+            1,
             "R14",
             "a one-step nested element has short commutator-of-commutator powers",
             [lf.quantity],

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from . import grammar
+from . import grammar, words
 from .errors import CertificateError, ParseError
 from .templates import Template, beta_word, gamma_word, template_from_word
 from .words import EMPTY, Word, check_size, commutator, product, substitute
@@ -68,9 +70,18 @@ class Factor:
             return
         if self.template is None or self.witness is None:
             raise CertificateError(f"{self.kind.value} factor needs a template and witness")
-        if self.template.body is None:
+        body, witness = self.template.body, self.witness
+        if body is None:
             raise CertificateError("factor templates must be single words")
-        image = substitute(self.template.body, self.witness)
+        # each body letter spells one letter or a witness image, so the image
+        # is short when this bound is; past the budget, count it exactly
+        if len(body) * (1 + sum(map(len, witness.values()))) > words.SIZE_BUDGET:
+            uses = Counter(map(itemgetter(0), body.letters))
+            check_size(
+                sum(n * len(witness[i]) if i in witness else n for i, n in uses.items()),
+                "letters in a witnessed factor",
+            )
+        image = substitute(body, witness)
         if image != self.base:
             raise CertificateError(
                 f"witness does not produce the factor base: got {grammar.canonical_key(image)!r},"

@@ -95,7 +95,7 @@ class Template:
 
     @functools.cached_property
     def body(self) -> Word | None:
-        """The body, spelled by parsing the key on first use."""
+        """The body: a word template's own, or spelled by parsing the key on first use."""
         return None if self.letters is None else grammar.parse(self.key, grammar.canonical_table())
 
 
@@ -190,9 +190,13 @@ def template_from_word(body: Word, label: str | None = None) -> Template:
     """Wrap a word as a template, its shape recognised from it renumbered canonically.
 
     Renaming variables does not change the set of instances, so every
-    structurally identical template gets the same key.
+    structurally identical template gets the same key.  The renumbered word
+    is the key's body, so it is kept as ``body`` rather than spelled again.
     """
-    return _template(_bracket_shape(canonical_renumber(body)), label)
+    body = canonical_renumber(body)
+    template = _template(_bracket_shape(body), label)
+    template.__dict__["body"] = body  # what the cached property would parse from the key
+    return template
 
 
 @functools.lru_cache(maxsize=32)  # bounded: n comes from spec and certificate text

@@ -1,11 +1,13 @@
 """Unit tests for the exact-rational interval engine and each propagation rule."""
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import random
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1244,3 +1246,193 @@ def test_add_quotient_floor_requires_length_kind():
     group = load_group("S3")
     with pytest.raises(VerbaError):
         engine.add_quotient_floor("SCL FREE [x,y]", group, {1: 0, 2: 0})
+
+
+# ---------------------------------------------------------------------------
+# exact values: ints where whole, Fractions only where proper
+
+def _exact_values(engine):
+    """Every value the engine holds: fact bounds, event values, antecedent snapshots."""
+    for fact in engine.facts.values():
+        yield fact.lo
+        yield fact.hi
+    for event in engine.events:
+        yield event.value
+        for antecedent in event.antecedents:
+            yield antecedent.lo
+            yield antecedent.hi
+
+
+def _held_exactly(value) -> bool:
+    return (
+        value is None
+        or type(value) is int
+        or (type(value) is Fraction and value.denominator > 1)
+    )
+
+
+_EXACT_WORDS = {
+    Context.FREE: (
+        "[a,b]", "[a,b]^2", "[a,[b,c]]", "[a,b][c,d]", "[a,b][a,c]", "[c,a^2 b]", "a^2 b",
+    ),
+    Context.PERFECT: ("g", "g h", "[g,h]"),
+    Context.PERFECT_SCL_ZERO: ("g", "g h"),
+}
+_EXACT_TEMPLATES = (
+    "gamma2", "gamma3", "gamma4", "Gamma3", "beta2", "commutator_product2", "[a,b]^2", "a^2 b",
+)
+
+
+def _random_rational(rng, low: int, top: int) -> str:
+    """A bound in ``[low, top]`` in halves, thirds or sixths, sometimes spelled unreduced."""
+    q = rng.choice((1, 2, 3, 2, 3, 6))
+    p = rng.randint(low * q, top * q)
+    return f"{p}/{q}" if q > 1 or rng.random() < 0.2 else str(p)
+
+
+def _random_exact_facts(rng):
+    """A facts file on a few words in random contexts, and quantities only declared:
+    ladders with halves and thirds, and SL, SCL and CL facts.  A ``FREE`` word is
+    often its own template, so the diagonal rules run."""
+    lines, declared = [], []
+    for _ in range(rng.randint(1, 3)):
+        context = rng.choice(list(Context))
+        word = rng.choice(_EXACT_WORDS[context])
+        head = f"{context.value} {word}"
+        templates = rng.sample(_EXACT_TEMPLATES, 2)
+        if context is Context.FREE and rng.random() < 0.7:
+            templates.append(word)
+            if word == "[c,a^2 b]":  # R6 reads the diagonal of its fresh head's inner word
+                declared.append("SL FREE a^2 b | a^2 b")
+        for _ in range(rng.randint(2, 6)):
+            kind = rng.choice(("L", "L", "SL", "SL", "SCL", "CL"))
+            template = rng.choice(templates)
+            if kind == "L":
+                rungs = sorted(rng.sample(range(1, 13), rng.randint(1, 6)))
+                texts = [f"L {head} | {template} @ {m}" for m in rungs]
+            else:
+                texts = [f"{kind} {head}" + (f" | {template}" if kind == "SL" else "")]
+            for text in texts:
+                if rng.random() < 0.3:
+                    declared.append(text)
+                    continue
+                lo = "0" if rng.random() < 0.7 else rng.choice(("1/3", "1/2", "1"))
+                hi = "inf" if rng.random() < 0.1 else _random_rational(rng, 1, 6)
+                lines.append(f"{text} = {lo} {hi}")
+    return lines, declared
+
+
+def _run_exact(lines, declared):
+    """The engine after loading and propagating, and its log, explanations and
+    error text: random bounds may cross, or feed a rule that only converges."""
+    engine = BoundEngine()
+    error = ""
+    try:
+        for text in declared:
+            engine.declare(text)
+        engine.load_facts("\n".join(lines))
+        engine.propagate()
+    except VerbaError as exc:
+        error = f"{exc}\n{getattr(exc, 'trace', '')}"
+    explained = [engine.explain(engine.facts[key].quantity) for key in sorted(engine.facts)]
+    return engine, "\n".join(engine.record_lines() + explained + [error])
+
+
+def test_every_bound_is_an_int_where_whole():
+    rng = random.Random(2411)
+    rules, kinds = set(), set()
+    for _ in range(300):
+        engine, _ = _run_exact(*_random_exact_facts(rng))
+        for value in _exact_values(engine):
+            assert _held_exactly(value), (value, engine.record_lines())
+            kinds.add(type(value))
+        rules.update(event.rule for event in engine.events)
+    assert kinds == {int, Fraction, type(None)}
+    # every rule that divides has run
+    assert rules >= {"R0", "R2", "R3", "R4", "R5", "R6", "R8", "R9", "R12", "R13", "R-CL"}, rules
+
+
+def test_ints_print_and_propagate_as_fractions_do(monkeypatch):
+    """The engine holding every value as a Fraction gives the same log and explanations."""
+    rng = random.Random(2412)
+    cases = [_random_exact_facts(rng) for _ in range(200)]
+    got = [_run_exact(*case)[1] for case in cases]
+    monkeypatch.setattr(bounds, "_exact", Fraction)
+    want = [_run_exact(*case)[1] for case in cases]
+    for case, a, b in zip(cases, got, want):
+        assert a == b, case
+    assert sum("R4" in text for text in got) > 20
+
+
+@pytest.mark.parametrize(
+    "lines, shown, rule, value",
+    [
+        (["L FREE [a,b] | gamma2 @ 3 = 0 2"], "SL FREE [a,b] | gamma2", "R4", F(2, 3)),
+        (  # (3 - 1) / (4 - 1)
+            ["L FREE [a,b] | gamma2 @ 4 = 0 3"], "SL FREE [a,b] | gamma2", "R5", F(2, 3),
+        ),
+        (  # (2 - 1 + 3/4) / 3, off the diagonal
+            [
+                "L FREE [a,b][a,c] | commutator_product2 @ 3 = 0 2",
+                "SL FREE [a,b][c,d] | commutator_product2 = 0 3/4",
+            ],
+            "SL FREE [a,b][a,c] | commutator_product2",
+            "R5",
+            F(7, 12),
+        ),
+        (  # 2 * 1 + (2 - 1) / 2
+            ["L FREE [a,b] | gamma2 @ 3 = 0 2", "SCL FREE [a,b] = 0 1"],
+            "SCL FREE [a,b]^3",
+            "R2",
+            F(5, 2),
+        ),
+        (  # 1 / (1 + 1/2)
+            ["SCL FREE [a,[b,c]] = 1 inf"], "SL FREE [a,[b,c]] | gamma3", "R3", F(2, 3),
+        ),
+        (  # (1 + 0) / 2, the inner word unbalanced
+            ["SL FREE [z,a^2 b] | [z,a^2 b] = 0 inf"], "SL FREE a^2 b | a^2 b", "R6", F(1, 2),
+        ),
+        (["SL PERFECT g | gamma4 = 1 inf"], "SCL PERFECT g", "R8", F(1, 4)),
+        (["SL PERFECT g | gamma3 = 1 inf"], "SL PERFECT g | Gamma3", "R9", F(1, 2)),
+        (
+            ["SCL FREE [a,b]^2 = 0 3"], "SL FREE [a,b]^2 | commutator_product2", "R12", F(3, 2),
+        ),
+    ],
+    ids=["R4", "R5-diagonal", "R5", "R2", "R3", "R6", "R8", "R9", "R12"],
+)
+def test_a_rule_whose_ints_do_not_divide_proposes_a_fraction(lines, shown, rule, value):
+    engine = BoundEngine()
+    engine.load_facts("\n".join(lines))
+    engine.declare(shown)
+    engine.propagate()
+    values = [event.value for event in engine.events if event.rule == rule]
+    assert value in values, engine.record_lines()
+    assert all(_held_exactly(v) for v in values), values
+    assert type(values[values.index(value)]) is Fraction
+
+
+def test_a_float_bound_is_refused():
+    engine = BoundEngine()
+    for bound in ({"hi": 0.1}, {"lo": 0.5}, {"hi": 2.0}):
+        with pytest.raises(TypeError):
+            engine.add_fact("SCL FREE a b a b", **bound)
+    assert engine.events == []
+    engine.add_fact("SCL FREE a b a b", lo=F(4, 2), hi=F(6, 2))
+    assert [type(v) for v in engine.interval("SCL FREE a b a b")] == [int, int]
+
+
+def test_the_bound_engine_divides_only_in_its_division_helper():
+    """``int / int`` is a float, so every quotient of bounds goes through ``_div``."""
+    tree = ast.parse(Path(bounds.__file__).read_text())
+    helper = next(
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_div"
+    )
+
+    def divisions(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.Div)
+        ]
+
+    outside = [n.lineno for n in divisions(tree) if n not in divisions(helper)]
+    assert outside == [], f"bounds.py divides outside _div at lines {outside}"

@@ -189,3 +189,13 @@ def test_parse_counts_the_factors_letters_as_it_reads_them(monkeypatch):
     monkeypatch.setattr(words, "SIZE_BUDGET", 6)
     with pytest.raises(ResourceBudgetError, match="^7 letters in the factors exceed"):
         parse_certificate(text)
+
+
+def test_a_factor_counts_its_witness_image_before_forming_it(monkeypatch):
+    # 100 body letters: x1 spells a long image once, x2 a letter 99 times
+    template = template_from_word(gen(1) * power(gen(2), 99))
+    monkeypatch.setattr(words, "SIZE_BUDGET", 1000)
+    w_word_factor(template, {1: power(gen(3), 900), 2: gen(4)}).check()
+    factor = w_word_factor(template, {1: power(gen(3), 902), 2: gen(4)})
+    with pytest.raises(ResourceBudgetError, match="^1001 letters in a witnessed factor exceed"):
+        factor.check()

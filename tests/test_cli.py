@@ -265,8 +265,13 @@ _OVERSIZED = "x^9999999 " * 50  # 500 bytes that spell 5 * 10^8 letters
             ["verify", "-"],
             "TARGET 1\n" + "FACTOR RAW x^9999999 CONJ 1\nFACTOR RAW x^-9999999 CONJ 1\n" * 10,
         ),
+        (
+            ["verify", "-"],
+            "TARGET x y x^-1 y^-1\nFACTOR COMMUTATOR x y x^-1 y^-1 CONJ 1\n"
+            "WITNESS 1 = x^9999999 ; 2 = y^9999999\n",
+        ),
     ],
-    ids=["reduce", "verify-identity", "bound", "verify-certificate"],
+    ids=["reduce", "verify-identity", "bound", "verify-certificate", "verify-witness"],
 )
 def test_short_inputs_that_spell_oversized_words_exit_3(argv, stdin):
     # each raised MemoryError under this cap, after building for up to 3 s

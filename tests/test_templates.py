@@ -406,9 +406,12 @@ def test_big_stock_templates_are_built_and_read_without_their_bodies(monkeypatch
     assert main(["bound", "--declare", "SL FREE [x,y] | gamma22"]) == 0
     assert capsys.readouterr().out == "SL FREE x1 x2 x1^-1 x2^-1 | gamma22 = [0, inf]\n"
     assert spelled == []
-    # a body is spelled where its letters are read, once
+    # a word template keeps the body it was recognised from
     template = parse_template_spec("[a,[b,c]]")
     assert template.body == template.body == commutator(gen(1), commutator(gen(2), gen(3)))
+    assert spelled == []
+    # a stock body is spelled where its letters are read, once
+    assert gamma_word(3).body == gamma_word(3).body == template.body
     assert spelled == ["[x1,[x2,x3]]"]
 
 
