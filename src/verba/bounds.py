@@ -281,23 +281,17 @@ class BoundEngine:
             parts.append(f"@ {quantity.exponent}")
         return " ".join(parts)
 
-    def _fact(
-        self,
-        kind: QuantityKind,
-        context: Context,
-        word: Word,
-        template: Template | None = None,
-        exponent: int | None = None,
-    ) -> Fact | None:
-        """The fact of the quantity with these fields, or ``None`` when it is not declared."""
-        return self.facts.get(Quantity(kind, context, word, template, exponent).key())
-
-    def interval(self, quantity: Quantity | str) -> tuple[Value, Bound]:
+    def _declared(self, quantity: Quantity | str) -> tuple[Quantity, Fact]:
+        """``quantity``, parsed when a text, and its fact; it must be declared."""
         if isinstance(quantity, str):
             quantity = self.parse_quantity(quantity)
         fact = self.facts.get(quantity.key())
         if fact is None:
             raise UnknownNameError(f"quantity {quantity.key()!r} is not declared")
+        return quantity, fact
+
+    def interval(self, quantity: Quantity | str) -> tuple[Value, Bound]:
+        _, fact = self._declared(quantity)
         return fact.lo, fact.hi
 
     # -- fact entry ---------------------------------------------------------
@@ -311,10 +305,11 @@ class BoundEngine:
         label: str = "",
     ) -> Quantity:
         quantity = self.declare(quantity)
+        fact = self.facts[quantity.key()]
         if lo is not None:
-            self._tighten(quantity, "lo", lo, provenance, None, label, ())
+            self._tighten(quantity, fact, "lo", lo, None, label, (), provenance)
         if hi is not None:
-            self._tighten(quantity, "hi", hi, provenance, None, label, ())
+            self._tighten(quantity, fact, "hi", hi, None, label, (), provenance)
         return quantity
 
     def add_certificate_fact(
@@ -373,9 +368,9 @@ class BoundEngine:
         value = finite.quotient_length(word, template, group, images)
         if value is None:
             return None
-        self.declare(quantity)
+        fact = self.facts[self.declare(quantity).key()]
         label = f"image length in {group.spec}"
-        self._tighten(quantity, "lo", value, "QUOTIENT", None, label, ())
+        self._tighten(quantity, fact, "lo", value, None, label, (), "QUOTIENT")
         return value
 
     # -- facts files ---------------------------------------------------------
@@ -418,28 +413,24 @@ class BoundEngine:
 
     # -- tightening and the event log ---------------------------------------
 
-    def _snapshot(self, quantity: Quantity) -> Antecedent:
-        fact = self.facts[quantity.key()]
-        return Antecedent(quantity.key(), fact.lo, fact.hi, fact.lo_event, fact.hi_event)
-
     def _tighten(
         self,
         quantity: Quantity,
+        fact: Fact,
         side: str,
         value: Value,
-        provenance: str,
         rule: str | None,
         label: str,
-        antecedents: tuple[Quantity, ...],
+        antecedents: tuple[Fact, ...],
+        provenance: str,
     ) -> bool:
+        """Tighten ``fact``, the fact of ``quantity``, which names it in a contradiction."""
         value = _exact(value)
-        fact = self.facts[quantity.key()]
         if side == "lo":
             if value <= fact.lo:
                 return False
-        else:
-            if fact.hi is not None and value >= fact.hi:
-                return False
+        elif fact.hi is not None and value >= fact.hi:
+            return False
         event = Event(
             id=len(self.events),
             side=side,
@@ -448,7 +439,10 @@ class BoundEngine:
             provenance=provenance,
             rule=rule,
             label=label,
-            antecedents=tuple(self._snapshot(a) for a in antecedents),
+            antecedents=tuple(
+                Antecedent(a.quantity.key(), a.lo, a.hi, a.lo_event, a.hi_event)
+                for a in antecedents
+            ),
         )
         self.events.append(event)
         if side == "lo":
@@ -461,7 +455,7 @@ class BoundEngine:
             raise InconsistencyError(
                 f"contradiction on {self.display(quantity)}:"
                 f" lower bound {fact.lo} exceeds upper bound {fact.hi}",
-                trace=self.explain(quantity, _allow_inconsistent=True),
+                trace=self.explain(quantity),
             )
         return True
 
@@ -474,9 +468,8 @@ class BoundEngine:
         for _ in range(_MAX_ROUNDS):
             changed = 0
             for rule in _RULES:
-                for quantity, side, value, rule_id, label, antecedents in rule(self, facts):
-                    if self._tighten(quantity, side, value, "RULE", rule_id, label, antecedents):
-                        changed += 1
+                for fact, *proposal in rule(facts):
+                    changed += self._tighten(fact.quantity, fact, *proposal, "RULE")
             total += changed
             if changed == 0:
                 return total
@@ -484,12 +477,8 @@ class BoundEngine:
 
     # -- reporting -------------------------------------------------------------
 
-    def explain(self, quantity: Quantity | str, _allow_inconsistent: bool = False) -> str:
-        if isinstance(quantity, str):
-            quantity = self.parse_quantity(quantity)
-        fact = self.facts.get(quantity.key())
-        if fact is None:
-            raise UnknownNameError(f"quantity {quantity.key()!r} is not declared")
+    def explain(self, quantity: Quantity | str) -> str:
+        quantity, fact = self._declared(quantity)
         lines = [f"{self.display(quantity)} = {_explained_interval(fact.lo, fact.hi)}"]
         seen: set[int] = set()
         for side, event_id in (("lo", fact.lo_event), ("hi", fact.hi_event)):
@@ -567,39 +556,37 @@ def _factor_matches_template(factor, template: Template) -> bool:
 # ---------------------------------------------------------------------------
 # the rule catalog
 #
-# Every rule reads the current facts and yields proposals
-# (quantity, side, value, rule id, note, antecedent quantities).  Values are
-# exact: ints where whole and Fractions otherwise, every quotient taken by
-# ``_div`` and every value normalised by ``_tighten`` through ``_exact``, so
-# whole bounds compare and add as ints.  An upper-bound product with an
-# infinite input is skipped
-# unless the other side is zero (length zero forces the identity, whose
-# length is zero over anything).
-#
-# A rule gets the facts as a ``_FactIndex``: all of them in key order, those
-# of one kind through ``of``, and the L facts indexed for the rules that pair
-# them up.  A rule that needs one partner fact looks it up with
-# ``engine._fact``.  No rule adds a fact, so ``engine.facts`` and the index
-# hold for the whole ``propagate`` call; both hold the ``Fact`` objects
+# Every rule is a function of a ``_FactIndex`` alone, which holds all the
+# facts in key order, those of one kind through ``of``, and each by the fields
+# of its quantity: one partner through ``find``, the L facts that rules pair up
+# through ``ladder`` and ``same_power``.  No rule adds a fact, so the index
+# holds for the whole ``propagate`` call; it holds the ``Fact`` objects
 # themselves, so a rule reads the bounds tightened before it.
+#
+# A rule yields proposals (fact, side, value, rule id, note, antecedent facts)
+# naming the facts it read, so none is looked up again.  Values are exact:
+# ints where whole and Fractions otherwise, every quotient taken by ``_div``
+# and every value normalised by ``_tighten`` through ``_exact``.  An
+# upper-bound product with an infinite input is skipped unless the other side
+# is zero (length zero forces the identity, whose length is zero over anything).
 
 class _FactIndex:
-    """The facts in key order, by kind, with their L facts indexed and SCL word lengths."""
+    """The facts in key order, by kind, by their quantities' fields, and SCL word lengths."""
 
     def __init__(self, facts: list[Fact]) -> None:
         self._facts = facts
         self._by_kind: dict[QuantityKind, list[Fact]] = {kind: [] for kind in QuantityKind}
-        # (context, word, template key) -> {exponent: fact}, in key order; a key
-        # string hashes once, where a Template would hash its body word
-        self._ladders: dict[tuple, dict[int, Fact]] = {}
-        # (context, word, exponent) -> facts over every template, in key order
+        # (kind, context, word, template key) -> {exponent: fact}, in key order,
+        # the exponent None but for L; a template is keyed by its key, as it hashes
+        self._by_fields: dict[tuple, dict[int | None, Fact]] = {}
+        # (context, word, exponent) -> L facts over every template, in key order
         self._same_power: dict[tuple, list[Fact]] = {}
         for fact in facts:
             q = fact.quantity
             self._by_kind[q.kind].append(fact)
+            fields = (q.kind, q.context, q.word, None if q.template is None else q.template.key)
+            self._by_fields.setdefault(fields, {})[q.exponent] = fact
             if q.kind is QuantityKind.L:
-                ladder = self._ladders.setdefault((q.context, q.word, q.template.key), {})
-                ladder[q.exponent] = fact
                 self._same_power.setdefault((q.context, q.word, q.exponent), []).append(fact)
         self.scl_lengths = {len(f.quantity.word) for f in self._by_kind[QuantityKind.SCL]}
 
@@ -610,9 +597,22 @@ class _FactIndex:
         """The facts of quantities of ``kind``, in key order."""
         return self._by_kind[kind]
 
+    def find(
+        self,
+        kind: QuantityKind,
+        context: Context,
+        word: Word,
+        template: Template | None = None,
+        exponent: int | None = None,
+    ) -> Fact | None:
+        """The fact of the quantity with these fields, or ``None`` when it is not declared."""
+        template_key = None if template is None else template.key
+        key = (kind, context, _keyed_word(context, word), template_key)
+        return self._by_fields.get(key, {}).get(exponent)
+
     def ladder(self, context: Context, word: Word, template_key: str) -> dict[int, Fact]:
         """The L facts over ``template_key`` of the powers of ``word``, by exponent."""
-        return self._ladders.get((context, word, template_key), {})
+        return self._by_fields.get((QuantityKind.L, context, word, template_key), {})
 
     def same_power(self, context: Context, word: Word, exponent: int) -> list[Fact]:
         """The L facts of ``word ** exponent`` over every template."""
@@ -634,48 +634,46 @@ def _body_template(q: Quantity) -> Template | None:
     return q.template
 
 
-def _template_scl(engine: BoundEngine, facts: _FactIndex, q: Quantity) -> Fact | None:
+def _template_scl(facts: _FactIndex, q: Quantity) -> Fact | None:
     """The ``SCL FREE`` fact of ``q``'s template body when it has an upper bound, else ``None``."""
     template = _body_template(q)
     if template is None or template.letters not in facts.scl_lengths:
         return None  # no SCL word is as long as the body, which stays unspelled
-    base = engine._fact(QuantityKind.SCL, Context.FREE, template.body)
-    if base is None or base.hi is None:
-        return None
-    return base
+    base = facts.find(QuantityKind.SCL, Context.FREE, template.body)
+    return None if base is None or base.hi is None else base
 
 
 def _linked(inner: Fact, outer: Fact, c: int, rule: str, note: str):
     """The four proposals of ``outer <= inner <= c * outer``, inner side first."""
     if outer.hi is not None:
-        yield (inner.quantity, "hi", c * outer.hi, rule, note, [outer.quantity])
-    yield (inner.quantity, "lo", outer.lo, rule, note, [outer.quantity])
+        yield (inner, "hi", c * outer.hi, rule, note, [outer])
+    yield (inner, "lo", outer.lo, rule, note, [outer])
     if inner.hi is not None:
-        yield (outer.quantity, "hi", inner.hi, rule, note, [inner.quantity])
-    yield (outer.quantity, "lo", _div(inner.lo, c), rule, note, [inner.quantity])
+        yield (outer, "hi", inner.hi, rule, note, [inner])
+    yield (outer, "lo", _div(inner.lo, c), rule, note, [inner])
 
 
-def _rule_trivial(engine: BoundEngine, facts: _FactIndex):
+def _rule_trivial(facts: _FactIndex):
     for fact in facts:
         q = fact.quantity
         if q.word == EMPTY:
-            yield (q, "hi", 0, "R0", "the identity has length zero", [])
+            yield (fact, "hi", 0, "R0", "the identity has length zero", [])
         elif q.kind is QuantityKind.L and q.context is Context.FREE:
-            yield (q, "lo", 1, "R0", "a nontrivial word needs at least one factor", [])
+            yield (fact, "lo", 1, "R0", "a nontrivial word needs at least one factor", [])
 
 
-def _rule_integrality(engine: BoundEngine, facts: _FactIndex):
+def _rule_integrality(facts: _FactIndex):
     for fact in facts:
         if fact.quantity.kind not in (QuantityKind.L, QuantityKind.CL):
             continue
         note = "factor counts are whole numbers"
         if fact.hi is not None and fact.hi.denominator != 1:
-            yield (fact.quantity, "hi", math.floor(fact.hi), "R0", note, [])
+            yield (fact, "hi", math.floor(fact.hi), "R0", note, [])
         if fact.lo.denominator != 1:
-            yield (fact.quantity, "lo", math.ceil(fact.lo), "R0", note, [])
+            yield (fact, "lo", math.ceil(fact.lo), "R0", note, [])
 
 
-def _rule_compose(engine: BoundEngine, facts: _FactIndex):
+def _rule_compose(facts: _FactIndex):
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
         for mid in facts.same_power(tq.context, tq.word, tq.exponent):
@@ -685,40 +683,46 @@ def _rule_compose(engine: BoundEngine, facts: _FactIndex):
             mid_template = _body_template(mq)
             if mid_template is None:
                 continue
-            bridge = engine._fact(QuantityKind.L, Context.FREE, mid_template.body, tq.template, 1)
+            bridge = facts.find(QuantityKind.L, Context.FREE, mid_template.body, tq.template, 1)
             if bridge is None:
                 continue
             value = _mul_hi(mid.hi, bridge.hi)
             if value is None:
                 continue
             yield (
-                tq,
+                target,
                 "hi",
                 value,
                 "R1",
                 "rewrite each factor through the second template",
-                [mid.quantity, bridge.quantity],
+                [mid, bridge],
             )
 
 
-def _rule_scl_bridge(engine: BoundEngine, facts: _FactIndex):
+def _rule_scl_bridge(facts: _FactIndex):
     for target in facts.of(QuantityKind.SCL):
         tq = target.quantity
         for sl in facts.of(QuantityKind.SL):
             sq = sl.quantity
             if sq.word != tq.word or sq.context is not tq.context or sl.hi is None:
                 continue
-            base = _template_scl(engine, facts, sq)
+            base = _template_scl(facts, sq)
             if base is None:
                 continue
+            if base is not target:
+                value = sl.hi * (base.hi + _HALF)
+            elif sl.hi < 1:  # scl <= sl * (scl + 1/2) at its fixed point
+                value = _div(sl.hi, 2 * (1 - sl.hi))
+            else:
+                continue  # sl * (scl + 1/2) is never below scl
             yield (
-                tq,
+                target,
                 "hi",
-                sl.hi * (base.hi + _HALF),
+                value,
                 "R2",
                 "stable factors each cost their own stable commutator length"
                 " plus a half for joining",
-                [sl.quantity, base.quantity],
+                [sl, base],
             )
         for lf in facts.of(QuantityKind.L):
             lq = lf.quantity
@@ -728,17 +732,17 @@ def _rule_scl_bridge(engine: BoundEngine, facts: _FactIndex):
                 continue  # not the target, and no power is built to see it
             if power(lq.word, lq.exponent) != tq.word:
                 continue
-            base = _template_scl(engine, facts, lq)
+            base = _template_scl(facts, lq)
             if base is None:
                 continue
             value = max(0, lf.hi * base.hi + _div(lf.hi - 1, 2))
             yield (
-                tq,
+                target,
                 "hi",
                 value,
                 "R2",
                 "a finite factorization bounds the stable commutator length",
-                [lf.quantity, base.quantity],
+                [lf, base],
             )
 
 
@@ -751,7 +755,7 @@ def _diagonal(q: Quantity) -> Template | None:
     return template
 
 
-def _rule_diagonal_window(engine: BoundEngine, facts: _FactIndex):
+def _rule_diagonal_window(facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         if q.context is not Context.FREE:
@@ -759,38 +763,39 @@ def _rule_diagonal_window(engine: BoundEngine, facts: _FactIndex):
         template = _diagonal(q)
         if template is None or q.word == EMPTY:
             continue
-        yield (q, "hi", 1, "R3", "a template over itself stabilizes at one", [])
+        yield (fact, "hi", 1, "R3", "a template over itself stabilizes at one", [])
         if in_commutator_subgroup(q.word):
-            yield (q, "lo", _HALF, "R3", "balanced templates over themselves stay above a half", [])
-        scl = engine._fact(QuantityKind.SCL, Context.FREE, q.word)
+            note = "balanced templates over themselves stay above a half"
+            yield (fact, "lo", _HALF, "R3", note, [])
+        scl = facts.find(QuantityKind.SCL, Context.FREE, q.word)
         if scl is not None and scl.lo > 0:
             yield (
-                q,
+                fact,
                 "lo",
                 _div(scl.lo, scl.lo + _HALF),
                 "R3",
                 "the stable commutator length pushes the diagonal up",
-                [scl.quantity],
+                [scl],
             )
 
 
-def _rule_power_ratio(engine: BoundEngine, facts: _FactIndex):
+def _rule_power_ratio(facts: _FactIndex):
     for target in facts.of(QuantityKind.SL):
         tq = target.quantity
         for n, lf in facts.ladder(tq.context, tq.word, tq.template.key).items():
             if lf.hi is None:
                 continue
             yield (
-                tq,
+                target,
                 "hi",
                 _div(lf.hi, n),
                 "R4",
                 "any power factorization bounds the stable ratio",
-                [lf.quantity],
+                [lf],
             )
 
 
-def _rule_stable_promotion(engine: BoundEngine, facts: _FactIndex):
+def _rule_stable_promotion(facts: _FactIndex):
     for target in facts.of(QuantityKind.SL):
         tq = target.quantity
         ladder = facts.ladder(tq.context, tq.word, tq.template.key)
@@ -798,34 +803,34 @@ def _rule_stable_promotion(engine: BoundEngine, facts: _FactIndex):
         diagonal = tq.context is Context.FREE and _diagonal(tq) is not None
         diag = None
         if ladder and not diagonal and template is not None:
-            diag = engine._fact(QuantityKind.SL, Context.FREE, template.body, tq.template)
+            diag = facts.find(QuantityKind.SL, Context.FREE, template.body, tq.template)
         for n, lf in ladder.items():
             if lf.hi is None or lf.hi < 1:
                 continue
             if diagonal:
                 if n >= 2:
                     yield (
-                        tq,
+                        target,
                         "hi",
                         _div(lf.hi - 1, n - 1),
                         "R5",
                         "one factor seeds the next power of the template",
-                        [lf.quantity],
+                        [lf],
                     )
                 continue
             if diag is None or diag.hi is None:
                 continue
             yield (
-                tq,
+                target,
                 "hi",
                 _div(lf.hi - 1 + diag.hi, n),
                 "R5",
                 "one factor of each power block is recycled into the next",
-                [lf.quantity, diag.quantity],
+                [lf, diag],
             )
 
 
-def _rule_fresh_head(engine: BoundEngine, facts: _FactIndex):
+def _rule_fresh_head(facts: _FactIndex):
     for fact in facts:
         q = fact.quantity
         if q.context is not Context.FREE or _diagonal(q) is None:
@@ -836,19 +841,19 @@ def _rule_fresh_head(engine: BoundEngine, facts: _FactIndex):
         if v is None:
             continue
         if q.kind is QuantityKind.SL:
-            inner = engine._fact(QuantityKind.SL, Context.FREE, v.body, v)
+            inner = facts.find(QuantityKind.SL, Context.FREE, v.body, v)
             note = "a fresh head generator lets consecutive blocks pair up"
         else:
             n = (q.exponent - 1) // 2
-            inner = engine._fact(QuantityKind.L, Context.FREE, v.body, v, n + 1)
+            inner = facts.find(QuantityKind.L, Context.FREE, v.body, v, n + 1)
             note = "odd powers of a fresh-head bracket fold pairwise"
         if inner is None or inner.hi is None:
             continue
         value = _div(1 + inner.hi, 2) if q.kind is QuantityKind.SL else n + inner.hi
-        yield (q, "hi", value, "R6", note, [inner.quantity])
+        yield (fact, "hi", value, "R6", note, [inner])
 
 
-def _rule_chain_ceiling(engine: BoundEngine, facts: _FactIndex):
+def _rule_chain_ceiling(facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         if q.context is not Context.FREE:
@@ -860,7 +865,7 @@ def _rule_chain_ceiling(engine: BoundEngine, facts: _FactIndex):
         if n is None or n < 2:
             continue
         yield (
-            q,
+            fact,
             "hi",
             1 - Fraction(1, 2 ** (n - 1)),
             "R7",
@@ -869,7 +874,7 @@ def _rule_chain_ceiling(engine: BoundEngine, facts: _FactIndex):
         )
 
 
-def _rule_perfect_comparison(engine: BoundEngine, facts: _FactIndex):
+def _rule_perfect_comparison(facts: _FactIndex):
     """scl(g) <= sl_gamma_n(g) <= 2^(n-2) scl(g) in a perfect ambient group."""
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
@@ -881,7 +886,7 @@ def _rule_perfect_comparison(engine: BoundEngine, facts: _FactIndex):
         n = gamma_index(template)
         if n is None or n < 2:
             continue
-        scl = engine._fact(QuantityKind.SCL, Context.PERFECT, q.word)
+        scl = facts.find(QuantityKind.SCL, Context.PERFECT, q.word)
         if scl is None:
             continue
         yield from _linked(
@@ -893,13 +898,13 @@ def _rule_perfect_comparison(engine: BoundEngine, facts: _FactIndex):
         )
 
 
-def _rule_gamma3_bridge(engine: BoundEngine, facts: _FactIndex):
+def _rule_gamma3_bridge(facts: _FactIndex):
     gamma3_key = gamma_word(3).key
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         if q.template.key != gamma3_key:
             continue
-        partner = engine._fact(QuantityKind.SL, q.context, q.word, GAMMA3_FAMILY)
+        partner = facts.find(QuantityKind.SL, q.context, q.word, GAMMA3_FAMILY)
         if partner is None:
             continue
         if q.context is Context.FREE:
@@ -913,13 +918,14 @@ def _rule_gamma3_bridge(engine: BoundEngine, facts: _FactIndex):
         )
 
 
-def _rule_unbalanced_vanish(engine: BoundEngine, facts: _FactIndex):
+def _rule_unbalanced_vanish(facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         template = _body_template(q)
         if template is None or _balanced(template.shape):
             continue
-        yield (q, "hi", 0, "R10", "an exponent surplus in the template absorbs powers for free", [])
+        note = "an exponent surplus in the template absorbs powers for free"
+        yield (fact, "hi", 0, "R10", note, [])
 
 
 def _balanced(shape: Shape) -> bool:
@@ -929,7 +935,7 @@ def _balanced(shape: Shape) -> bool:
     return shape.op == "commutator" or all(map(_balanced, shape.parts))
 
 
-def _rule_block_division(engine: BoundEngine, facts: _FactIndex):
+def _rule_block_division(facts: _FactIndex):
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         template = _body_template(q)
@@ -938,16 +944,16 @@ def _rule_block_division(engine: BoundEngine, facts: _FactIndex):
         blocks = commutator_blocks(template)
         if blocks is None:
             continue
-        scl = engine._fact(QuantityKind.SCL, q.context, q.word)
+        scl = facts.find(QuantityKind.SCL, q.context, q.word)
         if scl is None or scl.hi is None:
             continue
         yield (
-            q,
+            fact,
             "hi",
             _div(scl.hi, blocks),
             "R12",
             "disjoint commutator blocks divide the stable commutator length",
-            [scl.quantity],
+            [scl],
         )
 
 
@@ -982,7 +988,7 @@ class _SplitTable:
         return [a for a in rank if n - a in rank and rank[a] <= rank[n - a]]
 
 
-def _rule_exponent_splitting(engine: BoundEngine, facts: _FactIndex):
+def _rule_exponent_splitting(facts: _FactIndex):
     """``L(w^n) <= L(w^a) + L(w^(n-a))``, and ``L(w^n) <= L(w^-n)``.
 
     Only a split that can tighten is proposed, read from one ``_SplitTable``
@@ -1007,52 +1013,52 @@ def _rule_exponent_splitting(engine: BoundEngine, facts: _FactIndex):
             if value >= hi[n]:
                 continue
             yield (
-                tq,
+                target,
                 "hi",
                 value,
                 "R13",
                 "factorizations of two powers concatenate",
-                [ladder[a].quantity, ladder[n - a].quantity],
+                [ladder[a], ladder[n - a]],
             )
             table.read(n, target)
         mirror = mirrors.get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
-                tq,
+                target,
                 "hi",
                 mirror.hi,
                 "R13",
                 "inverting a factorization factors the inverse",
-                [mirror.quantity],
+                [mirror],
             )
             table.read(n, target)
 
 
-def _rule_one_step_beta(engine: BoundEngine, facts: _FactIndex):
+def _rule_one_step_beta(facts: _FactIndex):
     beta2_key = beta_word(2).key
     gamma3 = gamma_word(3)
     for fact in facts.of(QuantityKind.SL):
         q = fact.quantity
         if q.context is not Context.PERFECT_SCL_ZERO or q.template.key != beta2_key:
             continue
-        lf = engine._fact(QuantityKind.L, Context.PERFECT_SCL_ZERO, q.word, gamma3, 1)
+        lf = facts.find(QuantityKind.L, Context.PERFECT_SCL_ZERO, q.word, gamma3, 1)
         if lf is None or lf.lo != 1 or lf.hi != 1:
             continue
         yield (
-            q,
+            fact,
             "hi",
             1,
             "R14",
             "a one-step nested element has short commutator-of-commutator powers",
-            [lf.quantity],
+            [lf],
         )
 
 
-def _rule_cl_alias(engine: BoundEngine, facts: _FactIndex):
+def _rule_cl_alias(facts: _FactIndex):
     gamma2 = gamma_word(2)
     for fact in facts.of(QuantityKind.CL):
         q = fact.quantity
-        alias = engine._fact(QuantityKind.L, q.context, q.word, gamma2, 1)
+        alias = facts.find(QuantityKind.L, q.context, q.word, gamma2, 1)
         if alias is None:
             continue
         yield from _linked(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import gc
 import hashlib
+import inspect
 import random
 import weakref
 from fractions import Fraction
@@ -13,7 +14,15 @@ import pytest
 
 from verba import bounds, experiments, grammar
 from verba.bounds import BoundEngine, Context, Quantity, QuantityKind, format_interval
-from verba.certificates import Certificate, commutator_factor
+from verba.certificates import (
+    Certificate,
+    Factor,
+    FactorKind,
+    beta2_factor,
+    commutator_factor,
+    gamma3_factor,
+    raw_factor,
+)
 from verba.errors import (
     CertificateError,
     InconsistencyError,
@@ -604,7 +613,7 @@ _SHORT_RUNG = "".join(
 
 def _with_round_marker(monkeypatch, mark):
     """Run ``mark(facts)`` at the start of every round of ``propagate``."""
-    def marker(engine, facts):
+    def marker(facts):
         mark(facts)
         return iter(())
 
@@ -653,7 +662,7 @@ def test_propagate_indexes_the_facts_once_per_call(monkeypatch):
     assert seen[-1] is not seen[0]  # a new call indexes the facts loaded since
 
 
-def _all_pairs_exponent_splitting(engine, facts):
+def _all_pairs_exponent_splitting(facts):
     """Power splitting (R13) that proposes every split of every ladder in every round."""
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
@@ -666,12 +675,12 @@ def _all_pairs_exponent_splitting(engine, facts):
             if other is None or other.hi is None:
                 continue
             yield (
-                tq,
+                target,
                 "hi",
                 part.hi + other.hi,
                 "R13",
                 "factorizations of two powers concatenate",
-                [part.quantity, other.quantity],
+                [part, other],
             )
         inverse = tq.word.inverse()
         if tq.context is Context.FREE:  # a FREE quantity holds its word up to renaming
@@ -679,12 +688,12 @@ def _all_pairs_exponent_splitting(engine, facts):
         mirror = facts.ladder(tq.context, inverse, tq.template.key).get(n)
         if mirror is not None and mirror.hi is not None:
             yield (
-                tq,
+                target,
                 "hi",
                 mirror.hi,
                 "R13",
                 "inverting a factorization factors the inverse",
-                [mirror.quantity],
+                [mirror],
             )
 
 
@@ -1194,6 +1203,22 @@ def test_add_certificate_fact_family_matching():
     with pytest.raises(VerbaError):
         engine.add_certificate_fact(plain, GAMMA3_FAMILY, 1, bad)
 
+    # a three-variable chain and a commutator of commutators are Gamma3 values
+    u, v, t = gen(5), gen(6), gen(7)
+    assert bounds._factor_matches_template(gamma3_factor(X, Y, Z), GAMMA3_FAMILY)
+    assert bounds._factor_matches_template(beta2_factor(X, Y, Z, u), GAMMA3_FAMILY)
+    # a longer chain and an untagged factor are not visibly one
+    gamma4 = gamma_word(4)
+    chain = Factor(
+        FactorKind.GAMMA_N_WORD,
+        base=gamma4.instance({1: X, 2: Y, 3: u, 4: v}),
+        template=gamma4,
+        witness={1: X, 2: Y, 3: u, 4: v},
+    )
+    chain.check()
+    assert not bounds._factor_matches_template(chain, GAMMA3_FAMILY)
+    assert not bounds._factor_matches_template(raw_factor(commutator(t, X)), GAMMA3_FAMILY)
+
 
 def test_add_quotient_floor():
     engine = BoundEngine()
@@ -1350,6 +1375,53 @@ def test_every_bound_is_an_int_where_whole():
     assert kinds == {int, Fraction, type(None)}
     # every rule that divides has run
     assert rules >= {"R0", "R2", "R3", "R4", "R5", "R6", "R8", "R9", "R12", "R13", "R-CL"}, rules
+
+
+def test_every_seeded_exact_facts_file_reaches_a_fixed_point():
+    """R2 over an ``SCL`` target that is its own base, ``scl <= sl * (scl + 1/2)``,
+    would tighten in every round; its fixed point ``sl / (2 (1 - sl))`` ends it."""
+    rng = random.Random(2411)
+    own_base = 0
+    for _ in range(300):
+        lines, declared = _random_exact_facts(rng)
+        engine, text = _run_exact(lines, declared)
+        assert "did not stabilize" not in text, (lines, declared)
+        own_base += any(
+            event.rule == "R2" and event.antecedents[-1].key == event.quantity_key
+            for event in engine.events
+        )
+    assert own_base >= 5, own_base
+
+
+def test_rules_read_the_fact_index_alone(monkeypatch):
+    """Each rule is a function of the index and finds its partners there, by
+    the fields of their quantities; propagating builds no ``Quantity``."""
+    assert all(list(inspect.signature(rule).parameters) == ["facts"] for rule in bounds._RULES)
+    rng = random.Random(2411)
+    engines = []
+    for _ in range(300):
+        lines, declared = _random_exact_facts(rng)
+        engine = BoundEngine()
+        for text in declared:
+            engine.declare(text)
+        try:
+            engine.load_facts("\n".join(lines))
+        except InconsistencyError:
+            continue
+        engines.append(engine)
+
+    def no_quantity(*args):
+        raise AssertionError("a rule built a Quantity")
+
+    monkeypatch.setattr(bounds, "Quantity", no_quantity)
+    rules = set()
+    for engine in engines:
+        try:
+            engine.propagate()
+        except InconsistencyError:
+            pass
+        rules.update(event.rule for event in engine.events)
+    assert rules >= {"R1", "R2", "R3", "R5", "R6", "R8", "R9", "R12", "R13", "R-CL"}, rules
 
 
 def test_ints_print_and_propagate_as_fractions_do(monkeypatch):

@@ -20,7 +20,7 @@ from verba.certificates import (
 )
 from verba.errors import CertificateError, ParseError, ResourceBudgetError
 from verba.grammar import NameTable
-from verba.templates import gamma_word, template_from_word
+from verba.templates import GAMMA3_FAMILY, gamma_word, template_from_word
 from verba.words import EMPTY, commutator, conjugate, gen, power
 
 
@@ -179,6 +179,20 @@ def test_stock_kinds_carry_their_own_templates():
     )
     with pytest.raises(CertificateError, match="malformed template"):
         bad.check()
+
+
+def test_a_factor_over_a_family_template_is_refused():
+    """``Gamma3`` names a set of words, not one word, so no witness instantiates it."""
+    from verba.certificates import Factor
+
+    factor = Factor(
+        FactorKind.W_WORD,
+        base=commutator(gen(1), commutator(gen(2), gen(3))),
+        template=GAMMA3_FAMILY,
+        witness={1: gen(1), 2: gen(2), 3: gen(3)},
+    )
+    with pytest.raises(CertificateError, match="factor templates must be single words"):
+        factor.check()
 
 
 def test_parse_counts_the_factors_letters_as_it_reads_them(monkeypatch):

@@ -18,6 +18,7 @@ from verba.cover import known_shape_certificate
 from verba.experiments import run_experiment
 from verba.finite import load_group
 from verba.identities import REWRITE_RULES
+from verba.templates import parse_template_spec
 
 
 @pytest.fixture(autouse=True)
@@ -371,6 +372,19 @@ def test_wlength_empty_template_has_only_the_identity(capsys, template):
     assert out.splitlines() == ["0 1", "unreachable 5"]
 
 
+def test_wlength_records_lists_each_elements_distance(capsys):
+    """``--records`` follows the histogram with one ``id distance`` line per element."""
+    code, out, err = run(
+        capsys, "wlength", "--group", "S3", "--template", "gamma2", "--records"
+    )
+    assert (code, err) == (0, "")
+    table = finite.wlength_table(load_group("S3"), parse_template_spec("gamma2"))
+    lines = out.splitlines()
+    assert lines[:3] == ["0 1", "1 2", "unreachable 3"]
+    assert lines[3:] == [f"{i} {d}" for i, d in enumerate(table.distances)]
+    assert lines[3:] == ["0 0", "1 -1", "2 -1", "3 1", "4 1", "5 -1"]
+
+
 def test_wlength_element(capsys):
     group = load_group("S3")
     rotation = next(
@@ -693,6 +707,45 @@ def test_bound_facts_errors_keep_their_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "bound", "--facts", str(facts))
     assert code == 2
     assert err == "error: facts line 2: bad rational 'oops'\n"
+
+
+def test_a_contradiction_names_the_quantity_as_its_line_spells_it(capsys, tmp_path):
+    """Two template specs of one quantity: the line that contradicts names its own."""
+    facts = tmp_path / "relabelled.facts"
+    facts.write_text("SL FREE [a,b] | gamma2 = 1 1\nSL FREE [a,b] | [p,q] = 2 2\n")
+    code, out, err = run(capsys, "bound", "--no-default-seeds", "--facts", str(facts))
+    assert (code, err) == (1, "")
+    assert out == (
+        "INCONSISTENT: facts line 2: contradiction on SL FREE x1 x2 x1^-1 x2^-1 | [x1,x2]:"
+        " lower bound 2 exceeds upper bound 1\n"
+        "SL FREE x1 x2 x1^-1 x2^-1 | [x1,x2] = [2, 1]\n"
+        "  lo 2 by SEED\n"
+        "  hi 1 by SEED\n"
+    )
+
+
+def test_bound_scl_bridge_over_its_own_base_stops_at_its_fixed_point(capsys, tmp_path):
+    """R2 reads ``scl([a,b]) <= sl * (scl([a,b]) + 1/2)`` here, with ``sl <= 1/2``
+    from R7; it proposes the fixed point ``sl / (2 (1 - sl)) = 1/2`` at once."""
+    facts = tmp_path / "own-base.facts"
+    facts.write_text("SCL FREE [a,b] = 0 16/3\n")
+    code, out, err = run(
+        capsys,
+        "bound", "--no-default-seeds", "--facts", str(facts),
+        "--declare", "SL FREE [a,b] | gamma2", "--declare", "SCL FREE [a,b]", "--records",
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == [
+        "SL FREE x1 x2 x1^-1 x2^-1 | gamma2 = [1/2, 1/2]",
+        "SCL FREE x1 x2 x1^-1 x2^-1 = [0, 1/2]",
+    ]
+    assert [line for line in lines if " RULE R2 " in line] == [
+        "FACT SCL FREE x1 x2 x1^-1 x2^-1 hi 1/2 RULE R2"
+        " FROM SL FREE x1 x2 x1^-1 x2^-1 | [x1,x2]=[1/2,1/2];"
+        "SCL FREE x1 x2 x1^-1 x2^-1=[0,16/3]"
+        " # stable factors each cost their own stable commutator length plus a half for joining"
+    ]
 
 
 _LONG = "9" * 5000  # past Python's 4300-digit limit on int-string conversion

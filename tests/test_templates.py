@@ -47,6 +47,11 @@ def test_family_shapes():
     assert GAMMA3_FAMILY.body is None
 
 
+def test_a_family_template_has_no_instance():
+    with pytest.raises(ValueError, match="no body word to instantiate"):
+        GAMMA3_FAMILY.instance({})
+
+
 def test_gamma_index_is_structural():
     for n in range(1, 7):
         assert gamma_index(gamma_word(n)) == n
