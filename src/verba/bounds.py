@@ -44,6 +44,7 @@ word stays literal and is spelt in the engine's name table.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from bisect import bisect_right
@@ -618,6 +619,31 @@ class _FactIndex:
         """The L facts of ``word ** exponent`` over every template."""
         return self._same_power.get((context, word, exponent), [])
 
+    def sl_of(self, context: Context, word: Word) -> list[Fact]:
+        """The SL facts of ``word`` over every template, in key order."""
+        return self._sl_by_word.get((context, word), [])
+
+    def l_of_length(self, context: Context, length: int) -> list[Fact]:
+        """The L facts whose power of their word has ``length`` letters, in key order."""
+        return self._l_by_length.get((context, length), [])
+
+    # R2's partners, indexed at R2's first target: a call with no SCL fact measures no power
+
+    @functools.cached_property
+    def _sl_by_word(self) -> dict[tuple, list[Fact]]:
+        by_word: dict[tuple, list[Fact]] = {}
+        for fact in self._by_kind[QuantityKind.SL]:
+            by_word.setdefault((fact.quantity.context, fact.quantity.word), []).append(fact)
+        return by_word
+
+    @functools.cached_property
+    def _l_by_length(self) -> dict[tuple, list[Fact]]:
+        by_length: dict[tuple, list[Fact]] = {}
+        for fact in self._by_kind[QuantityKind.L]:
+            q = fact.quantity
+            by_length.setdefault((q.context, power_length(q.word, q.exponent)), []).append(fact)
+        return by_length
+
 
 def _mul_hi(a: Bound, b: Bound) -> Bound:
     if a == 0 or b == 0:
@@ -702,11 +728,10 @@ def _rule_compose(facts: _FactIndex):
 def _rule_scl_bridge(facts: _FactIndex):
     for target in facts.of(QuantityKind.SCL):
         tq = target.quantity
-        for sl in facts.of(QuantityKind.SL):
-            sq = sl.quantity
-            if sq.word != tq.word or sq.context is not tq.context or sl.hi is None:
+        for sl in facts.sl_of(tq.context, tq.word):
+            if sl.hi is None:
                 continue
-            base = _template_scl(facts, sq)
+            base = _template_scl(facts, sl.quantity)
             if base is None:
                 continue
             if base is not target:
@@ -724,13 +749,9 @@ def _rule_scl_bridge(facts: _FactIndex):
                 " plus a half for joining",
                 [sl, base],
             )
-        for lf in facts.of(QuantityKind.L):
-            lq = lf.quantity
-            if lq.context is not tq.context or lf.hi is None:
-                continue
-            if power_length(lq.word, lq.exponent) != len(tq.word):
-                continue  # not the target, and no power is built to see it
-            if power(lq.word, lq.exponent) != tq.word:
+        for lf in facts.l_of_length(tq.context, len(tq.word)):
+            lq = lf.quantity  # only a power as long as the target is built to compare
+            if lf.hi is None or power(lq.word, lq.exponent) != tq.word:
                 continue
             base = _template_scl(facts, lq)
             if base is None:
@@ -750,7 +771,7 @@ def _diagonal(q: Quantity) -> Template | None:
     """The template when ``q`` is ``SL(w | w)`` or ``L(w | w)``, else ``None``; both
     words are numbered by first appearance in ``FREE``, where the rules ask."""
     template = _body_template(q)
-    if template is None or len(q.word.letters) != template.letters or q.word != template.body:
+    if template is None or len(q.word) != template.letters or q.word != template.body:
         return None
     return template
 

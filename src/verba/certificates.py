@@ -25,7 +25,6 @@ import dataclasses
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from . import grammar, words
 from .errors import CertificateError, ParseError
@@ -76,7 +75,7 @@ class Factor:
         # each body letter spells one letter or a witness image, so the image
         # is short when this bound is; past the budget, count it exactly
         if len(body) * (1 + sum(map(len, witness.values()))) > words.SIZE_BUDGET:
-            uses = Counter(map(itemgetter(0), body.letters))
+            uses = Counter(code >> 1 for code in body.codes)
             check_size(
                 sum(n * len(witness[i]) if i in witness else n for i, n in uses.items()),
                 "letters in a witnessed factor",

@@ -59,8 +59,8 @@ def word_permutation(w: Word, images: dict[int, Permutation]) -> Permutation:
     if len(degrees) != 1:
         raise ValueError("all generator images must act on the same points")
     result = identity_permutation(degrees.pop())
-    for index, sign in w.letters:
-        p = images[index] if sign == 1 else invert_permutation(images[index])
+    for code in w.codes:
+        p = invert_permutation(images[code >> 1]) if code & 1 else images[code >> 1]
         result = then(result, p)
     return result
 

@@ -34,7 +34,7 @@ from .templates import (
     grope_word,
     template_from_word,
 )
-from .words import EMPTY, Word, commutator, gen, power
+from .words import EMPTY, Word, _reduced, commutator, gen, power
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def scenario_grope_family(
     engine = BoundEngine()
     grope = grope_word(n)
     body = grope.body
-    inner = Word(body.letters[1 : len(body) // 2])  # the body is x1 v x1^-1 v^-1
+    inner = _reduced(body.codes[1 : len(body) // 2])  # the body is x1 v x1^-1 v^-1
     cert = Certificate(
         target=body, factors=(commutator_factor(gen(1), inner),), flags=()
     )

@@ -402,8 +402,8 @@ def _evaluate(group: FiniteGroup, body: Word, values):
     an array of ids (one entry per assignment), multiplied through ``mul``."""
     inv = group.inverses()
     acc = group.identity
-    for n, (index, sign) in enumerate(body.letters):
-        value = values[index] if sign == 1 else inv[values[index]]
+    for n, code in enumerate(body.codes):
+        value = inv[values[code >> 1]] if code & 1 else values[code >> 1]
         acc = value if n == 0 else group.mul(acc, value)
     return acc
 

@@ -251,6 +251,7 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
     if not terms or not all(map(_FLAT_TERM_RE.fullmatch, seen)):
         return None
     generator: dict[str, int] = {}
+    code: dict[str, int] = {}  # the letter code of a term of exponent +-1
     letters_only = True
     for term in seen:
         name, _, digits = term.partition("^")
@@ -261,11 +262,12 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
             letters_only = letters_only and exponent in (1, -1)
         seen[term] = (index, exponent)
         generator[term] = index
+        code[term] = 2 * index + (exponent < 0)
     if letters_only:
         check_size(len(terms), "letters")  # as the full parser counts the terms
         indices = list(map(generator.__getitem__, terms))
         if not any(map(eq, indices, islice(indices, 1, None))):
-            return _reduced(tuple(map(seen.__getitem__, terms)))
+            return _reduced(tuple(map(code.__getitem__, terms)))
     runs: list[tuple[int, int]] = []  # nonzero exponents, neighbours differ
     letters = 0
     for term in terms:
@@ -280,7 +282,7 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
         elif run[1]:
             runs.append(run)
     check_size(letters, "letters")  # as the full parser counts the terms
-    pieces = [((index, 1 if e > 0 else -1),) * abs(e) for index, e in runs]
+    pieces = [(2 * index + (e < 0),) * abs(e) for index, e in runs]
     return _reduced(pieces[0] if len(pieces) == 1 else tuple(chain.from_iterable(pieces)))
 
 
@@ -294,14 +296,13 @@ def parse(text: str, names: NameTable | None = None) -> Word:
 
 
 class _CanonicalTexts(dict):
-    """The canonical text of each letter, ``x<i>`` or ``x<i>^-1``, made on
+    """The canonical text of each letter code, ``x<i>`` or ``x<i>^-1``, made on
     first use; cleared when it reaches ``_CANONICAL_TEXTS_BOUND`` letters."""
 
-    def __missing__(self, letter: tuple[int, int]) -> str:
+    def __missing__(self, code: int) -> str:
         if len(self) >= _CANONICAL_TEXTS_BOUND:
             self.clear()
-        index, sign = letter
-        text = self[letter] = f"x{index}" if sign == 1 else f"x{index}^-1"
+        text = self[code] = f"x{code >> 1}^-1" if code & 1 else f"x{code >> 1}"
         return text
 
 
@@ -310,17 +311,17 @@ _CANONICAL_TEXTS = _CanonicalTexts()
 _GALLOP_STEP_CAP = 4096  # letters in the longest slice a run's length is counted in
 
 
-def _run_length(letters: tuple[tuple[int, int], ...], start: int) -> int:
-    """Length of the run of ``letters[start]`` that begins at ``start``,
+def _run_length(codes: tuple[int, ...], start: int) -> int:
+    """Length of the run of ``codes[start]`` that begins at ``start``,
     counted in slices that double, up to a cap, and then halve."""
-    letter = letters[start]
+    code = codes[start]
     run, step = 1, 1
-    while letters[start + run : start + run + step].count(letter) == step:
+    while codes[start + run : start + run + step].count(code) == step:
         run += step
         step = min(2 * step, _GALLOP_STEP_CAP)
     while step > 1:  # the run ends within the next ``step`` letters
         step //= 2
-        if letters[start + run : start + run + step].count(letter) == step:
+        if codes[start + run : start + run + step].count(code) == step:
             run += step
     return run
 
@@ -332,28 +333,28 @@ def format_word(w: Word, names: NameTable | None = None) -> str:
     appearance.  A word with no two equal neighbouring letters is one term
     per letter, joined without a Python step per letter.
     """
-    letters = w.letters
-    if not letters:
+    codes = w.codes
+    if not codes:
         return "1"
     if names is None:
-        texts: dict[tuple[int, int], str] = _CANONICAL_TEXTS
+        texts: dict[int, str] = _CANONICAL_TEXTS
     else:
         texts = {}
-        for letter in dict.fromkeys(letters):
-            name = names.name(letter[0])
-            texts[letter] = name if letter[1] == 1 else f"{name}^-1"
-    if not any(map(eq, letters, islice(letters, 1, None))):
-        return " ".join(map(texts.__getitem__, letters))
+        for code in dict.fromkeys(codes):
+            name = names.name(code >> 1)
+            texts[code] = f"{name}^-1" if code & 1 else name
+    if not any(map(eq, codes, islice(codes, 1, None))):
+        return " ".join(map(texts.__getitem__, codes))
     parts: list[str] = []
     start = 0
-    while start < len(letters):
-        letter = letters[start]
-        run = _run_length(letters, start)
+    while start < len(codes):
+        code = codes[start]
+        run = _run_length(codes, start)
         if run == 1:
-            parts.append(texts[letter])
+            parts.append(texts[code])
         else:
-            name = names.name(letter[0]) if names is not None else f"x{letter[0]}"
-            parts.append(f"{name}^{run * letter[1]}")
+            name = names.name(code >> 1) if names is not None else f"x{code >> 1}"
+            parts.append(f"{name}^{-run if code & 1 else run}")
         start += run
     return " ".join(parts)
 

@@ -21,8 +21,9 @@ MAX_DEGREE = 6
 MAX_GENERATORS = 10
 
 
-def _letter_series(index: int, sign: int, degree: int) -> Series:
-    if sign == 1:
+def _letter_series(code: int, degree: int) -> Series:
+    index = code >> 1
+    if not code & 1:
         return {(): 1, (index,): 1}
     return {(index,) * k: (-1) ** k for k in range(degree + 1)}
 
@@ -52,8 +53,8 @@ def expand(w: Word, degree: int) -> Series:
             f"word uses {len(w.generators())} generators, cap is {MAX_GENERATORS}"
         )
     series: Series = {(): 1}
-    for index, sign in w.letters:
-        series = _multiply(series, _letter_series(index, sign, degree), degree)
+    for code in w.codes:
+        series = _multiply(series, _letter_series(code, degree), degree)
     return series
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from . import grammar
 from .words import (
     Word,
+    _inverse_codes,
     _reduced,
     canonical_renumber,
     check_power_size,
@@ -99,18 +100,19 @@ class Template:
         return None if self.letters is None else grammar.parse(self.key, grammar.canonical_table())
 
 
-_LETTER_SHAPES = {sign: Shape("word", (Word(((1, sign),)),)) for sign in (1, -1)}
-_X = _LETTER_SHAPES[1]
+# the shapes of the letters x1 and x1^-1, by the low bit of the letter code
+_LETTER_SHAPES = tuple(Shape("word", (_reduced((code,)),)) for code in (2, 3))
+_X = _LETTER_SHAPES[0]
 _COMMUTATOR = Shape("commutator", (_X, _X))
 
 
 def _shape_text(shape: Shape, top: int) -> str:
     """``shape`` in the expression grammar, its variables numbered on from ``top``."""
     if shape.op == "word":
-        letters = shape.parts[0].letters
-        if len(letters) == 1:  # a letter, written without a formatter call
-            return f"x{top + 1}" if letters[0][1] == 1 else f"x{top + 1}^-1"
-        return grammar.canonical_key(_reduced(tuple((i + top, s) for i, s in letters)))
+        codes = shape.parts[0].codes
+        if len(codes) == 1:  # a letter, written without a formatter call
+            return f"x{top + 1}^-1" if codes[0] & 1 else f"x{top + 1}"
+        return grammar.canonical_key(_reduced(tuple([code + 2 * top for code in codes])))
     texts = []
     for part in shape.parts:
         texts.append(_shape_text(part, top))
@@ -132,52 +134,52 @@ def _bracket_shape(body: Word) -> Shape:
     Each node scans its letters a bounded number of times, and the letters
     scanned over all nodes count against ``words.SIZE_BUDGET``.
     """
-    letters = body.letters
+    codes = body.codes
     scanned = 0
 
     def split(lo: int, hi: int) -> Shape:
         nonlocal scanned
         if hi - lo == 1:
-            return _LETTER_SHAPES[letters[lo][1]]
+            return _LETTER_SHAPES[codes[lo] & 1]
         scanned += hi - lo
         check_size(scanned, "letters scanned for a bracket shape")
-        cuts = _product_cuts(letters, lo, hi)
+        cuts = _product_cuts(codes, lo, hi)
         if len(cuts) > 2:
             return Shape("product", tuple(split(a, b) for a, b in zip(cuts, cuts[1:])))
-        middle = _commutator_middle(letters, lo, hi)
+        middle = _commutator_middle(codes, lo, hi)
         if middle is not None:
             return Shape("commutator", (split(lo, middle), split(middle, (lo + hi) // 2)))
-        return Shape("word", (canonical_renumber(Word(letters[lo:hi])),))
+        return Shape("word", (canonical_renumber(_reduced(codes[lo:hi])),))
 
-    return split(0, len(letters))
+    return split(0, len(codes))
 
 
-def _product_cuts(letters: tuple, lo: int, hi: int) -> list[int]:
-    """``lo``, every cut of ``letters[lo:hi]`` no variable crosses, and ``hi``."""
-    last = {index: p for p, (index, _) in enumerate(letters[lo:hi], lo)}
+def _product_cuts(codes: tuple[int, ...], lo: int, hi: int) -> list[int]:
+    """``lo``, every cut of ``codes[lo:hi]`` no variable crosses, and ``hi``."""
+    last = {code >> 1: p for p, code in enumerate(codes[lo:hi], lo)}
     cuts, reach = [lo], lo
     for p in range(lo, hi):
-        reach = max(reach, last[letters[p][0]])
+        reach = max(reach, last[codes[p] >> 1])
         if reach == p:
             cuts.append(p + 1)
     return cuts
 
 
-def _commutator_middle(letters: tuple, lo: int, hi: int) -> int | None:
-    """Where ``B`` starts when ``letters[lo:hi]`` is ``A B A^-1 B^-1`` over
+def _commutator_middle(codes: tuple[int, ...], lo: int, hi: int) -> int | None:
+    """Where ``B`` starts when ``codes[lo:hi]`` is ``A B A^-1 B^-1`` over
     disjoint variables, else ``None``.  The last letter's variable is ``B``'s
     first, and ``A`` has none of ``B``'s variables, so ``B`` starts at its
     first occurrence."""
     if hi - lo < 4 or (hi - lo) % 2:
         return None
     half = lo + (hi - lo) // 2
-    first_of_b = letters[hi - 1][0]
-    middle = next((p for p in range(lo, half) if letters[p][0] == first_of_b), lo)
-    a, b = letters[lo:middle], letters[middle:half]
-    if not a or {i for i, _ in a} & {i for i, _ in b}:
+    first_of_b = codes[hi - 1] >> 1
+    middle = next((p for p in range(lo, half) if codes[p] >> 1 == first_of_b), lo)
+    a, b = codes[lo:middle], codes[middle:half]
+    if not a or {code >> 1 for code in a} & {code >> 1 for code in b}:
         return None
     # A^-1 B^-1 is (B A)^-1
-    return middle if letters[half:hi] == tuple((i, -s) for i, s in reversed(b + a)) else None
+    return middle if codes[half:hi] == _inverse_codes(b + a) else None
 
 
 #: Commutators ``[u, v]`` with ``v`` in the commutator subgroup.
@@ -328,17 +330,17 @@ def visible_commutator(w: Word) -> tuple[Word, Word] | None:
     The letters compared count against ``words.SIZE_BUDGET``
     (``ResourceBudgetError`` beyond it).
     """
-    letters = w.letters
-    n = len(letters)
+    codes = w.codes
+    n = len(codes)
     if not in_commutator_subgroup(w):
         return None
     m = n // 2  # a word in [F, F] has even length
-    inverse = w.inverse().letters
+    inverse = w.inverse().codes
     what = "letter comparisons in a commutator search"
     compared = 6 * n  # two border tables and their scans, each at most 3 comparisons a letter
     check_size(compared, what)
-    cuts = [m - k for k in _border_lengths(letters[:m], inverse[:m]) if 0 < k < m]
-    cancels = _border_lengths(inverse[m:], letters[m:])[::-1]  # s ascending, from 0
+    cuts = [m - k for k in _border_lengths(codes[:m], inverse[:m]) if 0 < k < m]
+    cancels = _border_lengths(inverse[m:], codes[m:])[::-1]  # s ascending, from 0
     for i in cuts:
         for s in cancels:
             if s > i:
@@ -346,6 +348,6 @@ def visible_commutator(w: Word) -> tuple[Word, Word] | None:
             compared += i - s
             check_size(compared, what)
             # v's last s letters cancel u's first s, and w[s:i] ends r^-1
-            if letters[s:i] == inverse[m - i : m - s]:
-                return Word(letters[:i]), Word(letters[i : m + s])
+            if codes[s:i] == inverse[m - i : m - s]:
+                return _reduced(codes[:i]), _reduced(codes[i : m + s])
     return None

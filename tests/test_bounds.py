@@ -899,6 +899,46 @@ def test_rule_scl_bridge_builds_only_powers_of_the_target_length(monkeypatch):
     assert engine.interval(scl_q)[1] == F(5, 2)
 
 
+def _scl_bridge_facts(n: int) -> str:
+    """``n`` triples of SCL, SL and L facts on distinct 9-letter ``PERFECT`` words
+    over ``abcd`` with no two equal neighbours: every fact is a partner R2 reads."""
+    rng = random.Random(26)
+    words: dict[str, None] = {}
+    while len(words) < n:
+        letters = [rng.choice("abcd")]
+        while len(letters) < 9:
+            letter = rng.choice("abcd")
+            if letter != letters[-1]:
+                letters.append(letter)
+        words[" ".join(letters)] = None
+    return "".join(
+        f"SCL PERFECT {w} = 0 5\nSL PERFECT {w} | gamma2 = 0 3\nL PERFECT {w} | gamma3 @ 2 = 1 9\n"
+        for w in words
+    )
+
+
+def test_rule_scl_bridge_measures_each_power_once_per_call(monkeypatch):
+    """R2 reads its partners from the fact index: one ``propagate`` call measures
+    the power of each L fact at most once, not once per SCL target and round."""
+    engine = BoundEngine()
+    engine.load_facts(_scl_bridge_facts(300))
+    engine.declare("SCL PERFECT a b")
+    measured = []
+    real = bounds.power_length
+
+    def counted(w, n):
+        measured.append(n)
+        return real(w, n)
+
+    monkeypatch.setattr(bounds, "power_length", counted)
+    engine.propagate()
+    assert len(measured) <= len(engine.facts) // 3, len(measured)
+    text = "\n".join(engine.record_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7b464ce15a01790e8b5bf9688a3475821129b07fded179e0ce6a91210fb05b69"
+    )
+
+
 def test_rule_scl_bridge_clamps_at_zero():
     engine = BoundEngine()
     w = commutator(X, Y)
@@ -1391,6 +1431,43 @@ def test_every_seeded_exact_facts_file_reaches_a_fixed_point():
             for event in engine.events
         )
     assert own_base >= 5, own_base
+
+
+def _final_intervals(lines, declared):
+    """Every fact's interval once propagation stops, or ``None`` on a contradiction."""
+    engine = BoundEngine()
+    try:
+        for text in declared:
+            engine.declare(text)
+        engine.load_facts("\n".join(lines))
+        engine.propagate()
+    except InconsistencyError:
+        return None
+    return {key: (fact.lo, fact.hi) for key, fact in engine.facts.items()}
+
+
+def test_the_rules_reach_one_fixed_point_in_any_order(monkeypatch):
+    """Monotone rules that reach a fixed point reach the same one in any order:
+    each seeded facts file contradicts itself under every order of ``_RULES``,
+    or ends with the same interval on every fact.  An order that does not
+    stabilize raises a ``VerbaError`` that is no contradiction, and fails."""
+    orders = [bounds._RULES]
+    for seed in range(3):
+        order = list(bounds._RULES)
+        random.Random(seed).shuffle(order)
+        orders.append(tuple(order))
+    assert len(set(orders)) == 4
+    rng = random.Random(2413)
+    contradictions = 0
+    for _ in range(400):
+        lines, declared = _random_exact_facts(rng)
+        outcomes = []
+        for order in orders:
+            monkeypatch.setattr(bounds, "_RULES", order)
+            outcomes.append(_final_intervals(lines, declared))
+        assert all(outcome == outcomes[0] for outcome in outcomes[1:]), (lines, declared)
+        contradictions += outcomes[0] is None
+    assert 0 < contradictions < 400, contradictions
 
 
 def test_rules_read_the_fact_index_alone(monkeypatch):

@@ -5,10 +5,17 @@ reduce in one pass, and powers skip re-reduction.  Each is checked against a
 plain stack reduction of the concatenated letters written out here, which
 shares no code with ``verba.words``.  The printer and ``substitute``, which do
 no Python step per letter, are checked against the letter loops they replaced.
+The kernel stores each letter as one int code; the oracles here read and
+build ``(index, sign)`` pairs, through the public ``Word.letters`` view.
 """
 from __future__ import annotations
 
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +23,16 @@ from verba import grammar
 from verba.certificates import parse_certificate
 from verba.grammar import NameTable, canonical_table, format_word, parse
 from verba.identities import culler_chain_squares, gamma3_triangle, square_to_gamma3
-from verba.words import EMPTY, Word, commutator, gen, power, substitute
+from verba.words import (
+    EMPTY,
+    Word,
+    canonical_renumber,
+    commutator,
+    gen,
+    power,
+    product,
+    substitute,
+)
 
 
 def oracle(letters) -> tuple:
@@ -247,3 +263,99 @@ def test_substitute_matches_the_letter_loop():
     assert substitute(gen(1) * gen(2), {1: gen(2).inverse()}) == EMPTY
     assert substitute(commutator(gen(1), gen(2)), {}) == commutator(gen(1), gen(2))
     assert substitute(EMPTY, {1: gen(2)}) == EMPTY
+
+
+def letters_with_both_inverses(rng: random.Random) -> tuple:
+    """Reduced letters over four generators in which ``x1^-1`` and ``x2^-1`` both
+    occur: with signed-index codes, ``-1`` and ``-2`` would share a hash."""
+    while True:
+        letters = oracle(random_letters(rng, 4, 16))
+        if (1, -1) in letters and (2, -1) in letters:
+            return letters
+
+
+def pair_substitute(letters, images: dict) -> tuple:
+    """``substitute`` letter by letter, each image given as its letters."""
+    out: list = []
+    for index, sign in letters:
+        image = images.get(index, ((index, 1),))
+        out.extend(image if sign == 1 else inverse_letters(image))
+    return oracle(out)
+
+
+def pair_renumber(letters) -> tuple:
+    """``canonical_renumber`` letter by letter: generators by first appearance."""
+    order: dict = {}
+    for index, _ in letters:
+        order.setdefault(index, len(order) + 1)
+    return tuple((order[index], sign) for index, sign in letters)
+
+
+def test_letters_are_index_sign_pairs_and_build_the_same_word():
+    rng = random.Random(44)
+    for _ in range(800):
+        a, b = letters_with_both_inverses(rng), letters_with_both_inverses(rng)
+        made = [Word(a), Word(a) * Word(b), power(Word(b), rng.randrange(-3, 4))]
+        made.append(parse(format_word(made[1]), canonical_table()))
+        for w in made:
+            letters = w.letters
+            assert type(letters) is tuple and tuple(w) == letters
+            for letter in letters:
+                assert type(letter) is tuple and len(letter) == 2
+                assert type(letter[0]) is int and letter[0] >= 1 and letter[1] in (1, -1)
+            assert Word(letters) == w and hash(Word(letters)) == hash(w)
+            assert pickle.loads(pickle.dumps(w)) == w
+    x = gen(1)
+    for name, value in (("letters", ((2, 1),)), ("codes", (4,)), ("other", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, value)
+    assert x.letters == ((1, 1),) and x == gen(1)
+
+
+def test_word_operations_agree_with_pair_loops():
+    """Every operation on both ``x1^-1`` and ``x2^-1``, against loops over pairs."""
+    rng = random.Random(45)
+    for _ in range(800):
+        a, b = letters_with_both_inverses(rng), letters_with_both_inverses(rng)
+        u, v = Word(a), Word(b)
+        assert (u * v).letters == oracle(a + b)
+        assert product([u, v, u.inverse(), v]).letters == oracle(
+            a + b + tuple(inverse_letters(a)) + b
+        )
+        assert u.inverse().letters == tuple(inverse_letters(a))
+        n = rng.randrange(-4, 5)
+        assert power(u, n).letters == oracle(a * n if n >= 0 else inverse_letters(a) * -n)
+        images = {1: b, 2: oracle(random_letters(rng, 3, 5)), 4: ()}
+        got = substitute(u, {index: Word(image) for index, image in images.items()})
+        assert got.letters == pair_substitute(a, images)
+        shifted = Word(tuple((index + 3, sign) for index, sign in reversed(a)))
+        assert canonical_renumber(shifted).letters == pair_renumber(shifted.letters)
+        assert canonical_renumber(u).letters == pair_renumber(a)
+        assert format_word(u) == old_format_word(u)
+        for fresh, old in zip(tables_with_taken_names(), tables_with_taken_names()):
+            assert format_word(v, fresh) == old_format_word(v, old)
+            assert list(fresh.by_index.items()) == list(old.by_index.items())
+
+
+def test_a_long_rewrite_stays_small():
+    """The command builds and prints a 14 MB certificate of ``[a,b]^100000``;
+    with each letter one int, not a 2-tuple, it peaks below 200 MB.
+
+    A small wrapper process runs the command and reports its child's
+    ``ru_maxrss``: a process started from this one would report at least the
+    test runner's own size, which Linux carries across ``exec``."""
+    wrapper = (
+        "import resource, subprocess, sys\n"
+        "status = subprocess.run([sys.executable, '-m', 'verba.cli', *sys.argv[1:]]).returncode\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(status)\n"
+    )
+    argv = ["rewrite", "hall_witt_split", "g", "[a,b]^100000", "[c,d]"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", wrapper, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("TARGET g a b a^-1 b^-1 a b a^-1 b^-1 ")
+    peak_kb = int(result.stderr.split()[-1])  # ``ru_maxrss`` is in kilobytes on Linux
+    assert peak_kb < 200 * 1024, peak_kb
