@@ -572,11 +572,17 @@ def _factor_matches_template(factor, template: Template) -> bool:
 # is zero (length zero forces the identity, whose length is zero over anything).
 
 class _FactIndex:
-    """The facts in key order, by kind, by their quantities' fields, and SCL word lengths."""
+    """The facts in key order, by kind, by their quantities' fields, and SCL word lengths.
+
+    Kinds and contexts enter keys as their values, read from ``_value_``, a
+    plain attribute: a member's own ``__hash__`` and ``value`` run Python code
+    in ``enum.py`` on every lookup."""
+
+    _L = QuantityKind.L._value_
 
     def __init__(self, facts: list[Fact]) -> None:
         self._facts = facts
-        self._by_kind: dict[QuantityKind, list[Fact]] = {kind: [] for kind in QuantityKind}
+        self._by_kind: dict[str, list[Fact]] = {kind._value_: [] for kind in QuantityKind}
         # (kind, context, word, template key) -> {exponent: fact}, in key order,
         # the exponent None but for L; a template is keyed by its key, as it hashes
         self._by_fields: dict[tuple, dict[int | None, Fact]] = {}
@@ -584,19 +590,20 @@ class _FactIndex:
         self._same_power: dict[tuple, list[Fact]] = {}
         for fact in facts:
             q = fact.quantity
-            self._by_kind[q.kind].append(fact)
-            fields = (q.kind, q.context, q.word, None if q.template is None else q.template.key)
+            kind, context = q.kind._value_, q.context._value_
+            self._by_kind[kind].append(fact)
+            fields = (kind, context, q.word, None if q.template is None else q.template.key)
             self._by_fields.setdefault(fields, {})[q.exponent] = fact
-            if q.kind is QuantityKind.L:
-                self._same_power.setdefault((q.context, q.word, q.exponent), []).append(fact)
-        self.scl_lengths = {len(f.quantity.word) for f in self._by_kind[QuantityKind.SCL]}
+            if kind == self._L:
+                self._same_power.setdefault((context, q.word, q.exponent), []).append(fact)
+        self.scl_lengths = {len(f.quantity.word) for f in self.of(QuantityKind.SCL)}
 
     def __iter__(self):
         return iter(self._facts)
 
     def of(self, kind: QuantityKind) -> list[Fact]:
         """The facts of quantities of ``kind``, in key order."""
-        return self._by_kind[kind]
+        return self._by_kind[kind._value_]
 
     def find(
         self,
@@ -608,40 +615,41 @@ class _FactIndex:
     ) -> Fact | None:
         """The fact of the quantity with these fields, or ``None`` when it is not declared."""
         template_key = None if template is None else template.key
-        key = (kind, context, _keyed_word(context, word), template_key)
+        key = (kind._value_, context._value_, _keyed_word(context, word), template_key)
         return self._by_fields.get(key, {}).get(exponent)
 
     def ladder(self, context: Context, word: Word, template_key: str) -> dict[int, Fact]:
         """The L facts over ``template_key`` of the powers of ``word``, by exponent."""
-        return self._by_fields.get((QuantityKind.L, context, word, template_key), {})
+        return self._by_fields.get((self._L, context._value_, word, template_key), {})
 
     def same_power(self, context: Context, word: Word, exponent: int) -> list[Fact]:
         """The L facts of ``word ** exponent`` over every template."""
-        return self._same_power.get((context, word, exponent), [])
+        return self._same_power.get((context._value_, word, exponent), [])
 
     def sl_of(self, context: Context, word: Word) -> list[Fact]:
         """The SL facts of ``word`` over every template, in key order."""
-        return self._sl_by_word.get((context, word), [])
+        return self._sl_by_word.get((context._value_, word), [])
 
     def l_of_length(self, context: Context, length: int) -> list[Fact]:
         """The L facts whose power of their word has ``length`` letters, in key order."""
-        return self._l_by_length.get((context, length), [])
+        return self._l_by_length.get((context._value_, length), [])
 
     # R2's partners, indexed at R2's first target: a call with no SCL fact measures no power
 
     @functools.cached_property
     def _sl_by_word(self) -> dict[tuple, list[Fact]]:
         by_word: dict[tuple, list[Fact]] = {}
-        for fact in self._by_kind[QuantityKind.SL]:
-            by_word.setdefault((fact.quantity.context, fact.quantity.word), []).append(fact)
+        for fact in self.of(QuantityKind.SL):
+            by_word.setdefault((fact.quantity.context._value_, fact.quantity.word), []).append(fact)
         return by_word
 
     @functools.cached_property
     def _l_by_length(self) -> dict[tuple, list[Fact]]:
         by_length: dict[tuple, list[Fact]] = {}
-        for fact in self._by_kind[QuantityKind.L]:
+        for fact in self.of(QuantityKind.L):
             q = fact.quantity
-            by_length.setdefault((q.context, power_length(q.word, q.exponent)), []).append(fact)
+            key = (q.context._value_, power_length(q.word, q.exponent))
+            by_length.setdefault(key, []).append(fact)
         return by_length
 
 

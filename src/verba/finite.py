@@ -19,10 +19,11 @@ ball growth use one contract: :meth:`FiniteGroup.mul` over
 broadcast numpy id arrays, plus :meth:`FiniteGroup.inverses`.  Each
 arithmetic backend has one vectorized ``_product``, its own arithmetic on
 broadcast ids.  ``mul`` alone chooses: a dense table of 16-bit ids up to
-``TABLE_CAP``, ``_product`` above it (S7, S8, A8).  The base class builds
-each such table from the ``_product`` rows of a greedy generating set, one
-right coset at a time.  ``inverses`` comes from each backend's arrays: an argsort of
-the permutations, the matrices' adjugates, or the identity's position in each
+``TABLE_CAP`` (2048, so a table holds at most 8 MiB), ``_product`` above it
+(S7, A7, SL2_13, S8, A8).  The base class builds each such table from the
+``_product`` rows of a greedy generating set, one right coset at a time.
+``inverses`` comes from each backend's arrays: an argsort of the
+permutations, the matrices' adjugates, or the identity's position in each
 table row.  The scalar ``multiply`` / ``inverse`` only check ``mul`` and ``inverses``.
 
 Every template's values come from its bracket shape (``template_values``):
@@ -35,9 +36,17 @@ generate.  Balls are unions of classes too, and the breadth-first search
 forms each level by ``_times``.  ``ENUMERATION_BUDGET`` counts the products
 and assignments formed, and the search's frontier classes times steps.  A
 distance table is bi-invariant exactly when it is constant on each class.
+
+``load_group`` builds each stock group once per process (it keeps the last
+32 stock specs loaded, ``S07`` being ``S7``) and serves it to every later
+caller, with all it has derived: its dense table, inverses, conjugacy
+classes and ``quotient_length``'s distance tables.  The derived arrays are
+read-only, since every caller shares them.  A ``table:`` group is read
+afresh on every load, as its file can change.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import warnings
@@ -51,13 +60,12 @@ from .errors import ParseError, ResourceBudgetError, UnknownNameError
 from .templates import Shape, Template
 from .words import Word, commutator, gen
 
-TABLE_CAP = 4096
-# Dense tables have order at most 4096 (TABLE_CAP, SL2_13 at 2184, and
-# _TABLE_ORDER_CAP), so 16-bit ids halve their memory.
+# The largest order with a dense table, built or read from a table file.
+# Its 16-bit ids keep a table at most 8 MiB, and memoized groups hold theirs.
+TABLE_CAP = 2048
 _TABLE_IDS = np.int16
 ENUMERATION_BUDGET = 10**8
 _CHUNK = 1 << 18  # products per vectorized block
-_TABLE_ORDER_CAP = 2048
 
 _SL2_PRIMES = (2, 3, 5, 7, 11, 13)
 
@@ -98,7 +106,7 @@ class FiniteGroup:
         if self.order > TABLE_CAP:
             return self._product(a_ids, b_ids)
         if self._table is None:
-            self._table = self._build_table()
+            self._table = _frozen(self._build_table())
         return self._table[a_ids, b_ids]
 
     def _build_table(self) -> np.ndarray:
@@ -135,7 +143,7 @@ class FiniteGroup:
     def inverses(self) -> np.ndarray:
         """``inverses()[a]`` is the id of ``a``'s inverse, built on first use."""
         if self._inverses is None:
-            self._inverses = self._build_inverses()
+            self._inverses = _frozen(self._build_inverses())
         return self._inverses
 
     def conjugacy_labels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -150,8 +158,14 @@ class FiniteGroup:
                 if labels[a] < 0:
                     labels[self.mul(self.mul(inv, a), ids)] = len(reps)  # g^-1 a g
                     reps.append(a)
-            self._classes = (labels, np.array(reps, dtype=np.int32))
+            self._classes = (_frozen(labels), _frozen(np.array(reps, dtype=np.int32)))
         return self._classes
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a memoized group shares it with every caller."""
+    array.setflags(write=False)
+    return array
 
 
 class PermutationGroup(FiniteGroup):
@@ -251,15 +265,13 @@ class SL2Group(FiniteGroup):
 class TableGroup(FiniteGroup):
     def __init__(self, spec: str, table: np.ndarray) -> None:
         order = table.shape[0]
-        if order > _TABLE_ORDER_CAP:
-            raise ResourceBudgetError(
-                f"table backend validates groups up to order {_TABLE_ORDER_CAP}"
-            )
+        if order > TABLE_CAP:
+            raise ResourceBudgetError(f"table backend validates groups up to order {TABLE_CAP}")
         identity = _validate_table(table)
         super().__init__(spec, order, identity)
         self._table = table.astype(_TABLE_IDS, copy=False)
         # a validated table is a group, so right inverses are inverses
-        self._inverses = np.argmax(self._table == identity, axis=1).astype(np.int32)
+        self._inverses = _frozen(np.argmax(self._table == identity, axis=1).astype(np.int32))
 
     def multiply(self, a: int, b: int) -> int:
         return int(self._table[a, b])
@@ -351,7 +363,9 @@ def dihedral_table(k: int) -> np.ndarray:
 
 
 def load_group(spec: str) -> FiniteGroup:
-    """Instantiate a group from its spec string (see module docstring)."""
+    """The group of a spec string (see module docstring).  A stock group's
+    number is read without leading zeros, so ``S07`` is ``S7``, the same
+    object for the life of the process."""
     if spec.startswith("table:"):
         path = Path(spec[len("table:") :])
         try:
@@ -363,22 +377,28 @@ def load_group(spec: str) -> FiniteGroup:
     match = re.fullmatch(r"(S|A|SL2_|D)([0-9]{1,9})", spec)
     if match is None:
         raise UnknownNameError(f"unknown group spec {spec!r}")
-    kind, n = match.group(1), int(match.group(2))
+    return _stock_group(match.group(1), int(match.group(2)))
+
+
+@functools.lru_cache(maxsize=32)
+def _stock_group(kind: str, n: int) -> FiniteGroup:
+    """The stock group ``<kind><n>``, built once per process; a refused spec
+    raises, and is not memoized."""
     if kind == "SL2_":
         return SL2Group(n)
     if kind == "D":
         if n < 3:
-            raise UnknownNameError(f"D<k> backend supports 3 <= k <= {_TABLE_ORDER_CAP // 2}")
-        if 2 * n > _TABLE_ORDER_CAP:
+            raise UnknownNameError(f"D<k> backend supports 3 <= k <= {TABLE_CAP // 2}")
+        if 2 * n > TABLE_CAP:
             raise ResourceBudgetError(
                 f"D{n} has order {2 * n}; the table backend validates groups"
-                f" up to order {_TABLE_ORDER_CAP}"
+                f" up to order {TABLE_CAP}"
             )
-        return TableGroup(spec, dihedral_table(n))
+        return TableGroup(f"D{n}", dihedral_table(n))
     low = 2 if kind == "S" else 3
     if not (low <= n <= 8):
         raise UnknownNameError(f"{kind}<n> backend supports {low} <= n <= 8")
-    return PermutationGroup(spec, n, even_only=kind == "A")
+    return PermutationGroup(f"{kind}{n}", n, even_only=kind == "A")
 
 
 def registry_small_groups() -> list[str]:
@@ -609,8 +629,12 @@ def quotient_length(
     ``None`` means the image is not a product of values at all, which
     certifies that ``w`` itself is no such product.  Any finite result is a
     lower bound for the length of ``w`` wherever the assignment lifts.  The
-    distance table is built once per group instance and template.
+    distance table is built once per group and template: for a stock group,
+    once per process.
     """
-    if template.key not in group._distance_tables:
-        group._distance_tables[template.key] = wlength_table(group, template)
-    return group._distance_tables[template.key].distance(eval_word(group, w, images))
+    tables = group._distance_tables
+    if template.key not in tables:
+        table = wlength_table(group, template)
+        _frozen(table.distances)
+        tables[template.key] = table
+    return tables[template.key].distance(eval_word(group, w, images))

@@ -1375,6 +1375,11 @@ def _random_exact_facts(rng):
             if kind == "L":
                 rungs = sorted(rng.sample(range(1, 13), rng.randint(1, 6)))
                 texts = [f"L {head} | {template} @ {m}" for m in rungs]
+                if head == "FREE [a,b]" and template == "gamma2":
+                    # each rung's power is an SCL target, so R2 reads its L
+                    # partners over the body's scl, which no bound drawn crosses
+                    declared += [f"SCL FREE [a,b]^{m}" for m in rungs if m > 1]
+                    lines.append("SCL FREE [a,b] = 0 1")
             else:
                 texts = [f"{kind} {head}" + (f" | {template}" if kind == "SL" else "")]
             for text in texts:
@@ -1415,6 +1420,24 @@ def test_every_bound_is_an_int_where_whole():
     assert kinds == {int, Fraction, type(None)}
     # every rule that divides has run
     assert rules >= {"R0", "R2", "R3", "R4", "R5", "R6", "R8", "R9", "R12", "R13", "R-CL"}, rules
+
+
+def test_seeded_exact_facts_give_r2_its_l_partners():
+    """The seeded files that ``test_the_rules_reach_one_fixed_point_in_any_order``
+    reads bound some ``SCL FREE [a,b]^m`` by R2 from the ladder rung
+    ``L FREE [a,b] | gamma2 @ m``."""
+    rng = random.Random(2413)
+    cases = [_random_exact_facts(rng) for _ in range(400)]
+    partnered = 0
+    for lines, declared in cases:
+        if not any(text.startswith("SCL FREE [a,b]^") for text in declared):
+            continue
+        engine, _ = _run_exact(lines, declared)
+        partnered += any(
+            event.rule == "R2" and event.antecedents[0].key.startswith("L ")
+            for event in engine.events
+        )
+    assert partnered >= 3, partnered
 
 
 def test_every_seeded_exact_facts_file_reaches_a_fixed_point():

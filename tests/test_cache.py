@@ -247,3 +247,21 @@ def test_rewritten_table_file_misses(cache_root, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["0 1", "unreachable 5"]
     assert main(args + ["--no-cache"]) == 0
     assert capsys.readouterr().out.splitlines() == ["0 1", "unreachable 5"]
+
+
+def test_a_stock_number_spelled_with_leading_zeros_shares_one_entry(cache_root, capsys, monkeypatch):
+    assert main(["wlength", "--group", "S03", "--template", "gamma2"]) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a cache hit recomputed the table")
+
+    monkeypatch.setattr(cache, "wlength_table", recompute)
+    for spec in ("S3", "S003"):
+        assert main(["wlength", "--group", spec, "--template", "gamma2"]) == 0
+        assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+    assert [path.name for path in cache_root.glob("*.dist")] == [
+        f"{cache.cache_key('S3', gamma_word(2))}.dist"
+    ]
+    assert main(["cache", "info"]) == 0
+    assert f"GROUP S3 TEMPLATE {gamma_word(2).key} COUNT 6" in capsys.readouterr().out
