@@ -1028,10 +1028,10 @@ def _rule_exponent_splitting(facts: _FactIndex):
     for target in facts.of(QuantityKind.L):
         tq = target.quantity
         n = tq.exponent
-        key = (tq.context, tq.word, tq.template.key)
+        key = (tq.context._value_, tq.word, tq.template.key)  # no Enum.__hash__, as in _FactIndex
         entry = tables.get(key)
         if entry is None:
-            ladder = facts.ladder(*key)
+            ladder = facts.ladder(tq.context, tq.word, tq.template.key)
             inverse = _keyed_word(tq.context, tq.word.inverse())
             mirrors = facts.ladder(tq.context, inverse, tq.template.key)
             entry = tables[key] = (_SplitTable(ladder), ladder, mirrors)

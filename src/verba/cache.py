@@ -1,9 +1,11 @@
 """On-disk cache for finite-group distance tables.
 
 Files live under the cache root (``VERBA_CACHE_DIR`` or
-``~/.cache/verba``), one per (group spec, template) pair, named by a
-content hash so that editing a template, or rewriting the file of a
-``table:`` group, invalidates the entry.  An entry is one JSON header line::
+``~/.cache/verba``), one per (group, template) pair, named by a hash of the
+group's spec, the template's key and the group's ``source`` (for a table
+file, the sha256 of the table ``finite.load_group`` parsed; else ``""``):
+an entry is named by the table it was computed from, and the cache parses
+no group spec and opens no group file.  An entry is one JSON header line::
 
     {"format": 2, "group": <spec>, "template": <key>, "count": <n>, "sha256": <hex>}
 
@@ -36,37 +38,35 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "verba"
 
 
-def cache_key(group_spec: str, template: Template) -> str:
-    """Hash of the group spec and template key; for a ``table:<path>`` group
-    also of the file's bytes, so that rewriting the file misses."""
-    material = f"{group_spec}\n{template.key}".encode()
-    if group_spec.startswith("table:"):
-        material += b"\n" + Path(group_spec[len("table:") :]).read_bytes()
-    return hashlib.sha256(material).hexdigest()[:24]
+def cache_key(group: FiniteGroup, template: Template) -> str:
+    """Hash of the group's spec, the template key and, when not empty, the
+    group's ``source``; a stock group's key is its spec and template's alone."""
+    material = f"{group.spec}\n{template.key}" + (f"\n{group.source}" if group.source else "")
+    return hashlib.sha256(material.encode()).hexdigest()[:24]
 
 
-def cache_path(group_spec: str, template: Template) -> Path:
-    return cache_dir() / f"{cache_key(group_spec, template)}.dist"
+def cache_path(group: FiniteGroup, template: Template) -> Path:
+    return cache_dir() / f"{cache_key(group, template)}.dist"
 
 
-def _header(group_spec: str, template_key: str, payload: bytes) -> bytes:
+def _header(group: FiniteGroup, template: Template, payload: bytes) -> bytes:
     head = {
         "format": 2,
-        "group": group_spec,
-        "template": template_key,
+        "group": group.spec,
+        "template": template.key,
         "count": len(payload) // 4,
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     return json.dumps(head).encode() + b"\n"
 
 
-def store(table: DistanceTable, template: Template) -> Path:
-    path = cache_path(table.group_spec, template)
+def store(group: FiniteGroup, template: Template, table: DistanceTable) -> Path:
+    path = cache_path(group, template)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = table.distances.astype("<i4").tobytes()
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(_header(table.group_spec, table.template_key, payload) + payload)
+        tmp.write_bytes(_header(group, template, payload) + payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -76,14 +76,14 @@ def store(table: DistanceTable, template: Template) -> Path:
 
 def load(group: FiniteGroup, template: Template) -> DistanceTable | None:
     """Return the cached table, or None on a miss or a corrupt entry."""
-    path = cache_path(group.spec, template)
+    path = cache_path(group, template)
     if not path.exists():
         return None
     try:
         head, _, payload = path.read_bytes().partition(b"\n")
         if len(payload) != 4 * group.order:
             raise ValueError(f"{len(payload)} payload bytes, expected {4 * group.order}")
-        if head + b"\n" != _header(group.spec, template.key, payload):
+        if head + b"\n" != _header(group, template, payload):
             raise ValueError("header does not match the requested table and its payload")
         distances = np.frombuffer(payload, dtype="<i4").astype(np.int32)
         if distances.min() < -1 or distances.max() >= group.order:
@@ -92,7 +92,7 @@ def load(group: FiniteGroup, template: Template) -> DistanceTable | None:
             raise ValueError("the identity is not the only element at distance 0")
         if not np.bincount(distances[distances >= 0]).all():
             raise ValueError("a level below the maximum distance is empty")
-        return DistanceTable(group.spec, template.key, distances)
+        return DistanceTable(distances)
     except (ValueError, OSError) as exc:
         warnings.warn(f"discarding corrupt cache file {path}: {exc}", stacklevel=2)
         return None
@@ -105,7 +105,7 @@ def distance_table(group: FiniteGroup, template: Template) -> DistanceTable:
         return cached
     table = wlength_table(group, template)
     try:
-        store(table, template)
+        store(group, template, table)
     except OSError as exc:
         warnings.warn(f"cannot store cache file for {group.spec}: {exc}", stacklevel=2)
     return table
@@ -113,17 +113,8 @@ def distance_table(group: FiniteGroup, template: Template) -> DistanceTable:
 
 def info() -> list[str]:
     root = cache_dir()
-    lines = [f"cache directory: {root}"]
-    if not root.exists():
-        lines.append("(empty)")
-        return lines
-    entries = sorted(root.glob("*.dist"))
-    if not entries:
-        lines.append("(empty)")
-        return lines
-    for path in entries:
-        lines.append(f"{path.name}: {_describe(path)}")
-    return lines
+    entries = [f"{path.name}: {_describe(path)}" for path in sorted(root.glob("*.dist"))]
+    return [f"cache directory: {root}", *(entries or ["(empty)"])]
 
 
 def _describe(path: Path) -> str:
@@ -136,10 +127,7 @@ def _describe(path: Path) -> str:
 
 
 def clear() -> int:
-    root = cache_dir()
-    removed = 0
-    if root.exists():
-        for path in root.glob("*.dist"):
-            path.unlink()
-            removed += 1
-    return removed
+    entries = list(cache_dir().glob("*.dist"))
+    for path in entries:
+        path.unlink()
+    return len(entries)

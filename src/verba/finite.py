@@ -40,13 +40,17 @@ distance table is bi-invariant exactly when it is constant on each class.
 ``load_group`` builds each stock group once per process (it keeps the last
 32 stock specs loaded, ``S07`` being ``S7``) and serves it to every later
 caller, with all it has derived: its dense table, inverses, conjugacy
-classes and ``quotient_length``'s distance tables.  The derived arrays are
-read-only, since every caller shares them.  A ``table:`` group is read
-afresh on every load, as its file can change.
+classes and ``quotient_length``'s last ``_TABLES_HELD`` distance tables.
+The derived arrays are read-only, since every caller shares them.  A
+``table:`` group is read afresh on every load, as its file can change; this
+is the file's only reader, and the group's ``source`` is the sha256 of the
+table it parsed (``""`` for every other group), by which :mod:`verba.cache`
+names its entries.
 """
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import re
 import warnings
@@ -65,6 +69,7 @@ from .words import Word, commutator, gen
 TABLE_CAP = 2048
 _TABLE_IDS = np.int16
 ENUMERATION_BUDGET = 10**8
+_TABLES_HELD = 16  # quotient_length's distance tables kept per group, the oldest dropped first
 _CHUNK = 1 << 18  # products per vectorized block
 
 _SL2_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -76,6 +81,7 @@ class FiniteGroup:
     spec: str
     order: int
     identity: int
+    source = ""  # a ``table:`` group's sha256 of the table it parsed
 
     def __init__(self, spec: str, order: int, identity: int) -> None:
         self.spec = spec
@@ -347,7 +353,10 @@ def parse_table_text(spec: str, text: str) -> TableGroup:
         raise ParseError("empty table file")
     if len(rows) != order or any(row.size != order for row in rows):
         raise ParseError(f"expected {order} rows of {order} entries")
-    return TableGroup(spec, np.array(rows, dtype=_TABLE_IDS))
+    table = np.array(rows, dtype=_TABLE_IDS)
+    group = TableGroup(spec, table)
+    group.source = hashlib.sha256(table).hexdigest()  # read from the buffer, not copied
+    return group
 
 
 def dihedral_table(k: int) -> np.ndarray:
@@ -588,8 +597,6 @@ class DistanceTable:
     them at all.
     """
 
-    group_spec: str
-    template_key: str
     distances: np.ndarray
 
     def distance(self, element: int) -> int | None:
@@ -607,7 +614,7 @@ class DistanceTable:
 def wlength_table(group: FiniteGroup, template: Template) -> DistanceTable:
     """Breadth-first word lengths over the template's value set in ``group``."""
     values = template_values(group, template)
-    return DistanceTable(group.spec, template.key, _bfs_distances(group, values))
+    return DistanceTable(_bfs_distances(group, values))
 
 
 def bi_invariance_check(group: FiniteGroup, table: DistanceTable) -> bool:
@@ -629,12 +636,14 @@ def quotient_length(
     ``None`` means the image is not a product of values at all, which
     certifies that ``w`` itself is no such product.  Any finite result is a
     lower bound for the length of ``w`` wherever the assignment lifts.  The
-    distance table is built once per group and template: for a stock group,
-    once per process.
+    group keeps the last ``_TABLES_HELD`` tables it built, one per template,
+    and a stock group lives for the process.
     """
     tables = group._distance_tables
     if template.key not in tables:
         table = wlength_table(group, template)
         _frozen(table.distances)
+        if len(tables) >= _TABLES_HELD:
+            del tables[next(iter(tables))]  # the oldest first
         tables[template.key] = table
     return tables[template.key].distance(eval_word(group, w, images))

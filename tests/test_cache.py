@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,12 +29,10 @@ def test_store_load_round_trip(cache_root):
     group = load_group("S3")
     template = gamma_word(2)
     table = wlength_table(group, template)
-    path = cache.store(table, template)
+    path = cache.store(group, template, table)
     assert path.parent == cache_root
     loaded = cache.load(group, template)
     assert loaded is not None
-    assert loaded.group_spec == "S3"
-    assert loaded.template_key == template.key
     assert np.array_equal(loaded.distances, table.distances)
 
 
@@ -43,7 +42,7 @@ def test_load_miss_returns_none(cache_root):
 
 def test_key_separates_groups_and_templates(cache_root):
     group = load_group("S3")
-    cache.store(wlength_table(group, gamma_word(2)), gamma_word(2))
+    cache.store(group, gamma_word(2), wlength_table(group, gamma_word(2)))
     assert cache.load(load_group("S4"), gamma_word(2)) is None
     assert cache.load(group, gamma_word(3)) is None
     assert cache.load(group, beta_word(2)) is None
@@ -54,7 +53,7 @@ def test_stored_entry_is_a_json_header_and_int32_distances(cache_root):
     group = load_group("S3")
     template = gamma_word(2)
     table = wlength_table(group, template)
-    head, _, payload = cache.store(table, template).read_bytes().partition(b"\n")
+    head, _, payload = cache.store(group, template, table).read_bytes().partition(b"\n")
     assert json.loads(head) == {
         "format": 2,
         "group": "S3",
@@ -63,13 +62,13 @@ def test_stored_entry_is_a_json_header_and_int32_distances(cache_root):
         "sha256": hashlib.sha256(payload).hexdigest(),
     }
     assert np.array_equal(np.frombuffer(payload, dtype="<i4"), table.distances)
-    assert [p.name for p in cache_root.iterdir()] == [f"{cache.cache_key('S3', template)}.dist"]
+    assert [p.name for p in cache_root.iterdir()] == [f"{cache.cache_key(group, template)}.dist"]
 
 
 def test_corrupt_entries_warn_and_miss(cache_root):
     group = load_group("S3")
     template = gamma_word(2)
-    good = cache.store(wlength_table(group, template), template).read_bytes()
+    good = cache.store(group, template, wlength_table(group, template)).read_bytes()
     head, _, payload = good.partition(b"\n")
     edits = [
         b"not a header\n0 0\n",
@@ -84,7 +83,7 @@ def test_corrupt_entries_warn_and_miss(cache_root):
         b"",
     ]
     for edit in edits:
-        cache.cache_path("S3", template).write_bytes(edit)
+        cache.cache_path(group, template).write_bytes(edit)
         with pytest.warns(UserWarning, match="corrupt"):
             assert cache.load(group, template) is None
 
@@ -114,7 +113,7 @@ _OLD_ROWS = ["0 0", "1 -1", "2 -1", "3 1", "4 1", "5 -1"]
 
 
 def _s3_entry_bytes():
-    return cache.cache_path("S3", gamma_word(2)).read_bytes()
+    return cache.cache_path(load_group("S3"), gamma_word(2)).read_bytes()
 
 
 def _flipped_byte():
@@ -146,7 +145,7 @@ def test_wlength_recomputes_a_corrupt_entry(cache_root, capsys, corrupt):
     args = ["wlength", "--group", "S3", "--template", "gamma2"]
     assert main(args) == 0
     assert capsys.readouterr().out.splitlines() == S3_GAMMA2
-    path = cache.cache_path("S3", gamma_word(2))
+    path = cache.cache_path(load_group("S3"), gamma_word(2))
     assert np.frombuffer(path.read_bytes().partition(b"\n")[2], dtype="<i4").tolist() == [
         0, -1, -1, 1, 1, -1
     ]
@@ -164,7 +163,7 @@ def test_bi_invariance_checks_the_table_the_cache_served(cache_root, capsys):
     # 4 of S3 at different distances, in an entry that passes every check
     # load makes.
     tampered = _entry([0, -1, -1, 1, 2, -1])
-    cache.cache_path("S3", gamma_word(2)).write_bytes(tampered)
+    cache.cache_path(load_group("S3"), gamma_word(2)).write_bytes(tampered)
     assert cache.load(load_group("S3"), gamma_word(2)).distances.tolist() == [0, -1, -1, 1, 2, -1]
     code = main(["wlength", "--group", "S3", "--template", "gamma2", "--check-bi-invariance"])
     assert capsys.readouterr().out.splitlines() == [
@@ -201,21 +200,22 @@ def test_unwritable_cache_dir_warns_and_answers(tmp_path, capsys, monkeypatch):
 
 
 def test_info_names_an_unreadable_entry(cache_root):
-    cache.cache_path("S3", gamma_word(2)).write_bytes(_old_format(_OLD_ROWS))
-    cache.store(wlength_table(load_group("S4"), gamma_word(2)), gamma_word(2))
+    cache.cache_path(load_group("S3"), gamma_word(2)).write_bytes(_old_format(_OLD_ROWS))
+    s4 = load_group("S4")
+    cache.store(s4, gamma_word(2), wlength_table(s4, gamma_word(2)))
     lines = cache.info()
-    assert f"{cache.cache_key('S3', gamma_word(2))}.dist: (corrupt entry)" in lines
-    assert f"{cache.cache_key('S4', gamma_word(2))}.dist: GROUP S4 TEMPLATE {gamma_word(2).key} COUNT 24" in lines
+    assert f"{cache.cache_key(load_group('S3'), gamma_word(2))}.dist: (corrupt entry)" in lines
+    assert f"{cache.cache_key(s4, gamma_word(2))}.dist: GROUP S4 TEMPLATE {gamma_word(2).key} COUNT 24" in lines
 
 
 def test_distance_table_computes_once_then_hits(cache_root):
     group = load_group("A4")
     template = gamma_word(2)
     first = cache.distance_table(group, template)
-    assert cache.cache_path("A4", template).exists()
+    assert cache.cache_path(group, template).exists()
     # Poison the computation path: a hit must not recompute.
     marker = first.distances.copy()
-    marker_path = cache.cache_path("A4", template)
+    marker_path = cache.cache_path(group, template)
     second = cache.distance_table(group, template)
     assert np.array_equal(second.distances, marker)
     assert marker_path.exists()
@@ -224,13 +224,21 @@ def test_distance_table_computes_once_then_hits(cache_root):
 def test_info_and_clear(cache_root):
     assert any("(empty)" in line for line in cache.info())
     group = load_group("S3")
-    cache.store(wlength_table(group, gamma_word(2)), gamma_word(2))
-    cache.store(wlength_table(group, gamma_word(3)), gamma_word(3))
+    cache.store(group, gamma_word(2), wlength_table(group, gamma_word(2)))
+    cache.store(group, gamma_word(3), wlength_table(group, gamma_word(3)))
     lines = cache.info()
     assert sum("GROUP S3" in line for line in lines) == 2
     assert cache.clear() == 2
     assert any("(empty)" in line for line in cache.info())
     assert cache.clear() == 0
+
+
+C6_GAMMA2 = ["0 1", "unreachable 5"]  # abelian: only the identity is a product of commutators
+
+
+def _cyclic_text(order):
+    rows = [" ".join(str((a + b) % order) for b in range(order)) for a in range(order)]
+    return f"order {order}\n" + "\n".join(rows) + "\n"
 
 
 def test_rewritten_table_file_misses(cache_root, tmp_path, capsys):
@@ -239,14 +247,12 @@ def test_rewritten_table_file_misses(cache_root, tmp_path, capsys):
     args = ["wlength", "--group", f"table:{path}", "--template", "gamma2"]
     assert main(args) == 0
     assert capsys.readouterr().out.splitlines() == ["0 1", "1 2", "unreachable 3"]
-    # Rewrite the same path as the cyclic group of order 6: abelian, so only
-    # the identity is a product of commutators.
-    rows = [" ".join(str((a + b) % 6) for b in range(6)) for a in range(6)]
-    path.write_text("order 6\n" + "\n".join(rows) + "\n")
+    # Rewrite the same path as the cyclic group of order 6.
+    path.write_text(_cyclic_text(6))
     assert main(args) == 0
-    assert capsys.readouterr().out.splitlines() == ["0 1", "unreachable 5"]
+    assert capsys.readouterr().out.splitlines() == C6_GAMMA2
     assert main(args + ["--no-cache"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["0 1", "unreachable 5"]
+    assert capsys.readouterr().out.splitlines() == C6_GAMMA2
 
 
 def test_a_stock_number_spelled_with_leading_zeros_shares_one_entry(cache_root, capsys, monkeypatch):
@@ -261,7 +267,65 @@ def test_a_stock_number_spelled_with_leading_zeros_shares_one_entry(cache_root, 
         assert main(["wlength", "--group", spec, "--template", "gamma2"]) == 0
         assert capsys.readouterr().out.splitlines() == S3_GAMMA2
     assert [path.name for path in cache_root.glob("*.dist")] == [
-        f"{cache.cache_key('S3', gamma_word(2))}.dist"
+        f"{cache.cache_key(load_group('S3'), gamma_word(2))}.dist"
     ]
     assert main(["cache", "info"]) == 0
     assert f"GROUP S3 TEMPLATE {gamma_word(2).key} COUNT 6" in capsys.readouterr().out
+
+
+def test_a_stock_entry_keeps_its_name(cache_root):
+    # a stock group's source is empty, so its entry is named by spec and template alone
+    assert load_group("S3").source == load_group("D4").source == ""
+    assert cache.cache_key(load_group("S3"), gamma_word(2)) == "5a4cf728749b382ff647d66e"
+
+
+def test_a_table_file_rewritten_after_its_group_loaded_stores_the_loaded_table(cache_root, tmp_path, capsys):
+    path = tmp_path / "group.tbl"
+    path.write_text(table_text(dihedral_table(3)))
+    d3 = load_group(f"table:{path}")
+    path.write_text(_cyclic_text(6))
+    # the entry is named by the table the group parsed, not by the file's bytes now
+    assert cache.distance_table(d3, gamma_word(2)).histogram() == {0: 1, 1: 2}
+    assert main(["wlength", "--group", f"table:{path}", "--template", "gamma2"]) == 0
+    assert capsys.readouterr().out.splitlines() == C6_GAMMA2
+    assert len(list(cache_root.glob("*.dist"))) == 2
+
+
+def test_a_table_file_rewritten_with_the_same_table_hits(cache_root, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "group.tbl"
+    path.write_text(table_text(dihedral_table(3)))
+    args = ["wlength", "--group", f"table:{path}", "--template", "gamma2"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+    source = load_group(f"table:{path}").source
+    assert source == hashlib.sha256(dihedral_table(3).astype(np.int16)).hexdigest()
+    # the same table, spelled with a comment and other spacing
+    path.write_text("# D3 again\n" + table_text(dihedral_table(3)).replace(" ", "  "))
+    assert load_group(f"table:{path}").source == source
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a cache hit recomputed the table")
+
+    monkeypatch.setattr(cache, "wlength_table", recompute)
+    assert main(args) == 0
+    assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+
+
+def test_a_cached_table_group_run_reads_its_file_once(cache_root, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "group.tbl"
+    path.write_text(table_text(dihedral_table(3)))
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    args = ["wlength", "--group", f"table:{path}", "--template", "gamma2"]
+    for _ in ("miss", "hit"):
+        opened.clear()
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines() == S3_GAMMA2
+        assert opened.count(path) == 1
+    assert len(list(cache_root.glob("*.dist"))) == 1

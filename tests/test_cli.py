@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
-from verba import finite
+from verba import bounds, finite
 from verba.cli import main
 from verba.cover import known_shape_certificate
 from verba.experiments import run_experiment
@@ -204,6 +204,11 @@ def test_rewrite_arity_error_text(capsys, argv, message):
         (["culler_power_pair", "0"], "culler_power_pair needs k >= 1"),
         (["rotate_product", "-1", "x", "y"], "rotate_product needs k >= 0"),
         (["square_to_gamma3", "x", "y", "-1"], "square_to_gamma3 needs n >= 0"),
+        (["gamma3_triangle", "x", "y", "-1"], "gamma3_triangle needs m >= 0"),
+        (
+            ["telescope_line", "a;b", "1", "1,2"],
+            "telescope_line needs equally long word and exponent lists",
+        ),
     ],
 )
 def test_rewrite_rejects_bad_arguments(capsys, argv, message):
@@ -860,6 +865,7 @@ def test_every_number_in_input_text_is_read_by_one_reader(
             ["wlength", "--group", "SL2_4", "--template", "gamma2"],
             "", 2, "err", "error: SL2 backend supports primes (2, 3, 5, 7, 11, 13), not 4",
         ),
+        (["reduce", "x^2^3"], "", 2, "err", "error: '^' does not chain; parenthesize, e.g. (x^2)^y"),
     ],
 )
 def test_error_paths_end_with_their_exit_code(capsys, monkeypatch, argv, stdin, code, stream, message):
@@ -867,6 +873,21 @@ def test_error_paths_end_with_their_exit_code(capsys, monkeypatch, argv, stdin, 
     got, out, err = run(capsys, *argv)
     assert got == code
     assert {"out": out, "err": err}[stream] == message + "\n"
+
+
+def test_propagation_that_does_not_stabilize_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "_MAX_ROUNDS", 1)
+    code, out, err = run(capsys, "bound", "--declare", "L FREE [a,b] | gamma2")
+    assert (code, out) == (1, "")
+    assert err == "error: propagation did not stabilize in 1 rounds\n"
+
+
+def test_cache_info_after_clear_on_an_absent_directory_is_empty(capsys, isolated_cache):
+    assert run(capsys, "cache", "clear") == (0, "removed 0 cached tables\n", "")
+    code, out, _ = run(capsys, "cache", "info")
+    assert code == 0
+    assert out.splitlines() == [f"cache directory: {isolated_cache / 'cache'}", "(empty)"]
+    assert not (isolated_cache / "cache").exists()
 
 
 def test_bound_parse_error(capsys, tmp_path):

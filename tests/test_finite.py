@@ -365,6 +365,22 @@ def test_a_shared_group_hands_out_read_only_arrays(spec):
     assert reps[0] == 0
 
 
+def test_quotient_length_keeps_the_last_sixteen_tables_per_group(monkeypatch):
+    # a fresh A5, so the memoized stock group's tables stay as other tests left them
+    group = finite.PermutationGroup("A5", 5, even_only=True)
+    powers = [template_from_word(power(gen(1), k)) for k in range(1, 18)]
+    built = []
+    real = finite.wlength_table
+    monkeypatch.setattr(finite, "wlength_table", lambda g, t: built.append(t.key) or real(g, t))
+    first = [quotient_length(gen(1), t, group, {1: 1}) for t in powers]
+    assert finite._TABLES_HELD == 16
+    assert list(group._distance_tables) == [t.key for t in powers[1:]]
+    assert quotient_length(gen(1), powers[-1], group, {1: 1}) == first[-1]  # held: no rebuild
+    assert quotient_length(gen(1), powers[0], group, {1: 1}) == first[0]  # dropped: rebuilt
+    assert built == [t.key for t in powers] + [powers[0].key]
+    assert list(group._distance_tables) == [t.key for t in powers[2:]] + [powers[0].key]
+
+
 def test_dihedral_table_text():
     group = TableGroup("D5", dihedral_table(5))
     assert group.order == 10
@@ -644,9 +660,10 @@ def test_table_group_comment_and_blank_lines():
 
 @pytest.mark.parametrize("spec", ["S7", "S6", "A7", "SL2_5", "SL2_13", "D7"])
 def test_mul_matches_multiply_on_broadcast_shapes(spec):
-    # S7 is above TABLE_CAP, where mul calls _product; the others look up a
-    # table built from generator rows.  ``multiply`` is the scalar oracle, and
-    # each arithmetic backend's _product must give the same on every shape.
+    # S7, A7 and SL2_13 are above TABLE_CAP, where mul calls _product; S6 and
+    # SL2_5 look up a table built from generator rows, and D7 reads its own.
+    # ``multiply`` is the scalar oracle, and each arithmetic backend's
+    # _product must give the same on every shape.
     group = load_group(spec)
     rng = np.random.default_rng(17)
     oracle = np.vectorize(group.multiply)
@@ -1188,7 +1205,7 @@ def test_bi_invariance_fails_once_one_noncentral_distance_changes(spec):
         new = rng.choice([d for d in range(-1, int(table.distances.max()) + 2) if d != old])
         tampered = table.distances.copy()
         tampered[victim] = new
-        assert not bi_invariance_check(group, finite.DistanceTable(spec, table.template_key, tampered))
+        assert not bi_invariance_check(group, finite.DistanceTable(tampered))
 
 
 @pytest.mark.parametrize("spec", registry_small_groups())
@@ -1205,7 +1222,7 @@ def test_bi_invariance_check_matches_brute_force_on_arbitrary_arrays(spec):
     rng = np.random.default_rng(sum(map(ord, spec)))
 
     def check(d):
-        got = bi_invariance_check(group, finite.DistanceTable(spec, "gamma2", d))
+        got = bi_invariance_check(group, finite.DistanceTable(d))
         assert got == bool((d[conj] == d).all())
         return got
 

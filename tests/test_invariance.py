@@ -77,7 +77,7 @@ def test_cold_warm_and_corrupted_caches_print_the_same(capsys, spec, n, extra):
     argv = ["--group", spec, "--template", f"gamma{n}", *extra]
     uncached = wlength(capsys, *argv, "--no-cache")
     cold = wlength(capsys, *argv)
-    path = cache.cache_path(spec, gamma_word(n))
+    path = cache.cache_path(load_group(spec), gamma_word(n))
     stamp = path.stat().st_mtime_ns
     warm = wlength(capsys, *argv)
     assert path.stat().st_mtime_ns == stamp  # a hit, not a rewrite
