@@ -210,6 +210,23 @@ def _parse_bound(token: str, allow_inf: bool) -> Bound:
     return _exact(Fraction(p, q)) if slash else p
 
 
+def _parse_seeds(text: str) -> tuple:
+    """The ``_parse_facts`` rows of ``text``, every one ``FREE``: a perfect
+    context's word would bind names in the engine that parsed it."""
+    seeds = tuple(BoundEngine()._parse_facts(text))
+    for lineno, quantity, *_ in seeds:
+        if quantity.context is not Context.FREE:
+            context = quantity.context.value
+            raise ParseError(f"facts line {lineno}: a default seed must be FREE, not {context}")
+    return seeds
+
+
+@functools.cache
+def _default_seeds() -> tuple:
+    """``data/seed.facts``, parsed once per process; its quantities are frozen."""
+    return _parse_seeds(resources.files("verba").joinpath("data/seed.facts").read_text())
+
+
 class BoundEngine:
     """Holds declared quantities, their intervals, and the event log."""
 
@@ -377,14 +394,31 @@ class BoundEngine:
     # -- facts files ---------------------------------------------------------
 
     def load_facts(self, text: str) -> int:
-        count = 0
+        return self._add_facts(self._parse_facts(text))
+
+    def load_default_seeds(self) -> int:
+        return self._add_facts(_default_seeds())
+
+    def _parse_facts(self, text: str):
+        """``(line number, quantity, lo, hi, label)`` for each fact of ``text``, parsed
+        as it is asked for, so a file's names bind and its errors rise in line order."""
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
-            label = raw.partition("#")[2].strip()
             if not line:
                 continue
             try:
-                self._load_fact_line(line, label)
+                quantity, lo, hi = self._parse_fact_line(line)
+            except VerbaError as exc:
+                exc.args = (f"facts line {lineno}: {exc}",)
+                raise
+            yield lineno, quantity, lo, hi, raw.partition("#")[2].strip()
+
+    def _add_facts(self, rows) -> int:
+        count = 0
+        for lineno, quantity, lo, hi, label in rows:
+            try:
+                # a lower bound of 0 tightens nothing and records no event
+                self.add_fact(quantity, lo, hi, "SEED", label)
             except VerbaError as exc:
                 # keep the error's class, so a budget still exits 3 and a contradiction 1
                 exc.args = (f"facts line {lineno}: {exc}",)
@@ -392,7 +426,7 @@ class BoundEngine:
             count += 1
         return count
 
-    def _load_fact_line(self, line: str, label: str) -> None:
+    def _parse_fact_line(self, line: str) -> tuple[Quantity, Value, Bound]:
         if "=>" in line:
             quantity_text, _, value_text = line.partition("=>")
             lo = hi = _parse_bound(value_text.strip(), allow_inf=False)
@@ -405,12 +439,7 @@ class BoundEngine:
             hi = _parse_bound(tokens[1], allow_inf=True)
         else:
             raise ParseError("facts line needs '=' or '=>'")
-        # a lower bound of 0 tightens nothing and records no event
-        self.add_fact(quantity_text.strip(), lo, hi, "SEED", label)
-
-    def load_default_seeds(self) -> int:
-        text = resources.files("verba").joinpath("data/seed.facts").read_text()
-        return self.load_facts(text)
+        return self.parse_quantity(quantity_text.strip()), lo, hi
 
     # -- tightening and the event log ---------------------------------------
 
@@ -1022,7 +1051,9 @@ def _rule_exponent_splitting(facts: _FactIndex):
 
     Only a split that can tighten is proposed, read from one ``_SplitTable``
     per ladder, made at the ladder's first target.  The table re-reads a
-    target after each proposal, as later targets split over it.
+    target after each proposal, as later targets split over it.  A word whose
+    inverse renumbers to itself, as a commutator's does, is its own mirror,
+    which is not proposed.
     """
     tables: dict[tuple, tuple[_SplitTable, dict[int, Fact], dict[int, Fact]]] = {}
     for target in facts.of(QuantityKind.L):
@@ -1051,7 +1082,7 @@ def _rule_exponent_splitting(facts: _FactIndex):
             )
             table.read(n, target)
         mirror = mirrors.get(n)
-        if mirror is not None and mirror.hi is not None:
+        if mirror is not None and mirror is not target and mirror.hi is not None:
             yield (
                 target,
                 "hi",

@@ -99,7 +99,7 @@ def load(group: FiniteGroup, template: Template) -> DistanceTable | None:
 
 
 def distance_table(group: FiniteGroup, template: Template) -> DistanceTable:
-    """Load the distance table from cache, computing and storing on a miss."""
+    """Load the table from disk; on a miss, store ``wlength_table``'s, the group's if held."""
     cached = load(group, template)
     if cached is not None:
         return cached

@@ -40,8 +40,8 @@ distance table is bi-invariant exactly when it is constant on each class.
 ``load_group`` builds each stock group once per process (it keeps the last
 32 stock specs loaded, ``S07`` being ``S7``) and serves it to every later
 caller, with all it has derived: its dense table, inverses, conjugacy
-classes and ``quotient_length``'s last ``_TABLES_HELD`` distance tables.
-The derived arrays are read-only, since every caller shares them.  A
+classes and ``wlength_table``'s last ``_TABLES_HELD`` tables, the one memo
+of distance tables.  All of it is read-only, as every caller shares it.  A
 ``table:`` group is read afresh on every load, as its file can change; this
 is the file's only reader, and the group's ``source`` is the sha256 of the
 table it parsed (``""`` for every other group), by which :mod:`verba.cache`
@@ -69,7 +69,7 @@ from .words import Word, commutator, gen
 TABLE_CAP = 2048
 _TABLE_IDS = np.int16
 ENUMERATION_BUDGET = 10**8
-_TABLES_HELD = 16  # quotient_length's distance tables kept per group, the oldest dropped first
+_TABLES_HELD = 16  # wlength_table's distance tables kept per group, the oldest dropped first
 _CHUNK = 1 << 18  # products per vectorized block
 
 _SL2_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -90,7 +90,7 @@ class FiniteGroup:
         self._table: np.ndarray | None = None
         self._inverses: np.ndarray | None = None
         self._classes: tuple[np.ndarray, np.ndarray] | None = None
-        # quotient_length's tables, keyed by template key
+        # wlength_table's last _TABLES_HELD tables, the one memo of them, by template key
         self._distance_tables: dict[str, DistanceTable] = {}
 
     def multiply(self, a: int, b: int) -> int:
@@ -588,13 +588,13 @@ def _bfs_distances(group: FiniteGroup, seed_ids: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # ball growth
 
-@dataclass
+@dataclass(frozen=True)
 class DistanceTable:
     """Distances from the identity in the (symmetrized) verbal Cayley graph.
 
     ``distances[g]`` is the least number of template values and inverses of
     values multiplying to ``g``, or ``-1`` when ``g`` is not a product of
-    them at all.
+    them at all.  Frozen, as a group shares the tables it holds.
     """
 
     distances: np.ndarray
@@ -612,9 +612,18 @@ class DistanceTable:
 
 
 def wlength_table(group: FiniteGroup, template: Template) -> DistanceTable:
-    """Breadth-first word lengths over the template's value set in ``group``."""
-    values = template_values(group, template)
-    return DistanceTable(_bfs_distances(group, values))
+    """Breadth-first word lengths over the template's values in ``group``, held by the group."""
+    tables = group._distance_tables
+    if template.key not in tables:
+        table = _build_distance_table(group, template)  # reads the budget; raises holding nothing
+        if len(tables) >= _TABLES_HELD:
+            del tables[next(iter(tables))]  # the oldest first
+        tables[template.key] = table
+    return tables[template.key]
+
+
+def _build_distance_table(group: FiniteGroup, template: Template) -> DistanceTable:
+    return DistanceTable(_frozen(_bfs_distances(group, template_values(group, template))))
 
 
 def bi_invariance_check(group: FiniteGroup, table: DistanceTable) -> bool:
@@ -633,17 +642,8 @@ def quotient_length(
 ) -> int | None:
     """Length of the image of ``w`` in ``group`` over the template's values.
 
-    ``None`` means the image is not a product of values at all, which
-    certifies that ``w`` itself is no such product.  Any finite result is a
-    lower bound for the length of ``w`` wherever the assignment lifts.  The
-    group keeps the last ``_TABLES_HELD`` tables it built, one per template,
-    and a stock group lives for the process.
+    ``None`` means the image is not a product of values at all, which certifies
+    that ``w`` itself is no such product; a finite result is a lower bound for the
+    length of ``w`` wherever the assignment lifts.  The table is ``wlength_table``'s.
     """
-    tables = group._distance_tables
-    if template.key not in tables:
-        table = wlength_table(group, template)
-        _frozen(table.distances)
-        if len(tables) >= _TABLES_HELD:
-            del tables[next(iter(tables))]  # the oldest first
-        tables[template.key] = table
-    return tables[template.key].distance(eval_word(group, w, images))
+    return wlength_table(group, template).distance(eval_word(group, w, images))

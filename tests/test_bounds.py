@@ -181,6 +181,37 @@ def test_default_seeds():
     assert engine.interval("SCL FREE [a,b][c,d][e,f][g,h]") == (F(7, 2), F(7, 2))
 
 
+def test_every_shipped_seed_is_free():
+    text = (Path(bounds.__file__).parent / "data" / "seed.facts").read_text()
+    lines = [line for line in text.splitlines() if line.split("#", 1)[0].strip()]
+    assert len(lines) == len(bounds._default_seeds()) == 5
+    assert all(line.split()[1] == "FREE" for line in lines)
+    assert all(q.context is Context.FREE for _, q, *_ in bounds._default_seeds())
+
+
+def test_a_seed_outside_free_is_refused():
+    # a perfect context's word would bind names in the engine that parsed it
+    with pytest.raises(ParseError, match="facts line 2: a default seed must be FREE, not PERFECT"):
+        bounds._parse_seeds("SCL FREE [a,b] => 1/2\nSCL PERFECT [g,h] => 1/2\n")
+
+
+def test_default_seeds_are_parsed_once_and_logged_as_a_facts_file_logs_them(monkeypatch):
+    bounds._default_seeds()
+    parsed = []
+    real = BoundEngine.parse_quantity
+    monkeypatch.setattr(
+        BoundEngine, "parse_quantity", lambda self, text: parsed.append(text) or real(self, text)
+    )
+    seeded = BoundEngine()
+    assert seeded.load_default_seeds() == 5
+    assert parsed == []
+    loaded = BoundEngine()
+    loaded.load_facts((Path(bounds.__file__).parent / "data" / "seed.facts").read_text())
+    assert len(parsed) == 5
+    assert seeded.record_lines() == loaded.record_lines()
+    assert seeded.explain("SCL FREE [a,b][c,d]") == loaded.explain("SCL FREE [a,b][c,d]")
+
+
 def test_facts_file_round_trip():
     engine = BoundEngine()
     engine.load_facts(
@@ -604,6 +635,24 @@ def test_power_splitting_skips_splits_that_cannot_tighten(monkeypatch):
         # every split sums to n = hi, so round one skips every target at once,
         # and no rung moves after it; all splits would be n**2/4 sums a round
         assert count[0] <= n, (n, count[0])
+
+
+def test_power_splitting_proposes_no_fact_to_itself(monkeypatch):
+    """The inverse [b,a] of [a,b] renumbers to [a,b], so every rung of a
+    [a,b] ladder is its own mirror; R13 proposes none of them to itself."""
+    proposals = []
+
+    def recording(facts):
+        for proposal in bounds._rule_exponent_splitting(facts):
+            proposals.append(proposal)
+            yield proposal
+
+    catalog = tuple(recording if r is bounds._rule_exponent_splitting else r for r in bounds._RULES)
+    monkeypatch.setattr(bounds, "_RULES", catalog)
+    # one short rung, so that R13 has splits to propose
+    _ladder("[a,b]", [2 if m == 3 else m for m in range(1, 201)])
+    assert any(rule == "R13" for _, _, _, rule, *_ in proposals)
+    assert [p for p in proposals if p[5] == [p[0]]] == []
 
 
 _SHORT_RUNG = "".join(

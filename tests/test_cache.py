@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import table_text
-from verba import cache
+from verba import cache, finite
 from verba.cli import main
 from verba.finite import dihedral_table, load_group, wlength_table
 from verba.templates import beta_word, gamma_word
@@ -219,6 +219,42 @@ def test_distance_table_computes_once_then_hits(cache_root):
     second = cache.distance_table(group, template)
     assert np.array_equal(second.distances, marker)
     assert marker_path.exists()
+
+
+def _counting_builds(monkeypatch) -> list[str]:
+    built = []
+    build = finite._build_distance_table
+    monkeypatch.setattr(
+        finite, "_build_distance_table", lambda g, t: built.append(t.key) or build(g, t)
+    )
+    return built
+
+
+def test_a_miss_on_a_held_table_stores_it_without_a_build(cache_root, monkeypatch):
+    group = finite.PermutationGroup("A4", 4, even_only=True)  # fresh: it holds no table
+    held = wlength_table(group, gamma_word(2))
+    built = _counting_builds(monkeypatch)
+    assert not cache.cache_path(group, gamma_word(2)).exists()
+    assert cache.distance_table(group, gamma_word(2)) is held
+    assert built == []
+    assert cache.load(group, gamma_word(2)).distances.tolist() == held.distances.tolist()
+    # a template the group does not hold is built on its miss, and only then
+    cache.distance_table(group, gamma_word(3))
+    cache.distance_table(group, gamma_word(3))
+    assert built == [gamma_word(3).key]
+
+
+def test_a_corrupt_entry_is_rewritten_while_the_group_holds_the_table(cache_root, monkeypatch):
+    group = finite.PermutationGroup("S3", 3, even_only=False)  # fresh: it holds no table
+    good = cache.store(group, gamma_word(2), wlength_table(group, gamma_word(2))).read_bytes()
+    path = cache.cache_path(group, gamma_word(2))
+    path.write_bytes(good[:-4])
+    built = _counting_builds(monkeypatch)
+    with pytest.warns(UserWarning, match="discarding corrupt cache file"):
+        table = cache.distance_table(group, gamma_word(2))
+    assert table.distances.tolist() == [0, -1, -1, 1, 1, -1]
+    assert built == []
+    assert path.read_bytes() == good
 
 
 def test_info_and_clear(cache_root):

@@ -491,6 +491,8 @@ def test_wlength_gamma3_family_budget_exit_code(capsys, monkeypatch):
     # A5 is perfect and every element is a commutator: Gamma3 forms 5 classes
     # times 60 commutators, then 5 classes times the 60 elements they generate.
     argv = ["wlength", "--group", "A5", "--template", "Gamma3", "--no-cache"]
+    # the budget is read when a table is built, so start from an A5 that holds none
+    finite._stock_group.cache_clear()
     monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 2 * 5 * 60 - 1)
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
@@ -533,7 +535,9 @@ def test_wlength_breadth_first_budget_exit_code(capsys, monkeypatch):
     assert (code, out, err) == (0, "0 1\n1 20159\nunreachable 20160\n", "")
     # x^2 over A5 forms 60 products, whose values are the 45 elements of odd
     # order; level 1 forms 1 * 45 products and level 2 the 3 classes of
-    # orders 3 and 5 times 45, past a budget the values fit in
+    # orders 3 and 5 times 45, past a budget the values fit in; the budget is
+    # read when a table is built, so start from an A5 that holds none
+    finite._stock_group.cache_clear()
     monkeypatch.setattr(finite, "ENUMERATION_BUDGET", 60)
     code, out, err = run(capsys, "wlength", "--group", "A5", "--template", "x^2", "--no-cache")
     assert (code, out) == (3, "")

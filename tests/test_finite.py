@@ -7,6 +7,7 @@ breadth-first search one level at a time.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -326,13 +327,13 @@ def test_a_refused_spec_raises_on_every_call():
 
 def test_two_loads_build_one_quotient_length_table(monkeypatch):
     built = []
-    build = finite.wlength_table
+    build = finite._build_distance_table
 
     def counting(group, template):
         built.append(group.spec)
         return build(group, template)
 
-    monkeypatch.setattr(finite, "wlength_table", counting)
+    monkeypatch.setattr(finite, "_build_distance_table", counting)
     finite._stock_group.cache_clear()
     word = commutator(gen(1), gen(2))
     images = [{1: a, 2: 7} for a in range(9)]
@@ -370,8 +371,10 @@ def test_quotient_length_keeps_the_last_sixteen_tables_per_group(monkeypatch):
     group = finite.PermutationGroup("A5", 5, even_only=True)
     powers = [template_from_word(power(gen(1), k)) for k in range(1, 18)]
     built = []
-    real = finite.wlength_table
-    monkeypatch.setattr(finite, "wlength_table", lambda g, t: built.append(t.key) or real(g, t))
+    real = finite._build_distance_table
+    monkeypatch.setattr(
+        finite, "_build_distance_table", lambda g, t: built.append(t.key) or real(g, t)
+    )
     first = [quotient_length(gen(1), t, group, {1: 1}) for t in powers]
     assert finite._TABLES_HELD == 16
     assert list(group._distance_tables) == [t.key for t in powers[1:]]
@@ -379,6 +382,18 @@ def test_quotient_length_keeps_the_last_sixteen_tables_per_group(monkeypatch):
     assert quotient_length(gen(1), powers[0], group, {1: 1}) == first[0]  # dropped: rebuilt
     assert built == [t.key for t in powers] + [powers[0].key]
     assert list(group._distance_tables) == [t.key for t in powers[2:]] + [powers[0].key]
+
+
+def test_wlength_table_hands_out_one_read_only_table():
+    group = finite.PermutationGroup("A4", 4, even_only=True)  # fresh: it holds no table
+    table = wlength_table(group, gamma_word(2))
+    assert wlength_table(group, gamma_word(2)) is table
+    assert table.histogram() == {0: 1, 1: 3}  # the Klein four-group
+    with pytest.raises(ValueError, match="read-only"):
+        table.distances[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.distances = table.distances.copy()
+    assert wlength_table(group, gamma_word(2)).histogram() == {0: 1, 1: 3}
 
 
 def test_dihedral_table_text():
@@ -1184,8 +1199,7 @@ def test_bi_invariance_detects_tampering():
     tampered = table.distances.copy()
     victim = next(a for a in range(group.order) if tampered[a] == 1)
     tampered[victim] = 7
-    table.distances = tampered
-    assert not bi_invariance_check(group, table)
+    assert not bi_invariance_check(group, finite.DistanceTable(tampered))
 
 
 @pytest.mark.parametrize("spec", [*registry_small_groups(), "S7"])
@@ -1267,13 +1281,13 @@ def test_quotient_length_basic():
 
 def test_quotient_length_builds_one_table_per_group_template_and_budget(monkeypatch):
     built = []
-    build = finite.wlength_table
+    build = finite._build_distance_table
 
     def counting(group, template):
         built.append((group.spec, template.key))
         return build(group, template)
 
-    monkeypatch.setattr(finite, "wlength_table", counting)
+    monkeypatch.setattr(finite, "_build_distance_table", counting)
     word = commutator(gen(1), gen(2)) * gen(3)
     finite._stock_group.cache_clear()  # an A4 with no distance table yet
     group = load_group("A4")
