@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .finite import DistanceTable, FiniteGroup, wlength_table
+from .finite import DistanceTable, FiniteGroup, _frozen, wlength_table
 from .templates import Template
 
 
@@ -92,14 +92,18 @@ def load(group: FiniteGroup, template: Template) -> DistanceTable | None:
             raise ValueError("the identity is not the only element at distance 0")
         if not np.bincount(distances[distances >= 0]).all():
             raise ValueError("a level below the maximum distance is empty")
-        return DistanceTable(distances)
+        return DistanceTable(_frozen(distances))  # read-only, as a held table is
     except (ValueError, OSError) as exc:
         warnings.warn(f"discarding corrupt cache file {path}: {exc}", stacklevel=2)
         return None
 
 
 def distance_table(group: FiniteGroup, template: Template) -> DistanceTable:
-    """Load the table from disk; on a miss, store ``wlength_table``'s, the group's if held."""
+    """Load the table from disk; on a miss, store ``wlength_table``'s, the group's if held.
+
+    Either way the table is read-only.  A table read from disk is not held
+    by the group, so ``quotient_length`` reads only tables the process built.
+    """
     cached = load(group, template)
     if cached is not None:
         return cached

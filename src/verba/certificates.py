@@ -2,7 +2,9 @@
 
 A certificate records ``target = f_1 * f_2 * ... * f_k`` where each factor
 expands to ``conjugator * base^(+/-1) * conjugator^-1``.  Verification is free
-reduction of the expanded product.  A factor may additionally carry a witness
+reduction of that product, in one pass that spells no factor: each
+conjugator enters as the bridge from the one before, past their common
+prefix (``Certificate.product``).  A factor may additionally carry a witness
 substitution showing its base is an instance of a template (a commutator, a
 nested-commutator word, a commutator-of-commutators word, or any word
 template), which is what downstream length bookkeeping counts.  A factor of
@@ -17,7 +19,11 @@ Text form (one item per line; words in the expression grammar)::
     FLAG <free text>
     COUNTS <kind>=<n> ...
 
-``TEMPLATE`` and ``WITNESS`` lines attach to the factor above them.
+``TEMPLATE`` and ``WITNESS`` lines attach to the factor above them, at most
+one of each.  A ``WITNESS`` variable or ``COUNTS`` kind given twice, a second
+``TARGET`` line and a ``COUNTS`` line that disagrees with an earlier one are
+parse errors; a ``COUNTS`` line repeated as it was is read.  A ``FACTOR``
+line's base and conjugator are read from its whitespace-split tokens.
 """
 from __future__ import annotations
 
@@ -25,11 +31,12 @@ import dataclasses
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from . import grammar, words
 from .errors import CertificateError, ParseError
 from .templates import Template, beta_word, gamma_word, template_from_word
-from .words import EMPTY, Word, check_size, commutator, product, substitute
+from .words import EMPTY, Word, _inverse_codes, check_size, commutator, substitute
 
 
 class FactorKind(enum.Enum):
@@ -99,7 +106,24 @@ class Certificate:
     flags: tuple[str, ...] = ()
 
     def product(self) -> Word:
-        return product(factor.expanded() for factor in self.factors)
+        """The factors' product, reduced in one pass with no factor expanded.
+
+        Between two factors ``c_{i-1}^-1 c_i`` is pushed as the bridge
+        ``(c_{i-1}[p:])^-1 c_i[p:]``, ``p`` their common prefix, so letters a
+        run of conjugators shares are never pushed only to cancel.
+        """
+        return words._product_codes(self._pieces())
+
+    def _pieces(self) -> Iterator[tuple[int, ...]]:
+        last: tuple[int, ...] = ()  # the previous factor's conjugator
+        for factor in self.factors:
+            conj, base = factor.conjugator.codes, factor.base.codes
+            p = words._common_prefix(last, conj)
+            yield _inverse_codes(last[p:])
+            yield conj[p:]
+            yield _inverse_codes(base) if factor.inverted else base
+            last = conj
+        yield _inverse_codes(last)
 
     def verify(self) -> bool:
         """True when every factor is coherent and the product reduces to the target."""
@@ -237,6 +261,20 @@ def _parse_kind(token: str) -> tuple[FactorKind, Template | None, bool]:
     return kind, gamma_word(n), inverted
 
 
+def _parse_witness(text: str, names: grammar.NameTable) -> dict[int, Word]:
+    """The images a ``WITNESS`` line gives, each variable once."""
+    witness: dict[int, Word] = {}
+    for part in text.split(";"):
+        digits, eq, expr = part.partition("=")
+        var = grammar.read_decimal(digits.strip(), "WITNESS variable") if eq else None
+        if var is None:
+            raise ParseError(f"malformed WITNESS entry {part.strip()!r}")
+        if var in witness:
+            raise ParseError(f"WITNESS variable {var} given twice")
+        witness[var] = grammar.parse(expr.strip(), names)
+    return witness
+
+
 def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Certificate:
     """Inverse of :meth:`Certificate.serialize` (canonical names by default).
 
@@ -251,6 +289,7 @@ def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Cert
     rows: list[dict] = []
     flags: list[str] = []
     declared_counts: dict[str, int] | None = None
+    attached: set[str] = set()  # the TEMPLATE and WITNESS lines of the last factor
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -268,42 +307,44 @@ def parse_certificate(text: str, names: grammar.NameTable | None = None) -> Cert
             if "CONJ" not in tokens:
                 raise ParseError("FACTOR line missing CONJ")
             split = tokens.index("CONJ")
-            base = grammar.parse(" ".join(tokens[:split]), names)
-            conj = grammar.parse(" ".join(tokens[split + 1 :]), names)
+            base = grammar.parse_terms(tokens[:split], names)
+            conj = grammar.parse_terms(tokens[split + 1 :], names)
             letters += len(base) + 2 * len(conj)
             check_size(letters, "letters in the factors")
             rows.append(
                 dict(kind=kind, base=base, conjugator=conj, inverted=inverted,
                      template=template, witness=None)
             )
-        elif tag == "TEMPLATE":
+            attached.clear()
+        elif tag in ("TEMPLATE", "WITNESS"):
             if not rows:
-                raise ParseError("TEMPLATE line before any FACTOR")
-            rows[-1]["template"] = template_from_word(
-                grammar.parse(rest, grammar.canonical_table())
-            )
-        elif tag == "WITNESS":
-            if not rows:
-                raise ParseError("WITNESS line before any FACTOR")
-            witness: dict[int, Word] = {}
-            for part in rest.split(";"):
-                digits, eq, expr = part.partition("=")
-                var = grammar.read_decimal(digits.strip(), "WITNESS variable") if eq else None
-                if var is None:
-                    raise ParseError(f"malformed WITNESS entry {part.strip()!r}")
-                witness[var] = grammar.parse(expr.strip(), names)
-            rows[-1]["witness"] = witness
+                raise ParseError(f"{tag} line before any FACTOR")
+            if tag in attached:
+                raise ParseError(f"second {tag} line for one factor")
+            attached.add(tag)
+            if tag == "TEMPLATE":
+                rows[-1]["template"] = template_from_word(
+                    grammar.parse(rest, grammar.canonical_table())
+                )
+            else:
+                rows[-1]["witness"] = _parse_witness(rest, names)
         elif tag == "FLAG":
             flags.append(rest)
         elif tag == "COUNTS":
-            declared_counts = {}
+            counts: dict[str, int] = {}
             if rest != "-":
                 for part in rest.split():
                     key, eq, value = part.partition("=")
                     count = grammar.read_decimal(value, "COUNTS value") if eq else None
                     if count is None:
                         raise ParseError(f"malformed COUNTS entry {part!r}")
-                    declared_counts[key] = count
+                    if key in counts:
+                        raise ParseError(f"COUNTS entry {key!r} given twice")
+                    counts[key] = count
+            # ``rewrite --records`` repeats the census line; a repeat must agree
+            if declared_counts is not None and declared_counts != counts:
+                raise ParseError("second COUNTS line disagrees with the first")
+            declared_counts = counts
         else:
             raise ParseError(f"unknown certificate line {tag!r}")
     if target is None:

@@ -20,6 +20,10 @@ A *flat* text, whitespace-separated terms ``NAME`` or ``NAME^[-]digits`` as
 terms instead of by the recursive descent.  That lane gives the same words,
 binds the same names in the same order and raises the same errors as the full
 parser; any other text, and so every syntax error, goes to the full parser.
+A ``NameTable`` remembers the letter code of each term text the lane has
+read as one letter, as a binding never changes; a text whose terms it has
+all read so, no two neighbours on one generator, is their codes with no term
+read again.  ``parse_terms`` reads a text already split at its whitespace.
 
 No word is formed past ``words.SIZE_BUDGET`` letters: a product is refused
 when its terms' letters sum past it, a commutator ``[a,b]`` at
@@ -32,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import eq
+from operator import eq, xor
 
 from .errors import ParseError, ResourceBudgetError
 from .words import EMPTY, Word, _reduced, check_size, commutator, conjugate, gen, power, product
@@ -56,6 +60,8 @@ class NameTable:
 
     by_name: dict[str, int] = field(default_factory=dict)
     by_index: dict[int, str] = field(default_factory=dict)
+    # the letter code of each term text the flat lane has read as one letter
+    _letters: dict[str, int] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def bind(self, name: str, index: int) -> None:
         if not _NAME_RE.match(name):
@@ -236,22 +242,29 @@ class _Parser:
         raise ParseError(f"expected an atom, found {tok!r}")
 
 
-def _parse_flat(text: str, names: NameTable) -> Word | None:
-    """``parse`` of a flat text, or ``None`` when ``text`` is not flat.
+def _parse_flat(terms: list[str], names: NameTable) -> Word | None:
+    """``parse`` of a text split at its whitespace into ``terms``, or ``None``
+    when the text is not flat.
 
-    Each term is one run of its generator.  Distinct terms are bound and
-    checked in order of first appearance, as the full parser meets them.
-    When every exponent is +-1 and no two neighbouring terms name one
-    generator, each term is a letter and the word is those letters;
-    otherwise adjacent runs of one generator merge, so the runs left are
-    reduced.
+    Each term is one run of its generator.  When ``names`` has read every
+    term before as one letter and no two neighbouring terms name one
+    generator, the word is those letters, and no term is read again.
+    Otherwise distinct terms are bound and checked in order of first
+    appearance, as the full parser meets them, and each that is one letter
+    is then remembered in ``names``.  When every exponent is +-1 and no two
+    neighbours name one generator, each term is a letter and the word is
+    those letters; otherwise adjacent runs of one generator merge, so the
+    runs left are reduced.
     """
-    terms = text.split()  # at the whitespace ``\s`` matches in ``_TOKEN_RE``
+    letters = names._letters  # a binding never changes, so neither does a letter
+    if terms and terms[0] in letters:  # else the lookup below would fail
+        codes = list(map(letters.get, terms))
+        if None not in codes and _neighbours_differ(codes):
+            check_size(len(codes), "letters")  # as the full parser counts the terms
+            return _reduced(tuple(codes))
     seen: dict[str, tuple[int, int] | None] = dict.fromkeys(terms)
     if not terms or not all(map(_FLAT_TERM_RE.fullmatch, seen)):
         return None
-    generator: dict[str, int] = {}
-    code: dict[str, int] = {}  # the letter code of a term of exponent +-1
     letters_only = True
     for term in seen:
         name, _, digits = term.partition("^")
@@ -259,20 +272,21 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
         if digits:
             exponent = read_integer(digits, "exponent")
             check_size(abs(exponent), "letters")  # as ``power`` checks a term
-            letters_only = letters_only and exponent in (1, -1)
         seen[term] = (index, exponent)
-        generator[term] = index
-        code[term] = 2 * index + (exponent < 0)
+        if exponent in (1, -1):
+            letters[term] = 2 * index + (exponent < 0)
+        else:
+            letters_only = False
     if letters_only:
         check_size(len(terms), "letters")  # as the full parser counts the terms
-        indices = list(map(generator.__getitem__, terms))
-        if not any(map(eq, indices, islice(indices, 1, None))):
-            return _reduced(tuple(map(code.__getitem__, terms)))
+        codes = list(map(letters.__getitem__, terms))
+        if _neighbours_differ(codes):
+            return _reduced(tuple(codes))
     runs: list[tuple[int, int]] = []  # nonzero exponents, neighbours differ
-    letters = 0
+    total = 0
     for term in terms:
         run = seen[term]
-        letters += abs(run[1])
+        total += abs(run[1])
         if runs and runs[-1][0] == run[0]:
             exponent = runs[-1][1] + run[1]
             if exponent:
@@ -281,18 +295,28 @@ def _parse_flat(text: str, names: NameTable) -> Word | None:
                 runs.pop()
         elif run[1]:
             runs.append(run)
-    check_size(letters, "letters")  # as the full parser counts the terms
+    check_size(total, "letters")  # as the full parser counts the terms
     pieces = [(2 * index + (e < 0),) * abs(e) for index, e in runs]
     return _reduced(pieces[0] if len(pieces) == 1 else tuple(chain.from_iterable(pieces)))
 
 
+def _neighbours_differ(codes: list[int]) -> bool:
+    """True when no two neighbouring letter codes name one generator."""
+    return min(map(xor, codes, islice(codes, 1, None)), default=2) > 1
+
+
 def parse(text: str, names: NameTable | None = None) -> Word:
     """Parse ``text`` into a reduced ``Word``, binding new names in ``names``."""
-    names = names if names is not None else NameTable()
-    flat = _parse_flat(text, names)
+    # ``str.split`` splits at the whitespace ``\s`` matches in ``_TOKEN_RE``
+    return parse_terms(text.split(), names if names is not None else NameTable())
+
+
+def parse_terms(terms: list[str], names: NameTable) -> Word:
+    """``parse(" ".join(terms), names)``, for a text already split at its whitespace."""
+    flat = _parse_flat(terms, names)
     if flat is not None:
         return flat
-    return _Parser(_tokenize(text), names).expression()
+    return _Parser(_tokenize(" ".join(terms)), names).expression()
 
 
 class _CanonicalTexts(dict):

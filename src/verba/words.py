@@ -75,6 +75,19 @@ def _inverse_codes(codes: Sequence[int]) -> tuple[int, ...]:
     return tuple([code ^ 1 for code in reversed(codes)])
 
 
+def _common_prefix(left: tuple[int, ...], right: tuple[int, ...]) -> int:
+    """Length of the longest common prefix of ``left`` and ``right``, found by
+    bisection on slice equality, a compare in C."""
+    same, top = 0, min(len(left), len(right))  # left[:same] == right[:same]
+    while same < top:
+        mid = (same + top + 1) // 2
+        if left[same:mid] == right[same:mid]:
+            same = mid
+        else:
+            top = mid - 1
+    return same
+
+
 @dataclass(frozen=True, init=False)
 class Word:
     """A freely reduced word; construct via ``gen``, operators, or ``grammar.parse``."""
@@ -187,11 +200,16 @@ def power(w: Word, n: int) -> Word:
 
 def product(words: Iterable[Word]) -> Word:
     """``w1 * w2 * ...`` in one pass, cancelling only at each seam."""
+    return _product_codes([w.codes for w in words])
+
+
+def _product_codes(pieces: Iterable[Sequence[int]]) -> Word:
+    """``product`` of the reduced words whose codes are ``pieces``."""
     stack: list[int] = []
-    for w in words:
-        k = _seam(stack, w.codes)
+    for codes in pieces:
+        k = _seam(stack, codes)
         del stack[len(stack) - k :]
-        stack.extend(w.codes[k:])
+        stack.extend(codes[k:])
     return _reduced(tuple(stack))
 
 
@@ -210,11 +228,11 @@ def substitute(w: Word, images: Mapping[int, Word]) -> Word:
 
     Generators absent from ``images`` are fixed.
     """
-    table = {code: _reduced((code,)) for code in set(w.codes)}
+    table = {code: (code,) for code in set(w.codes)}
     for index, image in images.items():
-        table[2 * index] = image
-        table[2 * index + 1] = image.inverse()
-    return product(map(table.__getitem__, w.codes))
+        table[2 * index] = image.codes
+        table[2 * index + 1] = _inverse_codes(image.codes)
+    return _product_codes(map(table.__getitem__, w.codes))
 
 
 def abelianization(w: Word) -> dict[int, int]:

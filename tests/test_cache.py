@@ -257,6 +257,20 @@ def test_a_corrupt_entry_is_rewritten_while_the_group_holds_the_table(cache_root
     assert path.read_bytes() == good
 
 
+def test_a_hit_hands_out_a_read_only_table_the_group_does_not_hold(cache_root):
+    group = finite.PermutationGroup("S4", 4, even_only=False)  # fresh: it holds no table
+    template = gamma_word(2)
+    missed = cache.distance_table(group, template)
+    assert not missed.distances.flags.writeable
+    group = finite.PermutationGroup("S4", 4, even_only=False)
+    hit = cache.distance_table(group, template)
+    assert hit is not missed and np.array_equal(hit.distances, missed.distances)
+    assert not hit.distances.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hit.distances[0] = 5
+    assert group._distance_tables == {}  # quotient_length reads only tables it built
+
+
 def test_info_and_clear(cache_root):
     assert any("(empty)" in line for line in cache.info())
     group = load_group("S3")

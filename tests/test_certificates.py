@@ -5,10 +5,13 @@ import random
 
 import pytest
 from helpers import random_word
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from verba import words
 from verba.certificates import (
     Certificate,
+    Factor,
     FactorKind,
     beta2_factor,
     commutator_factor,
@@ -19,9 +22,9 @@ from verba.certificates import (
     with_conjugator_prefix,
 )
 from verba.errors import CertificateError, ParseError, ResourceBudgetError
-from verba.grammar import NameTable
+from verba.grammar import NameTable, parse
 from verba.templates import GAMMA3_FAMILY, gamma_word, template_from_word
-from verba.words import EMPTY, commutator, conjugate, gen, power
+from verba.words import EMPTY, Word, commutator, conjugate, gen, power
 
 
 def test_factor_expansion():
@@ -44,8 +47,6 @@ def test_gamma3_factor_accepts_and_rejects():
     good = gamma3_factor(gen(1), gen(2), gen(3))
     good.check()
     assert good.base == commutator(gen(1), commutator(gen(2), gen(3)))
-
-    from verba.certificates import Factor
 
     bad = Factor(
         kind=FactorKind.GAMMA_N_WORD,
@@ -161,8 +162,6 @@ def test_power_target_round_trip():
 
 
 def test_stock_kinds_carry_their_own_templates():
-    from verba.certificates import Factor
-
     with pytest.raises(ParseError, match="malformed factor kind"):
         parse_certificate("TARGET 1\nFACTOR GAMMA_N_WORD:0 1 CONJ 1\n")
     empty = template_from_word(EMPTY)
@@ -183,8 +182,6 @@ def test_stock_kinds_carry_their_own_templates():
 
 def test_a_factor_over_a_family_template_is_refused():
     """``Gamma3`` names a set of words, not one word, so no witness instantiates it."""
-    from verba.certificates import Factor
-
     factor = Factor(
         FactorKind.W_WORD,
         base=commutator(gen(1), commutator(gen(2), gen(3))),
@@ -213,3 +210,93 @@ def test_a_factor_counts_its_witness_image_before_forming_it(monkeypatch):
     factor = w_word_factor(template, {1: power(gen(3), 902), 2: gen(4)})
     with pytest.raises(ResourceBudgetError, match="^1001 letters in a witnessed factor exceed"):
         factor.check()
+
+
+# Few generators, so that neighbouring conjugators and bodies cancel often.
+_words = st.lists(st.tuples(st.integers(1, 3), st.sampled_from((1, -1))), max_size=7).map(Word)
+
+
+@st.composite
+def _conjugated_factors(draw):
+    """RAW factors whose conjugators each relate to the one before: equal to
+    it, extending it, sharing a prefix of it, empty, or drawn afresh; some
+    bodies begin with a suffix of their conjugator's inverse, so they cancel
+    into it, and some factors are inverted."""
+    factors, last = [], EMPTY
+    for _ in range(draw(st.integers(0, 6))):
+        relation = draw(st.sampled_from(["equal", "extends", "shares", "empty", "fresh"]))
+        tail = draw(_words)
+        if relation == "equal":
+            conj = last
+        elif relation == "extends":
+            conj = last * tail
+        elif relation == "shares":
+            conj = Word(last.letters[: draw(st.integers(0, len(last)))]) * tail
+        else:
+            conj = EMPTY if relation == "empty" else tail
+        base = draw(_words)
+        if draw(st.booleans()):
+            cut = draw(st.integers(0, len(conj)))
+            base = Word(conj.letters[cut:]).inverse() * base
+        factors.append(Factor(FactorKind.RAW, base, conj, inverted=draw(st.booleans())))
+        last = conj
+    return tuple(factors)
+
+
+@seed(30001)
+@settings(max_examples=400, deadline=None, database=None)
+@given(factors=_conjugated_factors())
+def test_the_product_is_the_product_of_the_expanded_factors(factors):
+    cert = Certificate(target=EMPTY, factors=factors)
+    assert cert.product() == words.product(f.expanded() for f in factors)
+
+
+@seed(30002)
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    left=st.lists(st.integers(2, 5), max_size=40),
+    keep=st.integers(0, 40),
+    tail=st.lists(st.integers(2, 5), max_size=10),
+)
+def test_the_common_prefix_is_the_plain_loops(left, keep, tail):
+    right = left[:keep] + tail
+    want = 0
+    while want < min(len(left), len(right)) and left[want] == right[want]:
+        want += 1
+    assert words._common_prefix(tuple(left), tuple(right)) == want
+    assert words._common_prefix(tuple(right), tuple(left)) == want
+
+
+@pytest.mark.parametrize(
+    "base, conj",
+    [
+        ("[x1,x2]", "1"),
+        ("[x1,  x2]\tx3", "(x1 x2)^x3"),
+        ("x1\tx2  x1^-1", "x3  x3"),
+        ("( x1 x2 ) ^ 2", "[x3 ,x1]"),
+        ("x2 x1 x1", "x3^-1\t\tx2"),
+    ],
+)
+def test_factor_fields_that_are_not_flat_read_as_their_texts(base, conj):
+    names = NameTable()
+    cert = parse_certificate(f"TARGET 1\nFACTOR RAW {base} CONJ {conj}\n", names)
+    want = NameTable()
+    assert (cert.factors[0].base, cert.factors[0].conjugator) == (parse(base, want), parse(conj, want))
+    assert names == want
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ("[x1,\tx2 CONJ 1", "unexpected end of input (expected ']')"),
+        ("x1 ^^ 2 CONJ 1", "expected an atom, found '^'"),
+        ("x1  CONJ  x2 ]", "trailing input starting at ']'"),
+        ("x1 CONJ", "empty expression (use '1' for the identity)"),
+        (" CONJ x1", "empty expression (use '1' for the identity)"),
+        ("x1 CONJ (x2\t\t", "unexpected end of input (expected ')')"),
+    ],
+)
+def test_factor_fields_that_do_not_parse_raise_as_their_texts(fields, message):
+    with pytest.raises(ParseError) as caught:
+        parse_certificate(f"TARGET 1\nFACTOR RAW {fields}\n")
+    assert str(caught.value) == message

@@ -879,6 +879,46 @@ def test_error_paths_end_with_their_exit_code(capsys, monkeypatch, argv, stdin, 
     assert {"out": out, "err": err}[stream] == message + "\n"
 
 
+_COMMUTATOR = "TARGET [x1,x2]\nFACTOR COMMUTATOR x1 x2 x1^-1 x2^-1 CONJ 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            _COMMUTATOR + "WITNESS 1 = x3 ; 2 = x4 ; 1 = x1 ; 2 = x2\n",
+            "WITNESS variable 1 given twice",
+            id="witness-variable",
+        ),
+        pytest.param(
+            _COMMUTATOR + "WITNESS 1 = x3 ; 2 = x4\nWITNESS 1 = x1 ; 2 = x2\n",
+            "second WITNESS line for one factor",
+            id="witness-line",
+        ),
+        pytest.param(
+            "TARGET [x1,x2]\nFACTOR W_WORD x1 x2 x1^-1 x2^-1 CONJ 1\n"
+            "TEMPLATE x1 x2\nTEMPLATE x1 x2 x1^-1 x2^-1\nWITNESS 1 = x1 ; 2 = x2\n",
+            "second TEMPLATE line for one factor",
+            id="template-line",
+        ),
+        pytest.param(
+            "TARGET x\nFACTOR RAW x CONJ 1\nCOUNTS RAW=2\nCOUNTS RAW=1\n",
+            "second COUNTS line disagrees with the first",
+            id="counts-line",
+        ),
+        pytest.param(
+            _COMMUTATOR + "WITNESS 1 = x1 ; 2 = x2\nCOUNTS COMMUTATOR=1 COMMUTATOR=1\n",
+            "COUNTS entry 'COMMUTATOR' given twice",
+            id="counts-entry",
+        ),
+    ],
+)
+def test_a_certificate_names_each_thing_once(capsys, monkeypatch, text, message):
+    # each text would verify if the later line or entry silently won
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "verify", "-") == (2, "", f"error: {message}\n")
+
+
 def test_propagation_that_does_not_stabilize_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(bounds, "_MAX_ROUNDS", 1)
     code, out, err = run(capsys, "bound", "--declare", "L FREE [a,b] | gamma2")

@@ -122,6 +122,10 @@ def _full_parse(text, names):
     return grammar._Parser(grammar._tokenize(text), names).expression()
 
 
+def _flat_parse(text, names):
+    return grammar._parse_flat(text.split(), names)
+
+
 _LONG = "9" * 5000  # past Python's 4300-digit limit on int-string conversion
 # Names and exponents that raise, or that bind as plain names in a canonical
 # table, are listed once against ten times for the others.
@@ -165,8 +169,20 @@ _flat_texts = st.builds(
 def test_the_flat_lane_reads_as_the_full_parser(text):
     for table in (NameTable, canonical_table):
         want = _outcome(_full_parse, text, table())
-        assert _outcome(grammar._parse_flat, text, table()) == want
+        assert _outcome(_flat_parse, text, table()) == want
         assert _outcome(parse, text, table()) == want
+
+
+@seed(20103)
+@settings(max_examples=100, deadline=None, database=None)
+@given(texts=st.lists(_flat_texts, min_size=1, max_size=12))
+def test_the_flat_lane_reads_as_the_full_parser_into_a_warm_table(texts):
+    # one table across all the texts, so later texts meet the terms the
+    # table remembers as letters; errors leave what they bound behind
+    for table in (NameTable, canonical_table):
+        flat_names, full_names = table(), table()
+        for text in texts:
+            assert _outcome(parse, text, flat_names) == _outcome(_full_parse, text, full_names)
 
 
 @pytest.mark.parametrize(
@@ -177,7 +193,7 @@ def test_the_flat_lane_reads_as_the_full_parser(text):
 def test_near_flat_texts_take_the_full_parser(text):
     for table in (NameTable, canonical_table):
         names = table()
-        assert grammar._parse_flat(text, names) is None
+        assert grammar._parse_flat(text.split(), names) is None
         assert (names.by_name, names.by_index) == ({}, {})
         assert _outcome(parse, text, table()) == _outcome(_full_parse, text, table())
 
@@ -199,3 +215,7 @@ def test_words_past_the_size_budget_are_refused_before_they_are_formed(monkeypat
     for text, count in cases.items():
         with pytest.raises(ResourceBudgetError, match=f"^{count} letters exceed"):
             parse(text)
+    names = NameTable()
+    parse("x y", names)  # a table that remembers both terms counts them too
+    with pytest.raises(ResourceBudgetError, match="^14 letters exceed"):
+        parse("x y " * 7, names)
